@@ -36,9 +36,7 @@ from .exactlin import (
     inverse,
     quotient_structure,
     random_unimodular,
-    vec_add,
     vec_clean,
-    vec_scale,
 )
 from .complexes import (
     ChainComplex,
@@ -91,17 +89,15 @@ class StructureConstantAlgebra:
         for i in range(self.dim):
             for j in range(self.dim):
                 for k in range(self.dim):
-                    lhs = self.product(self.basis_product(i, j),
-                                       {k: Fraction(1)})
-                    rhs = self.product({i: Fraction(1)},
-                                       self.basis_product(j, k))
+                    lhs = self.product(self.basis_product(i, j), {k: 1})
+                    rhs = self.product({i: 1}, self.basis_product(j, k))
                     if lhs != rhs:
                         raise AlgebraAxiomError(
                             f"associativity fails on basis triple ({i},{j},{k})")
         if self.unit is not None:
             u = vec_clean(self.unit)
             for i in range(self.dim):
-                e = {i: Fraction(1)}
+                e = {i: 1}
                 if self.product(u, e) != e or self.product(e, u) != e:
                     raise AlgebraAxiomError(
                         f"stored unit is not two-sided on basis element {i}")
@@ -119,12 +115,8 @@ class StructureConstantAlgebra:
                 if not coef:
                     continue
                 for k, c in self.mult.get((i, j), {}).items():
-                    s = out.get(k, Fraction(0)) + coef * c
-                    if s:
-                        out[k] = s
-                    elif k in out:
-                        del out[k]
-        return out
+                    out[k] = out.get(k, 0) + coef * c
+        return vec_clean(out)
 
     @property
     def is_unital(self) -> bool:
@@ -147,7 +139,7 @@ def algebra_to_json(a: StructureConstantAlgebra) -> dict:
     if a.unit is not None:
         unit = []
         for i in range(a.dim):
-            v = a.unit.get(i, Fraction(0))
+            v = a.unit.get(i, 0)
             unit.append([v.numerator, v.denominator])
     return {"dim": a.dim,
             "basis": [a.name_of(i) for i in range(a.dim)],
@@ -173,16 +165,13 @@ def algebra_from_json(obj: Mapping) -> StructureConstantAlgebra:
 
 
 def field_q() -> StructureConstantAlgebra:
-    return StructureConstantAlgebra(1, {(0, 0): {0: Fraction(1)}},
-                                    {0: Fraction(1)}, ("1",))
+    return StructureConstantAlgebra(1, {(0, 0): {0: 1}}, {0: 1}, ("1",))
 
 
 def dual_numbers() -> StructureConstantAlgebra:
     """Q[eps]/(eps^2)."""
-    mult = {(0, 0): {0: Fraction(1)},
-            (0, 1): {1: Fraction(1)},
-            (1, 0): {1: Fraction(1)}}
-    return StructureConstantAlgebra(2, mult, {0: Fraction(1)}, ("1", "eps"))
+    mult = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}
+    return StructureConstantAlgebra(2, mult, {0: 1}, ("1", "eps"))
 
 
 def truncated_polynomials(m: int) -> StructureConstantAlgebra:
@@ -193,9 +182,9 @@ def truncated_polynomials(m: int) -> StructureConstantAlgebra:
     for i in range(m):
         for j in range(m):
             if i + j < m:
-                mult[(i, j)] = {i + j: Fraction(1)}
+                mult[(i, j)] = {i + j: 1}
     names = tuple("1" if i == 0 else f"x^{i}" if i > 1 else "x" for i in range(m))
-    return StructureConstantAlgebra(m, mult, {0: Fraction(1)}, names)
+    return StructureConstantAlgebra(m, mult, {0: 1}, names)
 
 
 def matrix_algebra(m: int) -> StructureConstantAlgebra:
@@ -209,8 +198,8 @@ def matrix_algebra(m: int) -> StructureConstantAlgebra:
             for k in range(m):
                 for l in range(m):
                     if j == k:
-                        mult[(i * m + j, k * m + l)] = {i * m + l: Fraction(1)}
-    unit = {i * m + i: Fraction(1) for i in range(m)}
+                        mult[(i * m + j, k * m + l)] = {i * m + l: 1}
+    unit = {i * m + i: 1 for i in range(m)}
     names = tuple(f"e{i + 1}{j + 1}" for i in range(m) for j in range(m))
     return StructureConstantAlgebra(dim, mult, unit, names)
 
@@ -219,9 +208,9 @@ def cyclic_group_algebra(m: int) -> StructureConstantAlgebra:
     """Group algebra Q[Z/m]."""
     if m < 1:
         raise ValueError("need m >= 1")
-    mult = {(i, j): {(i + j) % m: Fraction(1)} for i in range(m) for j in range(m)}
+    mult = {(i, j): {(i + j) % m: 1} for i in range(m) for j in range(m)}
     names = tuple(f"g^{i}" if i > 1 else ("1" if i == 0 else "g") for i in range(m))
-    return StructureConstantAlgebra(m, mult, {0: Fraction(1)}, names)
+    return StructureConstantAlgebra(m, mult, {0: 1}, names)
 
 
 def zero_multiplication(d: int) -> StructureConstantAlgebra:
@@ -239,7 +228,7 @@ def left_unital_two_dim() -> StructureConstantAlgebra:
     stored unit is None, yet the algebra is H-unital (1 x -) is still a
     contracting homotopy for b'.
     """
-    mult = {(0, 0): {0: Fraction(1)}, (0, 1): {1: Fraction(1)}}
+    mult = {(0, 0): {0: 1}, (0, 1): {1: 1}}
     return StructureConstantAlgebra(2, mult, None, ("e", "x"))
 
 
@@ -352,26 +341,19 @@ def _boundary(a: StructureConstantAlgebra, n: int, wrap: bool) -> SparseMatrix:
     d = a.dim
     rows, cols = d ** n, d ** (n + 1)
     acc: Dict[Tuple[int, int], Fraction] = {}
-
-    def put(r: int, c: int, v: Fraction):
-        s = acc.get((r, c), Fraction(0)) + v
-        if s:
-            acc[(r, c)] = s
-        elif (r, c) in acc:
-            del acc[(r, c)]
-
+    # both b and b' are zero out of degree 0: no face and no wrap term
     for idx in range(cols):
         t = tensor_unrank(d, n + 1, idx)
         for i in range(n):
-            sign = Fraction(-1) if i % 2 else Fraction(1)
+            sign = -1 if i % 2 else 1
             for k, coef in a.mult.get((t[i], t[i + 1]), {}).items():
-                put(tensor_rank(d, t[:i] + (k,) + t[i + 2:]), idx, sign * coef)
+                key = (tensor_rank(d, t[:i] + (k,) + t[i + 2:]), idx)
+                acc[key] = acc.get(key, 0) + sign * coef
         if wrap and n >= 1:
-            sign = Fraction(-1) if n % 2 else Fraction(1)
+            sign = -1 if n % 2 else 1
             for k, coef in a.mult.get((t[n], t[0]), {}).items():
-                put(tensor_rank(d, (k,) + t[1:n]), idx, sign * coef)
-        if n == 0:
-            pass  # both b and b' are zero out of degree 0
+                key = (tensor_rank(d, (k,) + t[1:n]), idx)
+                acc[key] = acc.get(key, 0) + sign * coef
     return SparseMatrix(rows, cols, acc)
 
 
@@ -379,7 +361,7 @@ def cyclic_operator(dim: int, n: int) -> SparseMatrix:
     """Signed rotation t on (n+1)-fold tensors: last factor to the front,
     sign (-1)^n."""
     size = dim ** (n + 1)
-    sign = Fraction(-1) if n % 2 else Fraction(1)
+    sign = -1 if n % 2 else 1
     entries = {}
     for idx in range(size):
         t = tensor_unrank(dim, n + 1, idx)
@@ -396,13 +378,8 @@ def norm_operator(dim: int, n: int) -> SparseMatrix:
         t = tensor_unrank(dim, n + 1, idx)
         for j in range(n + 1):
             rot = t[n + 1 - j:] + t[:n + 1 - j]
-            sign = Fraction(sign_t ** j)
             key = (tensor_rank(dim, rot), idx)
-            s = acc.get(key, Fraction(0)) + sign
-            if s:
-                acc[key] = s
-            elif key in acc:
-                del acc[key]
+            acc[key] = acc.get(key, 0) + sign_t ** j
     return SparseMatrix(size, size, acc)
 
 

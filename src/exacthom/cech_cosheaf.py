@@ -276,10 +276,10 @@ def _axiom_instance(p: FinitePrecosheaf, target: int,
         into_b = p.extension(w, subcover[bi])
         for (r, c), v in into_a.entries.items():
             key = (member_offsets[ai] + r, col_offset + c)
-            mid_entries[key] = mid_entries.get(key, Fraction(0)) + v
+            mid_entries[key] = mid_entries.get(key, 0) + v
         for (r, c), v in into_b.entries.items():
             key = (member_offsets[bi] + r, col_offset + c)
-            mid_entries[key] = mid_entries.get(key, Fraction(0)) - v
+            mid_entries[key] = mid_entries.get(key, 0) - v
         col_offset += p.dims[w]
     middle = SparseMatrix(total_members, mid_cols, mid_entries)
     sum_rank = rank(sum_map)
@@ -385,11 +385,7 @@ def cech_complex(p: FinitePrecosheaf, u: CoverModel) -> ChainComplex:
                 sign = -1 if drop % 2 else 1
                 for (rr, cc), v in ext.entries.items():
                     key = (tgt_off + rr, src_off + cc)
-                    acc = entries.get(key, Fraction(0)) + sign * v
-                    if acc:
-                        entries[key] = acc
-                    elif key in entries:
-                        del entries[key]
+                    entries[key] = entries.get(key, 0) + sign * v
         diffs[r] = SparseMatrix(dims[r - 1], dims[r], entries)
     return ChainComplex(tuple(dims), diffs, truncated=False)
 
@@ -530,8 +526,7 @@ def extension_by_zero_model(u: CoverModel) -> FinitePrecosheaf:
     exts: Dict[Tuple[int, int], SparseMatrix] = {}
     for (a, b) in sorted(_strict_inclusions(u)):
         pos_in_b = {pt: i for i, pt in enumerate(u.opens[b])}
-        entries = {(pos_in_b[pt], i): Fraction(1)
-                   for i, pt in enumerate(u.opens[a])}
+        entries = {(pos_in_b[pt], i): 1 for i, pt in enumerate(u.opens[a])}
         exts[(a, b)] = SparseMatrix(dims[b], dims[a], entries)
     return FinitePrecosheaf(u, dims, exts)
 
@@ -558,8 +553,7 @@ def edge_function_model(u: CoverModel,
     exts: Dict[Tuple[int, int], SparseMatrix] = {}
     for (a, b) in sorted(_strict_inclusions(u)):
         pos_in_b = {e: i for i, e in enumerate(touching[b])}
-        entries = {(pos_in_b[e], i): Fraction(1)
-                   for i, e in enumerate(touching[a])}
+        entries = {(pos_in_b[e], i): 1 for i, e in enumerate(touching[a])}
         exts[(a, b)] = SparseMatrix(dims[b], dims[a], entries)
     return FinitePrecosheaf(u, dims, exts)
 
@@ -591,14 +585,10 @@ def circle_difference_model(
         for row, e in enumerate(touching):
             x, y = edges[e]
             if y in pts:
-                entries[(row, pos_pt[y])] = Fraction(1)
+                entries[(row, pos_pt[y])] = 1
             if x in pts:
                 key = (row, pos_pt[x])
-                acc = entries.get(key, Fraction(0)) - 1
-                if acc:
-                    entries[key] = acc
-                elif key in entries:
-                    del entries[key]
+                entries[key] = entries.get(key, 0) - 1
         comps.append(SparseMatrix(p1.dims[oi], p0.dims[oi], entries))
     d = CosheafMorphism(p0, p1, tuple(comps))
     return u, p0, p1, d

@@ -206,9 +206,7 @@ def induced_on_homology(f: ChainMap,
                     f"image of a cycle is not a cycle mod boundaries in degree {n}; "
                     "not a chain map?")
             for i in range(len(treps)):
-                v = x.get(i)
-                if v:
-                    entries[(i, j)] = v
+                entries[(i, j)] = x.get(i, 0)
         out[n] = SparseMatrix(len(treps), len(sreps), entries)
     return out
 
@@ -269,7 +267,7 @@ def tensor_complexes(a: ChainComplex, b: ChainComplex) -> ChainComplex:
             # (-1)^p id tensor d_B into block (p, q-1)
             if q >= 1 and (p, q - 1) in tgt_off:
                 toff = tgt_off[(p, q - 1)]
-                sgn = Fraction(-1) if p % 2 else Fraction(1)
+                sgn = -1 if p % 2 else 1
                 bq1 = b.dims[q - 1]
                 for (r, c), v in b.d(q).entries.items():
                     for i in range(a.dims[p]):
@@ -417,11 +415,7 @@ def total_complex(d: DoubleComplex, truncated: bool = False) -> TotalComplex:
                 toff = tgt_off[(p - 1, q)]
                 for (r, c), v in d.d_horiz(p, q).entries.items():
                     key = (toff + r, off + c)
-                    s = entries.get(key, Fraction(0)) + v
-                    if s:
-                        entries[key] = s
-                    elif key in entries:
-                        del entries[key]
+                    entries[key] = entries.get(key, 0) + v
         diffs[n] = SparseMatrix(dims[n - 1], dims[n], entries)
     cx = ChainComplex(tuple(dims), diffs, truncated=truncated)
     return TotalComplex(cx, layout)
@@ -522,7 +516,7 @@ class SpectralSequence:
                        if 0 <= n <= self.tot.complex.max_degree else 0)
             cols = self.tot.filtration_columns(n, p - 1)
             den = Subspace.from_vectors(
-                ambient, [{c: Fraction(1)} for c in cols])
+                ambient, [{c: 1} for c in cols])
         else:
             den = self._approximant(r - 1, p - 1, q + 1).sum(
                 self._boundary_image(r - 1, p + r - 1, q - r + 2))
@@ -580,9 +574,7 @@ class SpectralSequence:
                     raise AssertionError(
                         f"page {r} differential not expressible at {(p, q)}")
                 for i in range(len(tgt_reps)):
-                    v = x.get(i)
-                    if v:
-                        entries[(i, j)] = v
+                    entries[(i, j)] = x.get(i, 0)
             m = SparseMatrix(tgtdim, srcdim, entries)
             if not m.is_zero():
                 out[(p, q)] = m
@@ -669,7 +661,7 @@ def random_complex(seed: int, max_degree: int = 4,
         for j in range(tops):
             src = dots[n] + j
             tgt = dots[n - 1] + (intervals[n - 1] if n - 1 >= 1 else 0) + j
-            entries[(tgt, src)] = Fraction(1)
+            entries[(tgt, src)] = 1
         diffs[n] = SparseMatrix(dims[n - 1], dims[n], entries)
     g = [random_unimodular(rng, dims[n]) for n in range(max_degree + 1)]
     ginv = [inverse(m) for m in g]
@@ -699,7 +691,7 @@ def random_double_complex(seed: int, max_p: int = 4, max_q: int = 4,
         return d
 
     def add_arrow(table, key, r, c, val):
-        table.setdefault(key, {})[(r, c)] = Fraction(val)
+        table.setdefault(key, {})[(r, c)] = val
 
     for _ in range(rng.randint(3, 8)):
         kind = rng.choice(["dot", "square", "zigzag", "zigzag"])

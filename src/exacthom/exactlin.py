@@ -2,8 +2,15 @@
 
 Everything downstream (chain complexes, homology, spectral sequences) reduces to
 rank / kernel / image / solve computations here, so this module is deliberately
-boring: immutable sparse matrices with `fractions.Fraction` entries, and a single
-deterministic elimination routine that all higher-level operations share.
+boring: immutable sparse matrices over Q, and a single deterministic elimination
+routine that all higher-level operations share.
+
+Storage rule: a stored entry is a plain `int` when it is integral and a
+reduced `fractions.Fraction` otherwise, never a `float`, and zeros are never
+stored. `SparseMatrix.__init__` and `vec_clean` are the only places that apply
+it, so accumulators elsewhere simply add (`acc[k] = acc.get(k, 0) + x`) and
+leave zeros and type to the constructor, or to one `vec_clean` before a `Vec`
+is returned.
 
 Determinism contract: for a fixed input matrix, every function returns a unique
 canonical answer. Reduced row echelon form is unique per se; bases of kernels,
@@ -23,9 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-Rational = Fraction
-
-# A sparse vector: coordinate index -> nonzero rational value.
+# A sparse vector: coordinate index -> nonzero rational value (int or Fraction).
 Vec = Dict[int, Fraction]
 
 # Ambient dimensions past this limit abort with a sizing report instead of
@@ -48,38 +53,29 @@ def guard_ambient(label: str, size: int, limit: int = AMBIENT_LIMIT) -> None:
         raise ResourceGuardError(label, size, limit)
 
 
+def _stored(v):
+    """The storage rule: int when integral, otherwise a reduced Fraction."""
+    if type(v) is int:
+        return v
+    if type(v) is not Fraction:
+        v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
 def vec_clean(v: Mapping[int, Fraction]) -> Vec:
-    """Drop explicit zeros and coerce values to Fraction."""
-    return {i: Fraction(x) for i, x in v.items() if x != 0}
+    """Drop explicit zeros and store values by the int-or-Fraction rule."""
+    return {i: _stored(x) for i, x in v.items() if x}
 
-
-def vec_add(u: Mapping[int, Fraction], v: Mapping[int, Fraction]) -> Vec:
-    out: Vec = dict(u)
-    for i, x in v.items():
-        s = out.get(i, Fraction(0)) + x
-        if s:
-            out[i] = s
-        elif i in out:
-            del out[i]
-    return out
-
-
-def vec_sub(u: Mapping[int, Fraction], v: Mapping[int, Fraction]) -> Vec:
-    return vec_add(u, vec_scale(Fraction(-1), v))
-
-
-def vec_scale(a: Fraction, v: Mapping[int, Fraction]) -> Vec:
-    if a == 0:
-        return {}
-    return {i: a * x for i, x in v.items()}
 
 
 class SparseMatrix:
     """Immutable sparse rational matrix.
 
-    Entries are stored as a dict (row, col) -> Fraction with zeros dropped.
-    Do not mutate `entries` after construction; all operations return new
-    matrices.
+    Entries are stored as a dict (row, col) -> value with zeros dropped; a
+    value is an `int` when integral, otherwise a reduced `Fraction`, never a
+    `float`. The constructor applies this rule to whatever it is given, so
+    callers may hand it unreduced sums. Do not mutate `entries` after
+    construction; all operations return new matrices.
     """
 
     __slots__ = ("rows", "cols", "entries", "_row_cache", "_col_cache")
@@ -95,9 +91,8 @@ class SparseMatrix:
             for (r, c), v in entries.items():
                 if not (0 <= r < rows and 0 <= c < cols):
                     raise ValueError(f"entry ({r},{c}) outside {rows}x{cols}")
-                fv = Fraction(v)
-                if fv:
-                    clean[(r, c)] = fv
+                if v:
+                    clean[(r, c)] = _stored(v)
         self.entries = clean
         self._row_cache: Optional[List[Vec]] = None
         self._col_cache: Optional[List[Vec]] = None
@@ -113,22 +108,18 @@ class SparseMatrix:
             if len(row) != cols:
                 raise ValueError("ragged dense input")
             for c, v in enumerate(row):
-                if v:
-                    entries[(r, c)] = Fraction(v)
+                entries[(r, c)] = v
         return SparseMatrix(rows, cols, entries)
 
     @staticmethod
     def from_rows(rows: Sequence[Mapping[int, Fraction]], cols: int) -> "SparseMatrix":
-        entries = {}
-        for r, row in enumerate(rows):
-            for c, v in row.items():
-                if v:
-                    entries[(r, c)] = Fraction(v)
+        entries = {(r, c): v for r, row in enumerate(rows)
+                   for c, v in row.items()}
         return SparseMatrix(len(rows), cols, entries)
 
     @staticmethod
     def identity(n: int) -> "SparseMatrix":
-        return SparseMatrix(n, n, {(i, i): Fraction(1) for i in range(n)})
+        return SparseMatrix(n, n, {(i, i): 1 for i in range(n)})
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "SparseMatrix":
@@ -137,7 +128,7 @@ class SparseMatrix:
     # -- access ------------------------------------------------------------
 
     def entry(self, r: int, c: int) -> Fraction:
-        return self.entries.get((r, c), Fraction(0))
+        return self.entries.get((r, c), 0)
 
     def row(self, r: int) -> Vec:
         if self._row_cache is None:
@@ -187,11 +178,7 @@ class SparseMatrix:
             raise ValueError("shape mismatch in matrix addition")
         entries = dict(self.entries)
         for k, v in other.entries.items():
-            s = entries.get(k, Fraction(0)) + v
-            if s:
-                entries[k] = s
-            elif k in entries:
-                del entries[k]
+            entries[k] = entries.get(k, 0) + v
         return SparseMatrix(self.rows, self.cols, entries)
 
     def __neg__(self) -> "SparseMatrix":
@@ -202,7 +189,6 @@ class SparseMatrix:
         return self + (-other)
 
     def scale(self, a: Fraction) -> "SparseMatrix":
-        a = Fraction(a)
         if a == 0:
             return SparseMatrix.zeros(self.rows, self.cols)
         return SparseMatrix(self.rows, self.cols,
@@ -223,12 +209,7 @@ class SparseMatrix:
             if not hits:
                 continue
             for r, av in hits:
-                key = (r, c)
-                s = acc.get(key, Fraction(0)) + av * bv
-                if s:
-                    acc[key] = s
-                elif key in acc:
-                    del acc[key]
+                acc[(r, c)] = acc.get((r, c), 0) + av * bv
         return SparseMatrix(self.rows, other.cols, acc)
 
     def apply(self, v: Mapping[int, Fraction]) -> Vec:
@@ -238,12 +219,8 @@ class SparseMatrix:
             if x == 0:
                 continue
             for i, a in self.column(j).items():
-                s = out.get(i, Fraction(0)) + a * x
-                if s:
-                    out[i] = s
-                elif i in out:
-                    del out[i]
-        return out
+                out[i] = out.get(i, 0) + a * x
+        return vec_clean(out)
 
     # -- block assembly ----------------------------------------------------
 
@@ -406,7 +383,7 @@ def kernel_basis(m: SparseMatrix) -> SparseMatrix:
     for f in range(m.cols):
         if f in pivset:
             continue
-        v: Vec = {f: Fraction(1)}
+        v: Vec = {f: 1}
         for i, p in enumerate(piv):
             coef = R.entry(i, f)
             if coef:
@@ -443,7 +420,7 @@ def solve_matrix(a: SparseMatrix, b: SparseMatrix) -> Optional[SparseMatrix]:
 
 
 def solve_vector(a: SparseMatrix, b: Mapping[int, Fraction]) -> Optional[Vec]:
-    B = SparseMatrix(a.rows, 1, {(i, 0): Fraction(v) for i, v in b.items() if v})
+    B = SparseMatrix(a.rows, 1, {(i, 0): v for i, v in b.items()})
     X = solve_matrix(a, B)
     if X is None:
         return None
@@ -454,25 +431,27 @@ def solve_vector(a: SparseMatrix, b: Mapping[int, Fraction]) -> Optional[Vec]:
 
 
 def inverse(m: SparseMatrix) -> SparseMatrix:
-    """Exact inverse of a square matrix (ValueError when singular)."""
+    """Exact inverse of a square matrix (ValueError when singular).
+
+    For square m, m @ X == I is solvable exactly when m is invertible."""
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
     inv = solve_matrix(m, SparseMatrix.identity(m.rows))
-    if inv is None or rank(m) < m.rows:
+    if inv is None:
         raise ValueError("matrix is singular")
     return inv
 
 
 def random_unimodular(rng, n: int) -> SparseMatrix:
     """Seeded determinant-1 matrix: unit lower times unit upper triangular."""
-    lo = {(i, i): Fraction(1) for i in range(n)}
-    up = {(i, i): Fraction(1) for i in range(n)}
+    lo = {(i, i): 1 for i in range(n)}
+    up = {(i, i): 1 for i in range(n)}
     for i in range(n):
         for j in range(i):
             if rng.random() < 0.5:
-                lo[(i, j)] = Fraction(rng.randint(-2, 2))
+                lo[(i, j)] = rng.randint(-2, 2)
             if rng.random() < 0.5:
-                up[(j, i)] = Fraction(rng.randint(-2, 2))
+                up[(j, i)] = rng.randint(-2, 2)
     return SparseMatrix(n, n, lo) @ SparseMatrix(n, n, up)
 
 
@@ -514,8 +493,9 @@ class Subspace:
         for i, p in enumerate(self.pivots):
             coef = out.get(p)
             if coef:
-                out = vec_sub(out, vec_scale(coef, self.basis.row(i)))
-        return out
+                for c, x in self.basis.row(i).items():
+                    out[c] = out.get(c, 0) - coef * x
+        return vec_clean(out)
 
     def contains(self, v: Mapping[int, Fraction]) -> bool:
         return not self.reduce(v)
@@ -561,8 +541,8 @@ def quotient_structure(sub: Subspace) -> QuotientStructure:
     proj: Dict[Tuple[int, int], Fraction] = {}
     sec: Dict[Tuple[int, int], Fraction] = {}
     for j, f in enumerate(free):
-        proj[(j, f)] = Fraction(1)
-        sec[(f, j)] = Fraction(1)
+        proj[(j, f)] = 1
+        sec[(f, j)] = 1
         for i, p in enumerate(sub.pivots):
             coef = sub.basis.entry(i, f)
             if coef:

@@ -29,6 +29,7 @@ from .exactlin import (
     SparseMatrix,
     Subspace,
     Vec,
+    inverse,
     quotient_structure,
     vec_clean,
 )
@@ -74,14 +75,10 @@ class StructureConstantLieAlgebra:
                     acc: Vec = {}
                     for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
                         inner = self.basis_bracket(b, c)
-                        term = self.bracket_vec({a: Fraction(1)}, inner)
+                        term = self.bracket_vec({a: 1}, inner)
                         for t, x in term.items():
-                            s = acc.get(t, Fraction(0)) + x
-                            if s:
-                                acc[t] = s
-                            elif t in acc:
-                                del acc[t]
-                    if acc:
+                            acc[t] = acc.get(t, 0) + x
+                    if any(acc.values()):
                         raise LieAxiomError(
                             f"Jacobi fails on basis triple ({i},{j},{k})")
 
@@ -97,12 +94,8 @@ class StructureConstantLieAlgebra:
                 if not coef:
                     continue
                 for k, c in self.bracket.get((i, j), {}).items():
-                    s = out.get(k, Fraction(0)) + coef * c
-                    if s:
-                        out[k] = s
-                    elif k in out:
-                        del out[k]
-        return out
+                    out[k] = out.get(k, 0) + coef * c
+        return vec_clean(out)
 
     def name_of(self, i: int) -> str:
         return self.names[i] if self.names else f"g{i}"
@@ -139,11 +132,10 @@ def abelian_lie_algebra(d: int) -> StructureConstantLieAlgebra:
 
 def sl2_q() -> StructureConstantLieAlgebra:
     """sl_2 with basis (h, e, f): [h,e] = 2e, [h,f] = -2f, [e,f] = h."""
-    two = Fraction(2)
     bracket = {
-        (0, 1): {1: two}, (1, 0): {1: -two},
-        (0, 2): {2: -two}, (2, 0): {2: two},
-        (1, 2): {0: Fraction(1)}, (2, 1): {0: Fraction(-1)},
+        (0, 1): {1: 2}, (1, 0): {1: -2},
+        (0, 2): {2: -2}, (2, 0): {2: 2},
+        (1, 2): {0: 1}, (2, 1): {0: -1},
     }
     return StructureConstantLieAlgebra(3, bracket, ("h", "e", "f"))
 
@@ -170,12 +162,12 @@ def gl_n_of(a: StructureConstantAlgebra, n: int) -> StructureConstantLieAlgebra:
                             if j == k:
                                 for t, coef in a.mult.get((c, e), {}).items():
                                     z = gl_index(n, a.dim, i, l, t)
-                                    out[z] = out.get(z, Fraction(0)) + coef
+                                    out[z] = out.get(z, 0) + coef
                             if l == i:
                                 for t, coef in a.mult.get((e, c), {}).items():
                                     z = gl_index(n, a.dim, k, j, t)
-                                    out[z] = out.get(z, Fraction(0)) - coef
-                            out = {z: v for z, v in out.items() if v}
+                                    out[z] = out.get(z, 0) - coef
+                            out = vec_clean(out)
                             if out:
                                 bracket[(x, y)] = out
     names = tuple(f"e{i + 1}{j + 1}({a.name_of(c)})"
@@ -185,17 +177,14 @@ def gl_n_of(a: StructureConstantAlgebra, n: int) -> StructureConstantLieAlgebra:
 
 def change_of_basis_lie(g: StructureConstantLieAlgebra,
                         p: SparseMatrix) -> StructureConstantLieAlgebra:
-    """Transport the bracket along an invertible matrix (new basis Pe_i)."""
-    from .exactlin import inverse
+    """Transport the bracket along an invertible matrix (new basis Pe_i);
+    ValueError when p is singular."""
     pinv = inverse(p)
-    if pinv is None:
-        raise ValueError("change of basis must be invertible")
     bracket: Dict[Tuple[int, int], Vec] = {}
     cols = [p.column(i) for i in range(g.dim)]
     for i in range(g.dim):
         for j in range(g.dim):
             w = pinv.apply(g.bracket_vec(cols[i], cols[j]))
-            w = vec_clean(w)
             if w:
                 bracket[(i, j)] = w
     return StructureConstantLieAlgebra(g.dim, bracket)
@@ -276,12 +265,8 @@ def ce_complex(g: StructureConstantLieAlgebra,
                             continue
                         s, newt = ins
                         key = (tgt.index[newt], ci)
-                        v = entries.get(key, Fraction(0)) + \
-                            Fraction(pair_sign * s) * coef
-                        if v:
-                            entries[key] = v
-                        elif key in entries:
-                            del entries[key]
+                        entries[key] = (entries.get(key, 0)
+                                        + pair_sign * s * coef)
         diffs[k] = SparseMatrix(len(tgt), len(src), entries)
     if max_degree >= 1:
         diffs[1] = SparseMatrix.zeros(dims[0], dims[1])
@@ -303,13 +288,9 @@ def wedge_derivation_matrix(k_basis: ExteriorBasis,
                     continue
                 s, newt = ins
                 # moving the image from slot pos to the front costs (-1)^pos
-                total = coef * Fraction((-1 if pos % 2 else 1) * s)
                 key = (k_basis.index[newt], ci)
-                v = entries.get(key, Fraction(0)) + total
-                if v:
-                    entries[key] = v
-                elif key in entries:
-                    del entries[key]
+                entries[key] = (entries.get(key, 0)
+                                + coef * (-1 if pos % 2 else 1) * s)
     return SparseMatrix(size, size, entries)
 
 
@@ -327,12 +308,11 @@ def scalar_matrix_generator_action(n: int, a_dim: int, r: int,
         i, j = divmod(ij, n)
         out: Vec = {}
         if s == i:
-            out[gl_index(n, a_dim, r, j, c)] = \
-                out.get(gl_index(n, a_dim, r, j, c), Fraction(0)) + 1
+            out[gl_index(n, a_dim, r, j, c)] = 1
         if j == r:
             key = gl_index(n, a_dim, i, s, c)
-            out[key] = out.get(key, Fraction(0)) - 1
-        return {k: v for k, v in out.items() if v}
+            out[key] = out.get(key, 0) - 1
+        return vec_clean(out)
     return act
 
 
@@ -366,19 +346,14 @@ def homotopy_identity_check(g: StructureConstantLieAlgebra, max_degree: int,
                     continue
                 s, newt = ins
                 key = bases[k].index[newt]
-                v = lhs.get(key, Fraction(0)) + \
-                    coef * Fraction((-1 if pos % 2 else 1) * s)
-                if v:
-                    lhs[key] = v
-                elif key in lhs:
-                    del lhs[key]
+                lhs[key] = lhs.get(key, 0) + coef * (-1 if pos % 2 else 1) * s
         # d(X ^ c)
         rhs: Vec = {}
         ins = insert_with_sign(t, x)
         if ins is not None:
             s, wedge = ins
             col = cx.d(k + 1).column(bases[k + 1].index[wedge])
-            rhs = {i: Fraction(s) * v for i, v in col.items()}
+            rhs = {i: s * v for i, v in col.items()}
         # + X ^ d(c)
         if k >= 1:
             for i, v in cx.d(k).column(ti).items():
@@ -387,11 +362,7 @@ def homotopy_identity_check(g: StructureConstantLieAlgebra, max_degree: int,
                     continue
                 s2, wedge2 = ins2
                 key = bases[k].index[wedge2]
-                s = rhs.get(key, Fraction(0)) + Fraction(s2) * v
-                if s:
-                    rhs[key] = s
-                elif key in rhs:
-                    del rhs[key]
+                rhs[key] = rhs.get(key, 0) + s2 * v
         if vec_clean(lhs) != vec_clean(rhs):
             return {"check": "wedge_homotopy_identity", "verdict": "fail",
                     "witness": {"generator": x, "degree": k, "tuple": list(t)},
@@ -457,7 +428,14 @@ def gln_action_on_chains(a: StructureConstantAlgebra, n: int,
 def coinvariant_reduction(cx: ChainComplex,
                           actions: Sequence[LieModuleAction]
                           ) -> Tuple[ChainComplex, ChainMap, List[QuotientStructure]]:
-    """coinvariant_complex plus the degreewise quotient structures."""
+    """Degreewise quotient by the span of all action images.
+
+    Requires one action per degree 0..max_degree acting on the matching chain
+    space. The differential is checked to commute with every generator action
+    (exactly); on failure an AssertionError reports the degree. Returns the
+    quotient complex, the projection chain map and the degreewise quotient
+    structures.
+    """
     if len(actions) != cx.max_degree + 1:
         raise ValueError("need one action per degree")
     for k, act in enumerate(actions):
@@ -488,23 +466,10 @@ def coinvariant_reduction(cx: ChainComplex,
     return qcx, proj, quots
 
 
-def coinvariant_complex(cx: ChainComplex,
-                        actions: Sequence[LieModuleAction]
-                        ) -> Tuple[ChainComplex, ChainMap]:
-    """Degreewise quotient by the span of all action images.
-
-    Requires one action per degree 0..max_degree acting on the matching chain
-    space. The differential is checked to commute with every generator action
-    (exactly); on failure an AssertionError reports the degree. Returns the
-    quotient complex and the projection chain map.
-    """
-    qcx, proj, _ = coinvariant_reduction(cx, actions)
-    return qcx, proj
-
-
 def gln_coinvariant_complex(a: StructureConstantAlgebra, n: int,
                             max_degree: int) -> Tuple[ChainComplex, ChainMap]:
     """Exterior complex of gl_n(A) reduced by the scalar gl_n action."""
     cx = ce_complex(gl_n_of(a, n), max_degree)
     actions = [gln_action_on_chains(a, n, k) for k in range(max_degree + 1)]
-    return coinvariant_complex(cx, actions)
+    qcx, proj, _ = coinvariant_reduction(cx, actions)
+    return qcx, proj

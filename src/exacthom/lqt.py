@@ -247,12 +247,8 @@ def _polytabloid(rows, tabloid_index: Mapping) -> Vec:
     for sign, mapping in _column_group(rows):
         moved = tuple(tuple(mapping.get(e, e) for e in row) for row in rows)
         idx = tabloid_index[_tabloid_key(moved)]
-        s = acc.get(idx, Fraction(0)) + sign
-        if s:
-            acc[idx] = s
-        elif idx in acc:
-            del acc[idx]
-    return acc
+        acc[idx] = acc.get(idx, 0) + sign
+    return vec_clean(acc)
 
 
 def _hook_length_dim(alpha: Tuple[int, ...]) -> int:
@@ -369,7 +365,7 @@ def trace_invariant_matrix(n: int, k: int) -> SparseMatrix:
         legs = tuple(divmod(x, n) for x in tensor_unrank(dim, k, cidx))
         for pi, p in enumerate(perms):
             if trace_coefficient(p, legs):
-                entries[(pi, cidx)] = Fraction(1)
+                entries[(pi, cidx)] = 1
     return SparseMatrix(len(perms), amb, entries)
 
 
@@ -396,11 +392,11 @@ def _conjugation_relation_buckets(
                     if s == i:
                         key = tensor_rank(
                             dim, legs[:t] + (r * n + j,) + legs[t + 1:])
-                        acc[key] = acc.get(key, Fraction(0)) + 1
+                        acc[key] = acc.get(key, 0) + 1
                     if j == r:
                         key = tensor_rank(
                             dim, legs[:t] + (i * n + s,) + legs[t + 1:])
-                        acc[key] = acc.get(key, Fraction(0)) - 1
+                        acc[key] = acc.get(key, 0) - 1
                 vec = vec_clean(acc)
                 if vec:
                     w = list(wt)
@@ -494,11 +490,11 @@ def equivariance_check(n: int, k: int) -> dict:
             moved = [0] * k
             for t in range(k):
                 moved[s(t)] = legs[t]
-            place[(tensor_rank(dim, tuple(moved)), cidx)] = Fraction(1)
+            place[(tensor_rank(dim, tuple(moved)), cidx)] = 1
         conj: Dict[Tuple[int, int], Fraction] = {}
         s_inv = s.inverse()
         for ti, t in enumerate(perms):
-            conj[(pidx[s.compose(t).compose(s_inv)], ti)] = Fraction(1)
+            conj[(pidx[s.compose(t).compose(s_inv)], ti)] = 1
         lhs = phi @ SparseMatrix(amb, amb, place)
         rhs = SparseMatrix(len(perms), len(perms), conj) @ phi
         if lhs != rhs:
@@ -606,12 +602,8 @@ def cyclic_wedge_complex(a: StructureConstantAlgebra,
                             continue
                         sg, target = res
                         key = (index[d - 1][target], ci)
-                        v = entries.get(key, Fraction(0)) + \
-                            Fraction(prefix_sign * sg) * coef
-                        if v:
-                            entries[key] = v
-                        elif key in entries:
-                            del entries[key]
+                        entries[key] = (entries.get(key, 0)
+                                        + prefix_sign * sg * coef)
                 if j % 2:
                     prefix_sign = -prefix_sign
         diffs[d] = SparseMatrix(dims[d - 1], dims[d], entries)
@@ -650,8 +642,8 @@ def signed_group_tensor_coinvariants(a: StructureConstantAlgebra,
                 v: Dict[int, Fraction] = {}
                 tgt = ci * tdim + tensor_rank(a.dim, swapped)
                 src = ti * tdim + tens
-                v[tgt] = v.get(tgt, Fraction(0)) - 1
-                v[src] = v.get(src, Fraction(0)) - 1
+                v[tgt] = v.get(tgt, 0) - 1
+                v[src] = v.get(src, 0) - 1
                 vec = vec_clean(v)
                 if vec:
                     rels.append(vec)
@@ -678,7 +670,7 @@ def _wedge_identification_raw(a: StructureConstantAlgebra, n: int,
         for pi, p in enumerate(perms):
             if trace_coefficient(p, mlegs):
                 key = (pi * tdim + tens, ci)
-                entries[key] = entries.get(key, Fraction(0)) + 1
+                entries[key] = entries.get(key, 0) + 1
     return SparseMatrix(len(perms) * tdim, len(wedge), entries)
 
 
@@ -762,7 +754,7 @@ def _theta_pipeline(a: StructureConstantAlgebra, max_degree: int):
         entries: Dict[Tuple[int, int], Fraction] = {}
         for mi, mono in enumerate(dom.monomials[deg]):
             block_perm = _block_cycle_permutation(mono, deg)
-            acc: Dict[int, Fraction] = {0: Fraction(1)}
+            acc: Dict[int, Fraction] = {0: 1}
             for (j, t) in mono:
                 sec = dom.cyclic_quots[j - 1].section.column(t)
                 base = a.dim ** j
@@ -770,11 +762,7 @@ def _theta_pipeline(a: StructureConstantAlgebra, max_degree: int):
                 for pi_idx, pv in acc.items():
                     for si, sv in sec.items():
                         key = pi_idx * base + si
-                        s = new.get(key, Fraction(0)) + pv * sv
-                        if s:
-                            new[key] = s
-                        elif key in new:
-                            del new[key]
+                        new[key] = new.get(key, 0) + pv * sv
                 acc = new
             offset = pidx[block_perm] * tdim
             wvec = {offset + ti: v for ti, v in acc.items()}
@@ -968,12 +956,8 @@ def zeta_map(a: StructureConstantAlgebra, c: Mapping[int, Fraction], p: int,
             glegs = tuple(gl_index(n, a.dim, rows[t], cols[t], legs[t])
                           for t in range(p))
             key = tensor_rank(gdim, glegs)
-            acc = out.get(key, Fraction(0)) + v
-            if acc:
-                out[key] = acc
-            elif key in out:
-                del out[key]
-    return out
+            out[key] = out.get(key, 0) + v
+    return vec_clean(out)
 
 
 def theta_tilde(a: StructureConstantAlgebra, c: Mapping[int, Fraction],
@@ -982,12 +966,8 @@ def theta_tilde(a: StructureConstantAlgebra, c: Mapping[int, Fraction],
     out: Dict[int, Fraction] = {}
     for kk in range(1, n + 1):
         for key, v in zeta_map(a, c, p, kk, kk, n).items():
-            acc = out.get(key, Fraction(0)) + v
-            if acc:
-                out[key] = acc
-            elif key in out:
-                del out[key]
-    return out
+            out[key] = out.get(key, 0) + v
+    return vec_clean(out)
 
 
 def _legs_wedge(
@@ -1013,12 +993,8 @@ def _outer_legs(acc: Dict[Tuple[int, ...], Fraction],
     for legs, v in acc.items():
         for bid, bv in block.items():
             key = legs + tensor_unrank(gdim, j, bid)
-            s = out.get(key, Fraction(0)) + v * bv
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-    return out
+            out[key] = out.get(key, 0) + v * bv
+    return vec_clean(out)
 
 
 def _psi_term_tensor(a: StructureConstantAlgebra, n: int,
@@ -1030,13 +1006,13 @@ def _psi_term_tensor(a: StructureConstantAlgebra, n: int,
     on each monomial block's canonical representative, then (optionally) a
     corner row chain on a marked bar-type block."""
     gdim = n * n * a.dim
-    acc: Dict[Tuple[int, ...], Fraction] = {(): Fraction(1)}
+    acc: Dict[Tuple[int, ...], Fraction] = {(): 1}
     for (j, t) in mono:
         rep = dom.cyclic_quots[j - 1].section.column(t)
         acc = _outer_legs(acc, theta_tilde(a, rep, j, n), gdim, j)
     if marked is not None:
         p, tens = marked
-        acc = _outer_legs(acc, zeta_map(a, {tens: Fraction(1)}, p, 1, n, n),
+        acc = _outer_legs(acc, zeta_map(a, {tens: 1}, p, 1, n, n),
                           gdim, p)
     return acc
 
@@ -1094,11 +1070,7 @@ def psi_restriction_check(a: StructureConstantAlgebra, n: int, m: int,
                     continue
                 sg, stup = res
                 key = (wedge.index[stup], ci)
-                acc = entries.get(key, Fraction(0)) + Fraction(sg) * v
-                if acc:
-                    entries[key] = acc
-                elif key in entries:
-                    del entries[key]
+                entries[key] = entries.get(key, 0) + sg * v
         psi = SparseMatrix(len(wedge), len(terms), entries)
         act = gln_action_on_chains(a, n, deg)
         hw = highest_weight_space(a, n, deg, mu, act)

@@ -5,12 +5,14 @@ A module fixture builds the full report bundle three times, at 1, 4, and 8
 worker threads (fan-out over independent instances; results merged in input
 order). Criteria 1-15 assert exact content on the single-thread bundle;
 criterion 16 asserts the three bundles serialize to byte-identical canonical
-JSON. Wall-clock ceilings are measured on the single-thread pass.
+JSON. Wall-clock ceilings are measured on the single-thread pass. One more
+test pins the SHA-256 of the single-thread bundle's canonical JSON.
 
 The rank oracle used for the pinned Betti values is a self-contained dense
 Gaussian elimination over Fraction, independent of the package's sparse RREF.
 """
 
+import hashlib
 import math
 import random
 import time
@@ -635,3 +637,15 @@ def test_criterion_16_determinism(bundles):
     ok = blobs[1] == blobs[4] == blobs[8]
     conclude(16, "criteria 1-15 reports byte-identical at 1/4/8 threads", ok,
              f"{len(blobs[1])} bytes each")
+
+
+# SHA-256 of the single-thread bundle's canonical JSON (65716 bytes; the same
+# under every hash seed). A refactor that must not change any report keeps it.
+BUNDLE_SHA256 = \
+    "f79d70c593189a838c045466b504d1556eb4576a1758594115b758215d70ccb7"
+
+
+def test_single_thread_bundle_digest_is_pinned(bundles):
+    bundle, _ = bundles
+    blob = canonical_json(bundle[1]).encode("utf-8")
+    assert hashlib.sha256(blob).hexdigest() == BUNDLE_SHA256

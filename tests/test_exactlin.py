@@ -1,20 +1,25 @@
 """Exact linear algebra: canonical forms, rank/kernel/image, quotients."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dense_oracle
 from exacthom.exactlin import (
     SparseMatrix,
     Subspace,
     image_basis,
+    inverse,
     kernel_basis,
     quotient_structure,
+    random_unimodular,
     rank,
     rref,
     solve_matrix,
     solve_vector,
+    vec_clean,
 )
 
 # small rational matrices, dimensions up to 5, entries with modest num/den
@@ -181,3 +186,131 @@ def test_shape_errors():
         _ = a @ b
     with pytest.raises(ValueError):
         SparseMatrix(2, 2, {(2, 0): Fraction(1)})
+
+
+def test_inverse_of_unimodular_is_exact():
+    rng = random.Random(5)
+    for n in range(1, 7):
+        g = random_unimodular(rng, n)
+        assert inverse(g) @ g == SparseMatrix.identity(n)
+
+
+def test_inverse_of_singular_matrix_raises():
+    with pytest.raises(ValueError, match="singular"):
+        inverse(SparseMatrix.from_dense([[1, 2], [2, 4]]))
+    with pytest.raises(ValueError, match="singular"):
+        inverse(SparseMatrix.zeros(3, 3))
+
+
+# -- the storage rule: int when integral, otherwise Fraction, never zero -----------
+
+# ints, integral and proper Fractions, and explicit zeros of both types
+entry_values = st.one_of(
+    st.just(0),
+    st.just(Fraction(0)),
+    st.integers(min_value=-9, max_value=9),
+    rationals,
+)
+
+
+@st.composite
+def entry_dicts(draw, max_dim=4, square=False):
+    rows = draw(st.integers(min_value=1, max_value=max_dim))
+    cols = rows if square else draw(st.integers(min_value=1, max_value=max_dim))
+    keys = st.tuples(st.integers(min_value=0, max_value=rows - 1),
+                     st.integers(min_value=0, max_value=cols - 1))
+    return rows, cols, draw(st.dictionaries(keys, entry_values))
+
+
+def assert_stored(values):
+    for v in values:
+        assert v != 0
+        if Fraction(v).denominator == 1:
+            assert type(v) is int
+        else:
+            assert type(v) is Fraction
+
+
+def dense(m):
+    return [[Fraction(m.entry(r, c)) for c in range(m.cols)]
+            for r in range(m.rows)]
+
+
+def dense_identity(n):
+    return [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+
+
+@given(entry_dicts())
+@settings(max_examples=150)
+def test_constructor_applies_the_storage_rule(data):
+    rows, cols, entries = data
+    m = SparseMatrix(rows, cols, entries)
+    assert_stored(m.entries.values())
+    all_fraction = SparseMatrix(
+        rows, cols, {k: Fraction(v) for k, v in entries.items()})
+    assert m.to_entry_list() == all_fraction.to_entry_list()
+    assert m == all_fraction
+    assert_stored(vec_clean({c: v for (_r, c), v in entries.items()}).values())
+
+
+@given(entry_dicts())
+@settings(max_examples=80, deadline=None)
+def test_rref_and_kernel_match_the_dense_oracle(data):
+    m = SparseMatrix(*data)
+    R, piv = rref(m)
+    red, oracle_piv = dense_oracle.dense_rref(dense(m))
+    assert_stored(R.entries.values())
+    assert piv == tuple(oracle_piv) and dense(R) == red
+    # the canonical kernel basis: one vector per free column, re-echelonized
+    raw = []
+    for f in range(m.cols):
+        if f not in oracle_piv:
+            v = [Fraction(0)] * m.cols
+            v[f] = Fraction(1)
+            for i, p in enumerate(oracle_piv):
+                v[p] = -red[i][f]
+            raw.append(v)
+    K = kernel_basis(m)
+    assert_stored(K.entries.values())
+    assert dense(K) == (dense_oracle.dense_rref(raw)[0] if raw else [])
+
+
+@given(entry_dicts(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_solve_matches_the_dense_oracle(data, draw):
+    rows, cols, entries = data
+    a = SparseMatrix(rows, cols, entries)
+    _r, bcols, bentries = draw.draw(entry_dicts())
+    b = SparseMatrix(rows, bcols, {(r % rows, c): v
+                                   for (r, c), v in bentries.items()})
+    aug = [ra + rb for ra, rb in zip(dense(a), dense(b))]
+    red, piv = dense_oracle.dense_rref(aug)
+    x = solve_matrix(a, b)
+    if any(p >= cols for p in piv):
+        assert x is None
+        return
+    expected = [[Fraction(0)] * bcols for _ in range(cols)]
+    for i, p in enumerate(piv):
+        expected[p] = red[i][cols:]
+    assert_stored(x.entries.values())
+    assert dense(x) == expected
+    col = solve_vector(a, b.column(0))
+    assert_stored(col.values())
+    assert {r: v for (r, c), v in x.entries.items() if c == 0} == col
+
+
+@given(entry_dicts(square=True))
+@settings(max_examples=80, deadline=None)
+def test_inverse_matches_the_dense_oracle(data):
+    n, _, entries = data
+    m = SparseMatrix(n, n, entries)
+    red, piv = dense_oracle.dense_rref(
+        [row + ident for row, ident in zip(dense(m), dense_identity(n))])
+    if piv[:n] != list(range(n)):
+        with pytest.raises(ValueError, match="singular"):
+            inverse(m)
+        return
+    inv = inverse(m)
+    assert_stored(inv.entries.values())
+    assert dense(inv) == [row[n:] for row in red]
+    assert_stored(m.apply(inv.column(0)).values())

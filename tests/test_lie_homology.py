@@ -22,7 +22,7 @@ from exacthom.lie_homology import (
     abelian_lie_algebra,
     ce_complex,
     change_of_basis_lie,
-    coinvariant_complex,
+    coinvariant_reduction,
     gl_index,
     gl_n_of,
     gln_action_on_chains,
@@ -197,6 +197,12 @@ def test_conjugated_sl2_keeps_homology(seed):
     assert betti_numbers(cx) == SL2_BETTI
 
 
+def test_singular_change_of_basis_is_rejected():
+    p = SparseMatrix.from_dense([[1, 0, 0], [0, 1, 1], [0, 1, 1]])
+    with pytest.raises(ValueError, match="singular"):
+        change_of_basis_lie(sl2_q(), p)
+
+
 # -- actions ---------------------------------------------------------------------
 
 
@@ -240,7 +246,8 @@ def _trivial_action(dim: int) -> LieModuleAction:
 
 def test_trivial_action_gives_identity_quotient():
     cx = ce_complex(abelian_lie_algebra(2), 2)
-    qcx, proj = coinvariant_complex(cx, [_trivial_action(d) for d in cx.dims])
+    qcx, proj, _ = coinvariant_reduction(
+        cx, [_trivial_action(d) for d in cx.dims])
     assert qcx.dims == cx.dims
     for k in range(3):
         assert proj.component(k) == SparseMatrix.identity(cx.dims[k])
@@ -271,7 +278,7 @@ def test_nonunital_coinvariant_complex_builds():
 def test_action_dim_mismatch_is_rejected():
     cx = ce_complex(abelian_lie_algebra(2), 2)
     with pytest.raises(ValueError, match="wrong module dim"):
-        coinvariant_complex(cx, [_trivial_action(d + 1) for d in cx.dims])
+        coinvariant_reduction(cx, [_trivial_action(d + 1) for d in cx.dims])
 
 
 # -- the wedge homotopy identity -------------------------------------------------
