@@ -32,7 +32,7 @@ from .exactlin import (
     SparseMatrix,
     Subspace,
     Vec,
-    image_basis,
+    decode_entries,
     inverse,
     quotient_structure,
     random_unimodular,
@@ -150,13 +150,12 @@ def algebra_to_json(a: StructureConstantAlgebra) -> dict:
 def algebra_from_json(obj: Mapping) -> StructureConstantAlgebra:
     dim = int(obj["dim"])
     mult: Dict[Tuple[int, int], Vec] = {}
-    for i, j, k, num, den in obj.get("mult", []):
-        mult.setdefault((int(i), int(j)), {})[int(k)] = Fraction(int(num), int(den))
+    for (i, j, k), v in decode_entries(obj.get("mult", [])).items():
+        mult.setdefault((i, j), {})[k] = v
     unit = None
     if obj.get("unit") is not None:
-        unit = {i: Fraction(int(num), int(den))
-                for i, (num, den) in enumerate(obj["unit"])
-                if num != 0}
+        unit = {i: v for (i,), v in decode_entries(
+            [i, num, den] for i, (num, den) in enumerate(obj["unit"])).items()}
     names = tuple(obj.get("basis", ())) or tuple(f"b{i}" for i in range(dim))
     return StructureConstantAlgebra(dim, mult, unit, names)
 
@@ -435,7 +434,7 @@ def connes_quotient_complex(
     for n in range(max_degree + 1):
         size = a.dim ** (n + 1)
         one_minus = SparseMatrix.identity(size) - cyclic_operator(a.dim, n)
-        sub = Subspace.from_matrix_rows(image_basis(one_minus))
+        sub = Subspace.from_matrix_rows(one_minus.transpose())
         q = quotient_structure(sub)
         quots.append((q, one_minus))
         dims.append(q.dim)

@@ -34,8 +34,7 @@ from itertools import combinations
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .complexes import ChainComplex, HomologyResult, betti_numbers, homology
-from .exactlin import (SparseMatrix, Subspace, Vec, image_basis,
-                       quotient_structure, rank)
+from .exactlin import SparseMatrix, Subspace, quotient_structure, rank
 
 
 class CosheafDataError(ValueError):
@@ -419,7 +418,7 @@ def cokernel_precosheaf(phi: CosheafMorphism) -> FinitePrecosheaf:
     u = phi.source.cover_model
     quots = []
     for i in range(len(u.opens)):
-        img = Subspace.from_matrix_rows(image_basis(phi.components[i]))
+        img = Subspace.from_matrix_rows(phi.components[i].transpose())
         quots.append(quotient_structure(img))
     dims = tuple(q.dim for q in quots)
     exts: Dict[Tuple[int, int], SparseMatrix] = {}

@@ -14,18 +14,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .exactlin import (
     SparseMatrix,
     Subspace,
     Vec,
-    image_basis,
     inverse,
     kernel_basis,
     random_unimodular,
     rank,
-    solve_vector,
+    solve_matrix,
 )
 
 
@@ -87,47 +86,47 @@ def verify_complex(c: ChainComplex) -> dict:
 
 @dataclass(frozen=True)
 class HomologyResult:
-    """Betti numbers with per-degree reliability flags and cycle representatives.
+    """Betti numbers with per-degree reliability flags.
 
-    flags[n] is "exact" or "upper_bound"; the latter only occurs in the top
-    degree of a truncated complex, where unseen boundaries from degree
-    max_degree+1 could lower the number.
+    betti[n] = dims[n] - rank d_n - rank d_{n+1}. flags[n] is "upper_bound"
+    exactly when the complex is truncated and n == max_degree, where unseen
+    boundaries from degree max_degree+1 could lower the number; every other
+    degree is "exact".
     """
 
     betti: Tuple[int, ...]
     flags: Tuple[str, ...]
-    representatives: Tuple[Tuple[Vec, ...], ...]
-
-    def as_report(self) -> dict:
-        return {
-            "betti": list(self.betti),
-            "flags": list(self.flags),
-        }
 
 
 def homology(c: ChainComplex) -> HomologyResult:
-    betti: List[int] = []
-    flags: List[str] = []
-    reps: List[Tuple[Vec, ...]] = []
-    for n in range(c.max_degree + 1):
-        if n == 0:
-            cycles = SparseMatrix.identity(c.dims[0])
-        else:
-            cycles = kernel_basis(c.d(n))
-        if n < c.max_degree:
-            bnd = image_basis(c.d(n + 1))
-        else:
-            bnd = SparseMatrix.zeros(0, c.dims[n])
-        bsub = Subspace.from_matrix_rows(bnd)
-        reduced = [bsub.reduce(cycles.row(i)) for i in range(cycles.rows)]
-        hsub = Subspace.from_vectors(c.dims[n], reduced)
-        betti.append(hsub.dim)
-        reps.append(tuple(hsub.basis.row(i) for i in range(hsub.dim)))
-        top_unreliable = c.truncated and n == c.max_degree and c.max_degree > 0
-        if c.truncated and c.max_degree == 0:
-            top_unreliable = True
-        flags.append("upper_bound" if top_unreliable else "exact")
-    return HomologyResult(tuple(betti), tuple(flags), tuple(reps))
+    """Betti numbers from one rank per differential, shared by the two
+    degrees it touches; see HomologyResult for the formula and the flags."""
+    top = c.max_degree
+    ranks = [0] + [rank(c.d(n)) for n in range(1, top + 1)] + [0]
+    betti = tuple(c.dims[n] - ranks[n] - ranks[n + 1] for n in range(top + 1))
+    flags = tuple("upper_bound" if c.truncated and n == top else "exact"
+                  for n in range(top + 1))
+    return HomologyResult(betti, flags)
+
+
+def representatives(c: ChainComplex, n: int) -> List[Vec]:
+    """Cycle representatives of a basis of H_n(c), betti[n] of them and
+    independent modulo im d_{n+1}.
+
+    The basis is canonical: the RREF basis of the cycles reduced modulo the
+    boundaries, which does not depend on pivot choices.
+    """
+    cycles = (SparseMatrix.identity(c.dims[0]) if n == 0
+              else kernel_basis(c.d(n)))
+    return _reduced_basis(cycles,
+                          Subspace.from_matrix_rows(c.d(n + 1).transpose()))
+
+
+def _reduced_basis(vectors: SparseMatrix, modulo: Subspace) -> List[Vec]:
+    """Canonical RREF basis of the rows of `vectors` reduced modulo `modulo`."""
+    sub = Subspace.from_vectors(vectors.cols, [
+        modulo.reduce(vectors.row(i)) for i in range(vectors.rows)])
+    return [sub.basis.row(i) for i in range(sub.dim)]
 
 
 def betti_numbers(c: ChainComplex) -> List[int]:
@@ -179,46 +178,42 @@ def verify_chain_map(f: ChainMap) -> dict:
     return {"ok": not failures, "failures": failures}
 
 
-def induced_on_homology(f: ChainMap,
-                        hsrc: Optional[HomologyResult] = None,
-                        htgt: Optional[HomologyResult] = None) -> Dict[int, SparseMatrix]:
-    """Matrices of H_n(f) in the canonical representative bases."""
-    hsrc = hsrc or homology(f.src)
-    htgt = htgt or homology(f.tgt)
+def _coordinates(reps: List[Vec], span: SparseMatrix,
+                 images: SparseMatrix) -> Optional[SparseMatrix]:
+    """Coordinates on `reps` of every column of `images` modulo the columns of
+    `span`, from one solve (None if one is outside the span); they are unique
+    because `reps` are independent modulo `span`."""
+    k = len(reps)
+    x = solve_matrix(SparseMatrix.hstack(
+        [SparseMatrix.from_rows(reps, span.rows).transpose(), span]), images)
+    if x is None:
+        return None
+    return SparseMatrix(k, images.cols, {(i, j): v for (i, j), v
+                                         in x.entries.items() if i < k})
+
+
+def induced_on_homology(f: ChainMap) -> Dict[int, SparseMatrix]:
+    """Matrices of H_n(f) in the canonical representative bases: one solve
+    per degree of all images f_n(z) against [target reps | d^tgt_{n+1}]."""
     out: Dict[int, SparseMatrix] = {}
     top = min(f.src.max_degree, f.tgt.max_degree)
     for n in range(top + 1):
-        sreps = hsrc.representatives[n]
-        treps = htgt.representatives[n]
-        tgt_dim = f.tgt.dims[n]
-        bnd = image_basis(f.tgt.d(n + 1)) if n < f.tgt.max_degree \
-            else SparseMatrix.zeros(0, tgt_dim)
-        # columns: target homology reps, then boundaries; solve for coordinates
-        cols = [SparseMatrix.from_rows(list(treps), tgt_dim).transpose(),
-                bnd.transpose()]
-        system = SparseMatrix.hstack(cols)
-        entries: Dict[Tuple[int, int], Fraction] = {}
-        for j, z in enumerate(sreps):
-            img = f.component(n).apply(z)
-            x = solve_vector(system, img)
-            if x is None:
-                raise ValueError(
-                    f"image of a cycle is not a cycle mod boundaries in degree {n}; "
-                    "not a chain map?")
-            for i in range(len(treps)):
-                entries[(i, j)] = x.get(i, 0)
-        out[n] = SparseMatrix(len(treps), len(sreps), entries)
+        sreps = representatives(f.src, n)
+        images = f.component(n) @ SparseMatrix.from_rows(
+            sreps, f.src.dims[n]).transpose()
+        m = _coordinates(representatives(f.tgt, n), f.tgt.d(n + 1), images)
+        if m is None:
+            raise ValueError(
+                f"image of a cycle is not a cycle mod boundaries in degree {n}; "
+                "not a chain map?")
+        out[n] = m
     return out
 
 
 def quasi_iso_degrees(f: ChainMap) -> Dict[int, bool]:
     """Degrees where H_n(f) is an isomorphism (square and full rank)."""
-    hsrc, htgt = homology(f.src), homology(f.tgt)
-    induced = induced_on_homology(f, hsrc, htgt)
-    out = {}
-    for n, m in induced.items():
-        out[n] = m.rows == m.cols and rank(m) == m.rows
-    return out
+    return {n: m.rows == m.cols and rank(m) == m.rows
+            for n, m in induced_on_homology(f).items()}
 
 
 # -- tensor products ----------------------------------------------------------
@@ -528,11 +523,8 @@ class SpectralSequence:
         hit = self._rep_cache.get(key)
         if hit is not None:
             return hit
-        a = self._approximant(r, p, q)
-        den = self._denominator(r, p, q)
-        reduced = [den.reduce(a.basis.row(i)) for i in range(a.dim)]
-        canon = Subspace.from_vectors(a.ambient_dim, reduced)
-        reps = [canon.basis.row(i) for i in range(canon.dim)]
+        reps = _reduced_basis(self._approximant(r, p, q).basis,
+                              self._denominator(r, p, q))
         self._rep_cache[key] = reps
         return reps
 
@@ -555,27 +547,20 @@ class SpectralSequence:
             tgtdim = dims.get((tp, tq), 0)
             if tgtdim == 0:
                 continue
-            n = p + q
-            dmat = self.tot.complex.d(n)
+            dmat = self.tot.complex.d(p + q)
             tgt_a = self._approximant(r, tp, tq)
-            tgt_den = self._denominator(r, tp, tq)
-            tgt_reps = self._reps(r, tp, tq)
-            system = SparseMatrix.hstack(
-                [SparseMatrix.from_rows(tgt_reps, tgt_a.ambient_dim).transpose(),
-                 tgt_den.basis.transpose()])
-            entries: Dict[Tuple[int, int], Fraction] = {}
-            for j, z in enumerate(self._reps(r, p, q)):
-                img = dmat.apply(z)
-                if not tgt_a.contains(img):
+            images = dmat @ SparseMatrix.from_rows(
+                self._reps(r, p, q), dmat.cols).transpose()
+            for j in range(srcdim):
+                if not tgt_a.contains(images.column(j)):
                     raise AssertionError(
                         f"page {r} differential leaves its target at {(p, q)}")
-                x = solve_vector(system, img)
-                if x is None:
-                    raise AssertionError(
-                        f"page {r} differential not expressible at {(p, q)}")
-                for i in range(len(tgt_reps)):
-                    entries[(i, j)] = x.get(i, 0)
-            m = SparseMatrix(tgtdim, srcdim, entries)
+            m = _coordinates(self._reps(r, tp, tq),
+                             self._denominator(r, tp, tq).basis.transpose(),
+                             images)
+            if m is None:
+                raise AssertionError(
+                    f"page {r} differential not expressible at {(p, q)}")
             if not m.is_zero():
                 out[(p, q)] = m
         return out

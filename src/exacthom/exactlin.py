@@ -67,6 +67,24 @@ def vec_clean(v: Mapping[int, Fraction]) -> Vec:
     return {i: _stored(x) for i, x in v.items() if x}
 
 
+def decode_entries(items: Iterable[Sequence]
+                   ) -> Dict[Tuple[int, ...], Fraction]:
+    """Decode JSON rows `[k_1, ..., k_m, num, den]` into {(k_1..k_m): num/den}.
+
+    Values follow the storage rule and zeros are dropped; a later row with the
+    same key replaces an earlier one. A zero denominator raises
+    ZeroDivisionError, which the CLI reports as a malformed document.
+    """
+    out: Dict[Tuple[int, ...], Fraction] = {}
+    for *key, num, den in items:
+        key = tuple(int(k) for k in key)
+        num, den = int(num), int(den)
+        if den == 0:
+            raise ZeroDivisionError(
+                f"zero denominator in entry {[*key, num, den]}")
+        out[key] = Fraction(num, den)
+    return {k: _stored(v) for k, v in out.items() if v}
+
 
 class SparseMatrix:
     """Immutable sparse rational matrix.
@@ -267,10 +285,7 @@ class SparseMatrix:
     @staticmethod
     def from_entry_list(rows: int, cols: int,
                         items: Iterable[Sequence[int]]) -> "SparseMatrix":
-        entries = {}
-        for r, c, num, den in items:
-            entries[(int(r), int(c))] = Fraction(int(num), int(den))
-        return SparseMatrix(rows, cols, entries)
+        return SparseMatrix(rows, cols, decode_entries(items))
 
 
 # -- elimination core -------------------------------------------------------

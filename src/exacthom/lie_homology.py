@@ -29,6 +29,7 @@ from .exactlin import (
     SparseMatrix,
     Subspace,
     Vec,
+    decode_entries,
     inverse,
     quotient_structure,
     vec_clean,
@@ -119,9 +120,8 @@ def lie_algebra_to_json(g: StructureConstantLieAlgebra) -> dict:
 def lie_algebra_from_json(obj: Mapping) -> StructureConstantLieAlgebra:
     dim = int(obj["dim"])
     bracket: Dict[Tuple[int, int], Vec] = {}
-    for i, j, k, num, den in obj.get("bracket", []):
-        bracket.setdefault((int(i), int(j)), {})[int(k)] = \
-            Fraction(int(num), int(den))
+    for (i, j, k), v in decode_entries(obj.get("bracket", [])).items():
+        bracket.setdefault((i, j), {})[k] = v
     names = tuple(obj.get("basis", ())) or tuple(f"g{i}" for i in range(dim))
     return StructureConstantLieAlgebra(dim, bracket, names)
 

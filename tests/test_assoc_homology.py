@@ -97,6 +97,19 @@ def test_json_roundtrip_and_families():
     assert again.mult == a.mult
 
 
+def test_json_stores_int_constants_and_drops_zeros():
+    # dual numbers with unreduced constants and an explicit zero entry
+    blob = {"dim": 2,
+            "mult": [[0, 0, 0, 2, 2], [0, 1, 1, 3, 3], [1, 0, 1, 1, 1],
+                     [1, 1, 0, 0, 1]],
+            "unit": [[4, 4], [0, 1]]}
+    b = algebra_from_json(blob)
+    a = dual_numbers()
+    assert b.mult == a.mult and b.unit == a.unit
+    assert all(type(v) is int for row in b.mult.values() for v in row.values())
+    assert all(type(v) is int for v in b.unit.values())
+
+
 def test_left_unital_has_no_stored_unit():
     a = left_unital_two_dim()
     assert not a.is_unital

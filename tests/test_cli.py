@@ -159,6 +159,41 @@ def test_nonassociative_input_exits_3(fixtures, capsys):
     assert "associativity" in capsys.readouterr().err
 
 
+def test_abelian_lie_with_a_zero_entry_has_binomial_betti(tmp_path):
+    path = tmp_path / "abelian.json"
+    path.write_text(json.dumps({"dim": 3, "bracket": [[0, 0, 1, 0, 1]]}))
+    code, doc = run_json(["homology", "ce", "--lie", str(path),
+                          "--max-degree", "3"], tmp_path)
+    assert code == EXIT_PASS
+    assert doc["report"]["betti"] == [1, 3, 3, 1]
+
+
+def _zero_denominator_document(flag, fixtures):
+    if flag == "--lie":
+        return ["homology", "ce"], {"dim": 2, "bracket": [[0, 1, 1, 1, 0]]}
+    if flag == "--algebra":
+        obj = algebra_to_json(dual_numbers())
+        obj["mult"][0][4] = 0
+        return ["homology", "hochschild"], obj
+    with open(fixtures["cover"]) as fh:
+        obj = json.load(fh)
+    items = next(items for _, _, items in obj["precosheaf"]["extensions"]
+                 if items)
+    items[0][3] = 0
+    return ["verify", "cech"], obj
+
+
+@pytest.mark.parametrize("flag", ["--lie", "--algebra", "--cover"])
+def test_zero_denominator_exits_2_naming_the_file(flag, fixtures, tmp_path,
+                                                  capsys):
+    argv, obj = _zero_denominator_document(flag, fixtures)
+    path = tmp_path / "zero_den.json"
+    path.write_text(json.dumps(obj))
+    assert main(argv + [flag, str(path)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert str(path) in err and "zero denominator" in err
+
+
 def test_bb_total_without_unit_exits_3(fixtures):
     code = main(["homology", "bB-total", "--algebra", fixtures["zero"]])
     assert code == EXIT_INVARIANT

@@ -1,12 +1,15 @@
 """Chain complexes, tensor products, double complexes, spectral sequences."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exacthom.exactlin import SparseMatrix, rank
+import dense_oracle
+from exacthom import complexes
+from exacthom.exactlin import SparseMatrix, inverse, random_unimodular, rank
 from exacthom.complexes import (
     ChainComplex,
     ChainMap,
@@ -19,9 +22,11 @@ from exacthom.complexes import (
     quasi_iso_degrees,
     random_complex,
     random_double_complex,
+    representatives,
     spectral_sequence,
     tensor_complexes,
     total_complex,
+    truncate_complex,
     verify_chain_map,
     verify_complex,
     verify_double_complex,
@@ -74,8 +79,85 @@ def test_homology_representatives_are_reduced_cycles():
     c = ChainComplex((1, 0, 1), {}, truncated=False)
     h = homology(c)
     assert h.betti == (1, 0, 1)
-    assert h.representatives[0] == ({0: Fraction(1)},)
-    assert h.representatives[2] == ({0: Fraction(1)},)
+    assert representatives(c, 0) == [{0: Fraction(1)}]
+    assert representatives(c, 1) == []
+    assert representatives(c, 2) == [{0: Fraction(1)}]
+
+
+def dense(m):
+    return [[Fraction(m.entry(r, c)) for c in range(m.cols)]
+            for r in range(m.rows)]
+
+
+def dense_vectors(vecs, dim):
+    return [[Fraction(v.get(i, 0)) for i in range(dim)] for v in vecs]
+
+
+@given(seeds, st.integers(min_value=0, max_value=4))
+@settings(max_examples=40, deadline=None)
+def test_rank_first_betti_and_flags_match_the_dense_oracle(seed, cut):
+    c = truncate_complex(random_complex(seed)[0], cut)
+    ranks = [dense_oracle.dense_rank(dense(c.d(n)))
+             for n in range(c.max_degree + 2)]
+    h = homology(c)
+    assert h.betti == tuple(c.dims[n] - ranks[n] - ranks[n + 1]
+                            for n in range(c.max_degree + 1))
+    assert h.flags == tuple(
+        "upper_bound" if c.truncated and n == c.max_degree else "exact"
+        for n in range(c.max_degree + 1))
+
+
+@given(seeds, st.integers(min_value=0, max_value=4))
+@settings(max_examples=25, deadline=None)
+def test_representatives_are_independent_cycles_mod_boundaries(seed, cut):
+    c = truncate_complex(random_complex(seed)[0], cut)
+    betti = homology(c).betti
+    for n in range(c.max_degree + 1):
+        reps = representatives(c, n)
+        assert len(reps) == betti[n]
+        assert all(not c.d(n).apply(z) for z in reps)
+        bnd = dense(c.d(n + 1).transpose())
+        stacked = dense_vectors(reps, c.dims[n]) + bnd
+        assert (dense_oracle.dense_rank(stacked)
+                == betti[n] + dense_oracle.dense_rank(bnd))
+
+
+def test_homology_takes_one_rank_per_differential(monkeypatch):
+    c, betti = random_complex(5)
+    calls = []
+
+    def counted_rank(m):
+        calls.append((m.rows, m.cols))
+        return rank(m)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("homology must not build subspaces")
+
+    monkeypatch.setattr(complexes, "rank", counted_rank)
+    monkeypatch.setattr(complexes, "kernel_basis", forbidden)
+    monkeypatch.setattr(complexes, "Subspace", forbidden)
+    assert list(homology(c).betti) == betti
+    assert calls == [(c.dims[n - 1], c.dims[n])
+                     for n in range(1, c.max_degree + 1)]
+
+
+@given(seeds)
+@settings(max_examples=20, deadline=None)
+def test_induced_maps_of_a_chain_isomorphism_are_inverse(seed):
+    c, betti = random_complex(seed)
+    rng = random.Random(seed)
+    g = [random_unimodular(rng, d) for d in c.dims]
+    ginv = [inverse(m) for m in g]
+    conj = ChainComplex(c.dims, {n: g[n - 1] @ c.d(n) @ ginv[n]
+                                 for n in range(1, c.max_degree + 1)},
+                        truncated=False)
+    there = ChainMap(c, conj, dict(enumerate(g)))
+    back = ChainMap(conj, c, dict(enumerate(ginv)))
+    assert verify_chain_map(there)["ok"] and verify_chain_map(back)["ok"]
+    forward, backward = induced_on_homology(there), induced_on_homology(back)
+    for n in range(c.max_degree + 1):
+        assert backward[n] @ forward[n] == SparseMatrix.identity(betti[n])
+    assert all(quasi_iso_degrees(there).values())
 
 
 @given(seeds)

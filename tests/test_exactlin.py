@@ -10,6 +10,7 @@ import dense_oracle
 from exacthom.exactlin import (
     SparseMatrix,
     Subspace,
+    decode_entries,
     image_basis,
     inverse,
     kernel_basis,
@@ -125,6 +126,17 @@ def test_solve_vector_roundtrip():
     x = solve_vector(a, {0: Fraction(1), 1: Fraction(1)})
     assert x == {0: Fraction(1, 2), 1: Fraction(1, 3)}
     assert solve_vector(SparseMatrix.zeros(2, 2), {0: Fraction(1)}) is None
+
+
+def test_decode_entries_applies_the_storage_rule():
+    got = decode_entries([[0, 1, 4, 2], [1, 0, 1, 2], [1, 1, 0, 5],
+                          [2, 2, 7, 1], [2, 2, 0, 1]])
+    assert got == {(0, 1): 2, (1, 0): Fraction(1, 2)}
+    assert type(got[(0, 1)]) is int
+    m = SparseMatrix.from_entry_list(2, 2, [[0, 1, 4, 2], [1, 1, 0, 3]])
+    assert m.entries == {(0, 1): 2} and type(m.entries[(0, 1)]) is int
+    with pytest.raises(ZeroDivisionError, match="zero denominator"):
+        decode_entries([[0, 0, 1, 0]])
 
 
 @given(matrices())

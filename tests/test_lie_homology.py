@@ -107,6 +107,16 @@ def test_lie_json_round_trip():
     assert obj["basis"] == ["h", "e", "f"]
 
 
+def test_lie_json_stores_int_constants_and_drops_zeros():
+    # an abelian algebra written with an explicit zero entry
+    g = lie_algebra_from_json({"dim": 2, "bracket": [[0, 0, 1, 0, 1]]})
+    assert g.bracket == {}
+    back = lie_algebra_from_json(lie_algebra_to_json(sl2_q()))
+    assert back.bracket == sl2_q().bracket
+    assert all(type(v) is int
+               for row in back.bracket.values() for v in row.values())
+
+
 def test_make_lie_algebra_families():
     assert make_lie_algebra({"family": "abelian", "params": {"d": 3}}).dim == 3
     assert make_lie_algebra({"family": "sl2"}).basis_bracket(1, 2) == {0: frac(1)}
