@@ -24,7 +24,7 @@ N b = b' N, B^2 = 0 and b B + B b = 0.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -150,12 +150,12 @@ def algebra_to_json(a: StructureConstantAlgebra) -> dict:
 def algebra_from_json(obj: Mapping) -> StructureConstantAlgebra:
     dim = int(obj["dim"])
     mult: Dict[Tuple[int, int], Vec] = {}
-    for (i, j, k), v in decode_entries(obj.get("mult", [])).items():
+    for (i, j, k), v in decode_entries(obj.get("mult", []), 5).items():
         mult.setdefault((i, j), {})[k] = v
     unit = None
     if obj.get("unit") is not None:
         unit = {i: v for (i,), v in decode_entries(
-            [i, num, den] for i, (num, den) in enumerate(obj["unit"])).items()}
+            [[i, *pair] for i, pair in enumerate(obj["unit"])], 3).items()}
     names = tuple(obj.get("basis", ())) or tuple(f"b{i}" for i in range(dim))
     return StructureConstantAlgebra(dim, mult, unit, names)
 
@@ -496,12 +496,6 @@ def bB_bicomplex(a: StructureConstantAlgebra, bound: int) -> DoubleComplex:
 
 
 # -- derived reports ----------------------------------------------------------
-
-
-def hochschild_report(a: StructureConstantAlgebra, max_degree: int) -> dict:
-    h = homology(hochschild_complex(a, max_degree))
-    return {"check": "hochschild_homology", "betti": list(h.betti),
-            "flags": list(h.flags)}
 
 
 def connes_report(a: StructureConstantAlgebra, max_degree: int) -> dict:

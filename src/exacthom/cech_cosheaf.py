@@ -28,7 +28,7 @@ ground open itself; reports record which opens were checked.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
@@ -115,17 +115,23 @@ class CoverModel:
 
     def iterated_cover_intersections(self) -> List[Open]:
         """All intersections of one or more distinct cover members, sorted."""
-        current: Set[Open] = {self.opens[i] for i in self.cover}
-        while True:
-            fresh: Set[Open] = set()
-            for a in current:
-                for i in self.cover:
-                    meet = tuple(sorted(set(a) & set(self.opens[i])))
-                    if meet not in current:
-                        fresh.add(meet)
-            if not fresh:
-                return sorted(current, key=lambda t: (len(t), t))
-            current.update(fresh)
+        return _sorted_opens(_intersection_closure(
+            [self.opens[i] for i in self.cover]))
+
+
+def _intersection_closure(members: Sequence[Open]) -> Set[Open]:
+    """All intersections of one or more of the given opens."""
+    closure: Set[Open] = set(members)
+    while True:
+        fresh = {tuple(sorted(set(a) & set(b)))
+                 for a in closure for b in members} - closure
+        if not fresh:
+            return closure
+        closure |= fresh
+
+
+def _sorted_opens(opens: Set[Open]) -> List[Open]:
+    return sorted(opens, key=lambda t: (len(t), t))
 
 
 def cover_model_from_cover(points: int,
@@ -133,19 +139,8 @@ def cover_model_from_cover(points: int,
     """Build a CoverModel from cover subsets alone: stored opens are the
     iterated intersections of the cover members plus the ground set."""
     cover_opens = [_as_open(s) for s in cover_sets]
-    stored: Set[Open] = set(cover_opens)
-    while True:
-        fresh: Set[Open] = set()
-        for a in stored:
-            for b in cover_opens:
-                meet = tuple(sorted(set(a) & set(b)))
-                if meet not in stored:
-                    fresh.add(meet)
-        if not fresh:
-            break
-        stored.update(fresh)
-    stored.add(tuple(range(points)))
-    opens = sorted(stored, key=lambda t: (len(t), t))
+    opens = _sorted_opens(
+        _intersection_closure(cover_opens) | {tuple(range(points))})
     return CoverModel(points, tuple(opens),
                       tuple(opens.index(c) for c in cover_opens))
 
@@ -518,16 +513,30 @@ def coresolution_homology(p: FinitePrecosheaf,
 # -- model builders --------------------------------------------------------------------
 
 
+def _support_inclusions(u: CoverModel,
+                        supports: Sequence[Sequence]) -> FinitePrecosheaf:
+    """Functions on supports[i] over open i, extended by the inclusions of
+    supports along the inclusions of opens (flabby)."""
+    dims = tuple(len(sup) for sup in supports)
+    exts: Dict[Tuple[int, int], SparseMatrix] = {}
+    for (a, b) in sorted(_strict_inclusions(u)):
+        pos_in_b = {x: i for i, x in enumerate(supports[b])}
+        entries = {(pos_in_b[x], i): 1 for i, x in enumerate(supports[a])}
+        exts[(a, b)] = SparseMatrix(dims[b], dims[a], entries)
+    return FinitePrecosheaf(u, dims, exts)
+
+
+def _touching(u: CoverModel,
+              edges: Sequence[Tuple[int, int]]) -> List[List[int]]:
+    """Per open, the indices of the edges with an endpoint in it."""
+    return [[e for e, (x, y) in enumerate(edges) if x in pts or y in pts]
+            for pts in map(set, u.opens)]
+
+
 def extension_by_zero_model(u: CoverModel) -> FinitePrecosheaf:
     """Functions on the points of each open, extended by zero: the model
     flabby cosheaf."""
-    dims = tuple(len(op) for op in u.opens)
-    exts: Dict[Tuple[int, int], SparseMatrix] = {}
-    for (a, b) in sorted(_strict_inclusions(u)):
-        pos_in_b = {pt: i for i, pt in enumerate(u.opens[b])}
-        entries = {(pos_in_b[pt], i): 1 for i, pt in enumerate(u.opens[a])}
-        exts[(a, b)] = SparseMatrix(dims[b], dims[a], entries)
-    return FinitePrecosheaf(u, dims, exts)
+    return _support_inclusions(u, u.opens)
 
 
 def collapsing_model(u: CoverModel) -> FinitePrecosheaf:
@@ -543,18 +552,7 @@ def edge_function_model(u: CoverModel,
                         edges: Sequence[Tuple[int, int]]) -> FinitePrecosheaf:
     """Functions on the auxiliary edge set, an open receiving every edge
     that touches one of its points; extensions are inclusions (flabby)."""
-    touching: List[List[int]] = []
-    for op in u.opens:
-        pts = set(op)
-        touching.append([e for e, (x, y) in enumerate(edges)
-                         if x in pts or y in pts])
-    dims = tuple(len(t) for t in touching)
-    exts: Dict[Tuple[int, int], SparseMatrix] = {}
-    for (a, b) in sorted(_strict_inclusions(u)):
-        pos_in_b = {e: i for i, e in enumerate(touching[b])}
-        entries = {(pos_in_b[e], i): 1 for i, e in enumerate(touching[a])}
-        exts[(a, b)] = SparseMatrix(dims[b], dims[a], entries)
-    return FinitePrecosheaf(u, dims, exts)
+    return _support_inclusions(u, _touching(u, edges))
 
 
 def circle_difference_model(
@@ -572,23 +570,21 @@ def circle_difference_model(
         raise ValueError("need at least 3 points on the circle")
     u = cover_model_from_cover(n, arcs)
     edges = [(i, (i + 1) % n) for i in range(n)]
+    touching = _touching(u, edges)
     p0 = extension_by_zero_model(u)
-    p1 = edge_function_model(u, edges)
+    p1 = _support_inclusions(u, touching)
     comps = []
-    for oi, op in enumerate(u.opens):
-        pts = set(op)
-        touching = [e for e, (x, y) in enumerate(edges)
-                    if x in pts or y in pts]
+    for op, edge_ids in zip(u.opens, touching):
         pos_pt = {pt: i for i, pt in enumerate(op)}
         entries: Dict[Tuple[int, int], Fraction] = {}
-        for row, e in enumerate(touching):
+        for row, e in enumerate(edge_ids):
             x, y = edges[e]
-            if y in pts:
+            if y in pos_pt:
                 entries[(row, pos_pt[y])] = 1
-            if x in pts:
+            if x in pos_pt:
                 key = (row, pos_pt[x])
                 entries[key] = entries.get(key, 0) - 1
-        comps.append(SparseMatrix(p1.dims[oi], p0.dims[oi], entries))
+        comps.append(SparseMatrix(len(edge_ids), len(op), entries))
     d = CosheafMorphism(p0, p1, tuple(comps))
     return u, p0, p1, d
 

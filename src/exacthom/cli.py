@@ -58,11 +58,6 @@ EXIT_PARSE = 2
 EXIT_INVARIANT = 3
 EXIT_RESOURCE = 4
 
-HOMOLOGY_KINDS = ("hochschild", "bar", "connes", "cyclic-total", "bB-total",
-                  "ce", "gl")
-VERIFY_KINDS = ("lqt", "hunital", "theta", "phi", "psi", "quasi-iso",
-                "kunneth", "cech", "spectral", "xi")
-
 
 class CliError(Exception):
     """Usage or input error carrying the process exit code."""
@@ -70,10 +65,6 @@ class CliError(Exception):
     def __init__(self, exit_code: int, message: str):
         super().__init__(message)
         self.exit_code = exit_code
-
-
-def default_threads() -> int:
-    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -120,6 +111,8 @@ def load_json_file(path: str) -> object:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise CliError(EXIT_PARSE, f"{path}: {e.strerror or e}")
+    except UnicodeDecodeError as e:
+        raise CliError(EXIT_PARSE, f"{path}: not UTF-8 at byte {e.start}")
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
@@ -486,7 +479,7 @@ def emit(doc: Mapping, cfg: RunConfig) -> None:
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--threads", type=int, default=default_threads(),
+    sub.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                      help="worker threads (results are thread-count "
                           "independent; default: available parallelism)")
     sub.add_argument("--seed", type=int, default=0,
@@ -507,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     hom = commands.add_parser(
         "homology", help="build a complex and print its Betti table")
-    hom.add_argument("kind", choices=HOMOLOGY_KINDS)
+    hom.add_argument("kind", choices=HOMOLOGY_HANDLERS)
     hom.add_argument("--algebra", metavar="PATH",
                      help="associative algebra JSON file")
     hom.add_argument("--lie", metavar="PATH", help="Lie algebra JSON file")
@@ -520,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = commands.add_parser(
         "verify", help="run a verification suite; exit 1 on a failed verdict")
-    ver.add_argument("kind", choices=VERIFY_KINDS)
+    ver.add_argument("kind", choices=VERIFY_HANDLERS)
     ver.add_argument("--algebra", metavar="PATH",
                      help="associative algebra JSON file")
     ver.add_argument("--cover", metavar="PATH",

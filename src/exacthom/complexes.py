@@ -222,54 +222,21 @@ def quasi_iso_degrees(f: ChainMap) -> Dict[int, bool]:
 def tensor_complexes(a: ChainComplex, b: ChainComplex) -> ChainComplex:
     """Tensor product with the Koszul sign: d(x0y) = dx0y + (-1)^p x0dy.
 
-    Basis layout in degree n: blocks (p, q=n-p) with p ascending; inside a
-    block the index is i * dim(B_q) + j.
+    It is the total complex of the double complex A_p (x) B_q with horizontal
+    d_A (x) id and vertical (-1)^p id (x) d_B, so its basis layout in degree n
+    is the blocks (p, q=n-p) with p ascending; inside a block the index is
+    i * dim(B_q) + j.
     """
-    amax, bmax = a.max_degree, b.max_degree
-    nmax = amax + bmax
-
-    def blocks(n: int) -> List[Tuple[int, int, int]]:
-        out = []
-        off = 0
-        for p in range(max(0, n - bmax), min(amax, n) + 1):
-            q = n - p
-            out.append((p, q, off))
-            off += a.dims[p] * b.dims[q]
-        return out
-
-    dims = []
-    for n in range(nmax + 1):
-        bl = blocks(n)
-        total = 0
-        if bl:
-            p, q, off = bl[-1]
-            total = off + a.dims[p] * b.dims[q]
-        dims.append(total)
-
-    diffs: Dict[int, SparseMatrix] = {}
-    for n in range(1, nmax + 1):
-        src_blocks = blocks(n)
-        tgt_off = {(p, q): off for p, q, off in blocks(n - 1)}
-        entries: Dict[Tuple[int, int], Fraction] = {}
-        for p, q, off in src_blocks:
-            bq = b.dims[q]
-            # d_A tensor id into block (p-1, q)
-            if p >= 1 and (p - 1, q) in tgt_off:
-                toff = tgt_off[(p - 1, q)]
-                for (r, c), v in a.d(p).entries.items():
-                    for j in range(bq):
-                        entries[(toff + r * bq + j, off + c * bq + j)] = v
-            # (-1)^p id tensor d_B into block (p, q-1)
-            if q >= 1 and (p, q - 1) in tgt_off:
-                toff = tgt_off[(p, q - 1)]
-                sgn = -1 if p % 2 else 1
-                bq1 = b.dims[q - 1]
-                for (r, c), v in b.d(q).entries.items():
-                    for i in range(a.dims[p]):
-                        entries[(toff + i * bq1 + r, off + i * bq + c)] = sgn * v
-        diffs[n] = SparseMatrix(dims[n - 1], dims[n], entries)
-    return ChainComplex(tuple(dims), diffs,
-                        truncated=a.truncated or b.truncated)
+    cells = {(p, q): a.dims[p] * b.dims[q]
+             for p in range(a.max_degree + 1) for q in range(b.max_degree + 1)}
+    eye = {n: SparseMatrix.identity(n) for n in {*a.dims, *b.dims}}
+    neg_db = {q: -b.d(q) for q in range(1, b.max_degree + 1)}
+    horiz = {(p, q): a.d(p).kron(eye[b.dims[q]])
+             for p, q in cells if p >= 1 and cells[(p, q)]}
+    vert = {(p, q): eye[a.dims[p]].kron(neg_db[q] if p % 2 else b.d(q))
+            for p, q in cells if q >= 1 and cells[(p, q)]}
+    dc = DoubleComplex(a.max_degree, b.max_degree, cells, vert, horiz)
+    return total_complex(dc, truncated=a.truncated or b.truncated).complex
 
 
 def kunneth_check(a: ChainComplex, b: ChainComplex) -> dict:
@@ -427,17 +394,16 @@ class SpectralSequence:
     in the canonical representative bases (omitted when either side is 0).
     """
 
-    def __init__(self, dc: DoubleComplex, max_page: Optional[int] = None):
+    def __init__(self, dc: DoubleComplex):
         self.dc = dc
         self.tot = total_complex(dc)
         self.stable_page = dc.max_p + dc.max_q + 1
-        self.max_page = self.stable_page if max_page is None else max_page
         self._a_cache: Dict[Tuple[int, int, int], Subspace] = {}
         self._den_cache: Dict[Tuple[int, int, int], Subspace] = {}
         self._rep_cache: Dict[Tuple[int, int, int], List[Vec]] = {}
         self.pages: List[Dict[Tuple[int, int], int]] = []
         self.page_maps: List[Dict[Tuple[int, int], SparseMatrix]] = []
-        for r in range(self.max_page + 1):
+        for r in range(self.stable_page + 1):
             self.pages.append(self._page_dims(r))
             self.page_maps.append(self._page_maps(r))
 
@@ -565,15 +531,9 @@ class SpectralSequence:
                 out[(p, q)] = m
         return out
 
-    def infinity_dims(self) -> Dict[Tuple[int, int], int]:
-        if self.max_page >= self.stable_page:
-            return self.pages[self.stable_page]
-        # recompute at the stable page if the caller asked for fewer pages
-        return self._page_dims(self.stable_page)
-
     def convergence_report(self) -> dict:
         """Check sum of E^infinity dims along each antidiagonal against betti(Tot)."""
-        einf = self.infinity_dims()
+        einf = self.pages[self.stable_page]
         tot_betti = betti_numbers(self.tot.complex)
         rows = []
         ok = True
@@ -587,9 +547,8 @@ class SpectralSequence:
                 "rows": rows, "verdict": "pass" if ok else "fail"}
 
 
-def spectral_sequence(dc: DoubleComplex,
-                      max_page: Optional[int] = None) -> SpectralSequence:
-    return SpectralSequence(dc, max_page)
+def spectral_sequence(dc: DoubleComplex) -> SpectralSequence:
+    return SpectralSequence(dc)
 
 
 # -- serialization ------------------------------------------------------------

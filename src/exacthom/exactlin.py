@@ -67,22 +67,24 @@ def vec_clean(v: Mapping[int, Fraction]) -> Vec:
     return {i: _stored(x) for i, x in v.items() if x}
 
 
-def decode_entries(items: Iterable[Sequence]
+def decode_entries(items: Iterable[Sequence], width: int
                    ) -> Dict[Tuple[int, ...], Fraction]:
-    """Decode JSON rows `[k_1, ..., k_m, num, den]` into {(k_1..k_m): num/den}.
+    """Decode JSON rows `[k_1, ..., k_m, num, den]` of `width` integers into
+    {(k_1..k_m): num/den}.
 
     Values follow the storage rule and zeros are dropped; a later row with the
-    same key replaces an earlier one. A zero denominator raises
-    ZeroDivisionError, which the CLI reports as a malformed document.
+    same key replaces an earlier one. A row of another length or with a
+    field that is not a JSON integer raises TypeError, and a zero denominator
+    raises ZeroDivisionError; the CLI reports both as a malformed document.
     """
     out: Dict[Tuple[int, ...], Fraction] = {}
-    for *key, num, den in items:
-        key = tuple(int(k) for k in key)
-        num, den = int(num), int(den)
+    for row in items:
+        if len(row) != width or any(type(v) is not int for v in row):
+            raise TypeError(f"entry {row!r} is not a row of {width} integers")
+        *key, num, den = row
         if den == 0:
-            raise ZeroDivisionError(
-                f"zero denominator in entry {[*key, num, den]}")
-        out[key] = Fraction(num, den)
+            raise ZeroDivisionError(f"zero denominator in entry {row}")
+        out[tuple(key)] = Fraction(num, den)
     return {k: _stored(v) for k, v in out.items() if v}
 
 
@@ -164,9 +166,6 @@ class SparseMatrix:
             self._col_cache = cache
         return dict(self._col_cache[c])
 
-    def row_dicts(self) -> List[Vec]:
-        return [self.row(r) for r in range(self.rows)]
-
     @property
     def nnz(self) -> int:
         return len(self.entries)
@@ -205,6 +204,15 @@ class SparseMatrix:
 
     def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
         return self + (-other)
+
+    def kron(self, other: "SparseMatrix") -> "SparseMatrix":
+        """Kronecker product: entry (r * other.rows + i, c * other.cols + j)
+        is self[r, c] * other[i, j]."""
+        orows, ocols = other.rows, other.cols
+        return SparseMatrix(self.rows * orows, self.cols * ocols,
+                            {(r * orows + i, c * ocols + j): v * w
+                             for (r, c), v in self.entries.items()
+                             for (i, j), w in other.entries.items()})
 
     def scale(self, a: Fraction) -> "SparseMatrix":
         if a == 0:
@@ -285,7 +293,7 @@ class SparseMatrix:
     @staticmethod
     def from_entry_list(rows: int, cols: int,
                         items: Iterable[Sequence[int]]) -> "SparseMatrix":
-        return SparseMatrix(rows, cols, decode_entries(items))
+        return SparseMatrix(rows, cols, decode_entries(items, 4))
 
 
 # -- elimination core -------------------------------------------------------
@@ -514,9 +522,6 @@ class Subspace:
 
     def contains(self, v: Mapping[int, Fraction]) -> bool:
         return not self.reduce(v)
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(other.basis.row(i)) for i in range(other.dim))
 
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:

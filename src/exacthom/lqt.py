@@ -49,7 +49,8 @@ from itertools import product as iter_product
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .assoc_homology import (StructureConstantAlgebra, connes_quotient_complex,
-                             h_unitality_report, tensor_rank, tensor_unrank)
+                             field_q, h_unitality_report, tensor_rank,
+                             tensor_unrank)
 from .complexes import (ChainComplex, ChainMap, betti_numbers,
                         verify_chain_map)
 from .exactlin import (QuotientStructure, SparseMatrix, Subspace, Vec,
@@ -58,7 +59,8 @@ from .exactlin import (QuotientStructure, SparseMatrix, Subspace, Vec,
                        vec_clean)
 from .lie_homology import (ExteriorBasis, LieModuleAction, ce_complex,
                            coinvariant_reduction, gl_index, gl_n_of,
-                           gln_action_on_chains)
+                           gln_action_on_chains,
+                           scalar_matrix_generator_action)
 
 
 # -- permutations --------------------------------------------------------------
@@ -376,33 +378,27 @@ def _conjugation_relation_buckets(
     (buckets have disjoint coordinate supports, so ranks add)."""
     dim = n * n
     amb = dim ** k
+    # a leg is a generator of gl_n(Q); e_rs acts on one leg at a time
+    ground = field_q()
+    actions = [(r, s, [scalar_matrix_generator_action(n, 1, r, s)(leg)
+                       for leg in range(dim)])
+               for r in range(n) for s in range(n)]
     buckets: Dict[Tuple[int, ...], List[Vec]] = {}
     for cidx in range(amb):
         legs = tensor_unrank(dim, k, cidx)
-        wt = [0] * n
-        for leg in legs:
-            i, j = divmod(leg, n)
-            wt[i] += 1
-            wt[j] -= 1
-        for r in range(n):
-            for s in range(n):
-                acc: Dict[int, Fraction] = {}
-                for t, leg in enumerate(legs):
-                    i, j = divmod(leg, n)
-                    if s == i:
-                        key = tensor_rank(
-                            dim, legs[:t] + (r * n + j,) + legs[t + 1:])
-                        acc[key] = acc.get(key, 0) + 1
-                    if j == r:
-                        key = tensor_rank(
-                            dim, legs[:t] + (i * n + s,) + legs[t + 1:])
-                        acc[key] = acc.get(key, 0) - 1
-                vec = vec_clean(acc)
-                if vec:
-                    w = list(wt)
-                    w[r] += 1
-                    w[s] -= 1
-                    buckets.setdefault(tuple(w), []).append(vec)
+        wt = wedge_weight(ground, n, legs)
+        for r, s, on_leg in actions:
+            acc: Dict[int, Fraction] = {}
+            for t, leg in enumerate(legs):
+                for y, coef in on_leg[leg].items():
+                    key = tensor_rank(dim, legs[:t] + (y,) + legs[t + 1:])
+                    acc[key] = acc.get(key, 0) + coef
+            vec = vec_clean(acc)
+            if vec:
+                w = list(wt)
+                w[r] += 1
+                w[s] -= 1
+                buckets.setdefault(tuple(w), []).append(vec)
     return buckets
 
 
@@ -529,10 +525,6 @@ class CyclicWedgeModel:
     generator_counts: Tuple[int, ...]
     cyclic_complex: Optional[ChainComplex]
     cyclic_quots: Tuple[QuotientStructure, ...]
-
-    def monomial_index(self, degree: int,
-                       mono: Tuple[Tuple[int, int], ...]) -> int:
-        return self.monomials[degree].index(mono)
 
 
 def _koszul_sort(
@@ -879,14 +871,10 @@ def generated_submodule(action: LieModuleAction, seed: Subspace) -> Subspace:
         cur = nxt
 
 
-def weight_decomposition(
-        a: StructureConstantAlgebra, n: int,
-        k: int) -> Dict[Tuple[int, ...], Subspace]:
-    """For every padded weight built from a pair of partitions of the same
-    m <= k (combined lengths at most n): the submodule generated by its
-    highest-weight space inside the k-th wedge power of gl_n(A)."""
+def _generated_components(a: StructureConstantAlgebra, n: int, k: int):
+    """Yield (m, alpha, beta, mu, highest-weight space, generated submodule)
+    for every weight mu of `weight_decomposition`, in its order."""
     act = gln_action_on_chains(a, n, k)
-    out: Dict[Tuple[int, ...], Subspace] = {}
     for m in range(k + 1):
         for alpha in partitions(m):
             for beta in partitions(m):
@@ -894,8 +882,16 @@ def weight_decomposition(
                     continue
                 mu = weight_vector(alpha, beta, n)
                 hw = highest_weight_space(a, n, k, mu, act)
-                out[mu] = generated_submodule(act, hw)
-    return out
+                yield m, alpha, beta, mu, hw, generated_submodule(act, hw)
+
+
+def weight_decomposition(
+        a: StructureConstantAlgebra, n: int,
+        k: int) -> Dict[Tuple[int, ...], Subspace]:
+    """For every padded weight built from a pair of partitions of the same
+    m <= k (combined lengths at most n): the submodule generated by its
+    highest-weight space inside the k-th wedge power of gl_n(A)."""
+    return {mu: gen for *_, mu, _hw, gen in _generated_components(a, n, k)}
 
 
 def weight_decomposition_report(a: StructureConstantAlgebra, n: int,
@@ -903,25 +899,17 @@ def weight_decomposition_report(a: StructureConstantAlgebra, n: int,
     """Report: the generated components over the canonical weights fill the
     whole wedge power (their dimensions add up to it and their joint span
     has full dimension)."""
-    act = gln_action_on_chains(a, n, k)
     total = math.comb(n * n * a.dim, k)
     components = []
     dim_sum = 0
-    span = Subspace.zero(act.module_dim)
-    for m in range(k + 1):
-        for alpha in partitions(m):
-            for beta in partitions(m):
-                if len(alpha) + len(beta) > n:
-                    continue
-                mu = weight_vector(alpha, beta, n)
-                hw = highest_weight_space(a, n, k, mu, act)
-                gen = generated_submodule(act, hw)
-                dim_sum += gen.dim
-                span = span.sum(gen)
-                components.append({"weight": list(mu), "m": m,
-                                   "alpha": list(alpha), "beta": list(beta),
-                                   "highest_dim": hw.dim,
-                                   "generated_dim": gen.dim})
+    span = Subspace.zero(total)
+    for m, alpha, beta, mu, hw, gen in _generated_components(a, n, k):
+        dim_sum += gen.dim
+        span = span.sum(gen)
+        components.append({"weight": list(mu), "m": m,
+                           "alpha": list(alpha), "beta": list(beta),
+                           "highest_dim": hw.dim,
+                           "generated_dim": gen.dim})
     verdict = dim_sum == total and span.dim == total
     return {"check": "weight_decomposition",
             "params": {"n": n, "k": k, "algebra_dim": a.dim},
@@ -968,22 +956,6 @@ def theta_tilde(a: StructureConstantAlgebra, c: Mapping[int, Fraction],
         for key, v in zeta_map(a, c, p, kk, kk, n).items():
             out[key] = out.get(key, 0) + v
     return vec_clean(out)
-
-
-def _legs_wedge(
-        legs: Tuple[int, ...]) -> Optional[Tuple[int, Tuple[int, ...]]]:
-    """Insertion sort with sign; None when a leg repeats."""
-    lst = list(legs)
-    sign = 1
-    for i in range(1, len(lst)):
-        j = i
-        while j > 0 and lst[j - 1] > lst[j]:
-            lst[j - 1], lst[j] = lst[j], lst[j - 1]
-            sign = -sign
-            j -= 1
-        if j > 0 and lst[j - 1] == lst[j]:
-            return None
-    return sign, tuple(lst)
 
 
 def _outer_legs(acc: Dict[Tuple[int, ...], Fraction],
@@ -1065,11 +1037,12 @@ def psi_restriction_check(a: StructureConstantAlgebra, n: int, m: int,
         entries: Dict[Tuple[int, int], Fraction] = {}
         for ci, term in enumerate(terms):
             for legs, v in term.items():
-                res = _legs_wedge(legs)
+                # every leg is a degree-1 generator of the exterior algebra
+                res = _koszul_sort(tuple((1, leg) for leg in legs))
                 if res is None:
                     continue
                 sg, stup = res
-                key = (wedge.index[stup], ci)
+                key = (wedge.index[tuple(leg for _, leg in stup)], ci)
                 entries[key] = entries.get(key, 0) + sg * v
         psi = SparseMatrix(len(wedge), len(terms), entries)
         act = gln_action_on_chains(a, n, deg)

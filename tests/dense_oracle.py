@@ -131,3 +131,15 @@ def connes_betti(mult, d, max_degree):
 
 def connes_dims(mult, d, max_degree):
     return [len(rotation_complement(d, n)[2]) for n in range(max_degree + 1)]
+
+
+def dense_kron(a, b, a_cols, b_cols):
+    """Kronecker product of dense a (len(a) x a_cols) and b (len(b) x b_cols):
+    entry (r * len(b) + i, c * b_cols + j) is a[r][c] * b[i][j]. Column
+    counts are explicit so that matrices with no rows keep their shape."""
+    return [[a[r][c] * b[i][j] for c in range(a_cols) for j in range(b_cols)]
+            for r in range(len(a)) for i in range(len(b))]
+
+
+def dense_identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]

@@ -2,6 +2,7 @@
 
 import json
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,6 +39,21 @@ from exacthom.exactlin import (
 )
 
 seeds = st.integers(min_value=0, max_value=10_000)
+
+
+@given(seeds, st.integers(min_value=1, max_value=6),
+       st.integers(min_value=1, max_value=4))
+@settings(max_examples=60, deadline=None)
+def test_iterated_cover_intersections_are_all_member_meets(seed, points,
+                                                           n_cover):
+    u = random_cover_model(random.Random(seed), points, n_cover)
+    members = [set(u.opens[i]) for i in u.cover]
+    brute = {tuple(sorted(set.intersection(*chosen)))
+             for r in range(1, len(members) + 1)
+             for chosen in combinations(members, r)}
+    assert u.iterated_cover_intersections() == sorted(
+        brute, key=lambda t: (len(t), t))
+    assert set(u.opens) == brute | {tuple(range(points))}
 
 
 def three_open_six_point():

@@ -168,30 +168,83 @@ def test_abelian_lie_with_a_zero_entry_has_binomial_betti(tmp_path):
     assert doc["report"]["betti"] == [1, 3, 3, 1]
 
 
-def _zero_denominator_document(flag, fixtures):
+def _document_and_first_row(flag, fixtures):
+    """(argv, document, the document's first entry row, mutable in place)."""
     if flag == "--lie":
-        return ["homology", "ce"], {"dim": 2, "bracket": [[0, 1, 1, 1, 0]]}
+        obj = {"dim": 2, "bracket": [[0, 1, 1, 1, 1]]}
+        return ["homology", "ce"], obj, obj["bracket"][0]
     if flag == "--algebra":
         obj = algebra_to_json(dual_numbers())
-        obj["mult"][0][4] = 0
-        return ["homology", "hochschild"], obj
+        return ["homology", "hochschild"], obj, obj["mult"][0]
     with open(fixtures["cover"]) as fh:
         obj = json.load(fh)
     items = next(items for _, _, items in obj["precosheaf"]["extensions"]
                  if items)
-    items[0][3] = 0
-    return ["verify", "cech"], obj
+    return ["verify", "cech"], obj, items[0]
 
 
 @pytest.mark.parametrize("flag", ["--lie", "--algebra", "--cover"])
 def test_zero_denominator_exits_2_naming_the_file(flag, fixtures, tmp_path,
                                                   capsys):
-    argv, obj = _zero_denominator_document(flag, fixtures)
+    argv, obj, row = _document_and_first_row(flag, fixtures)
+    row[-1] = 0
     path = tmp_path / "zero_den.json"
     path.write_text(json.dumps(obj))
     assert main(argv + [flag, str(path)]) == EXIT_PARSE
     err = capsys.readouterr().err
     assert str(path) in err and "zero denominator" in err
+
+
+def _non_integer_numerator(row):
+    row[-2] = 1.5
+
+
+def _one_field_short(row):
+    del row[-1]
+
+
+def _string_field(row):
+    row[0] = "x"
+
+
+def _boolean_field(row):
+    row[0] = True
+
+
+@pytest.mark.parametrize("flag", ["--lie", "--algebra", "--cover"])
+@pytest.mark.parametrize("defect", [_non_integer_numerator, _one_field_short,
+                                    _string_field, _boolean_field])
+def test_malformed_entry_row_exits_2_naming_the_file(flag, defect, fixtures,
+                                                     tmp_path, capsys):
+    argv, obj, row = _document_and_first_row(flag, fixtures)
+    defect(row)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(obj))
+    assert main(argv + [flag, str(path)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert str(path) in err and "integers" in err
+
+
+@pytest.mark.parametrize("pair", [[1.5, 1], [1], [1, 1, 1], ["x", 1]])
+def test_malformed_unit_pair_exits_2(pair, tmp_path, capsys):
+    obj = algebra_to_json(dual_numbers())
+    obj["unit"][0] = pair
+    path = tmp_path / "unit.json"
+    path.write_text(json.dumps(obj))
+    assert main(["homology", "hochschild", "--algebra", str(path)]) \
+        == EXIT_PARSE
+    assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--lie", "--algebra", "--cover"])
+def test_non_utf8_document_exits_2_naming_the_file(flag, fixtures, tmp_path,
+                                                   capsys):
+    argv, obj, _ = _document_and_first_row(flag, fixtures)
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(obj).encode() + b" \xff")
+    assert main(argv + [flag, str(path)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert str(path) in err and "UTF-8" in err
 
 
 def test_bb_total_without_unit_exits_3(fixtures):

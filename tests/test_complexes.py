@@ -196,6 +196,55 @@ def test_tensor_is_complex_and_kunneth(sa, sb):
     assert rep["verdict"] == "pass", rep
 
 
+def _dense(m):
+    return [[m.entry(r, c) for c in range(m.cols)] for r in range(m.rows)]
+
+
+@given(seeds, seeds, st.integers(0, 3), st.integers(0, 3), st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_tensor_product_has_the_koszul_block_layout(sa, sb, ta, tb, cut):
+    """Degree n is the blocks (p, q = n - p) with p ascending, index
+    i * dim(B_q) + j inside a block, and d = d_A (x) id + (-1)^p id (x) d_B,
+    built here from dense Kronecker products."""
+    a, _ = random_complex(sa, max_degree=ta)
+    b, _ = random_complex(sb, max_degree=tb)
+    if cut and a.max_degree:
+        a = truncate_complex(a, a.max_degree - 1)
+    t = tensor_complexes(a, b)
+    assert t.truncated == (a.truncated or b.truncated)
+
+    def blocks(n):
+        out, off = {}, 0
+        for p in range(max(0, n - b.max_degree), min(a.max_degree, n) + 1):
+            out[(p, n - p)] = off
+            off += a.dims[p] * b.dims[n - p]
+        return out, off
+
+    assert t.max_degree == a.max_degree + b.max_degree
+    for n in range(t.max_degree + 1):
+        assert t.dims[n] == blocks(n)[1]
+    for n in range(1, t.max_degree + 1):
+        src, cols = blocks(n)
+        tgt, rows = blocks(n - 1)
+        expected = [[Fraction(0)] * cols for _ in range(rows)]
+
+        def place(block, r0, c0, sign):
+            for r, row in enumerate(block):
+                for c, v in enumerate(row):
+                    expected[r0 + r][c0 + c] += sign * v
+
+        for (p, q), off in src.items():
+            if p >= 1:
+                place(dense_oracle.dense_kron(
+                    _dense(a.d(p)), dense_oracle.dense_identity(b.dims[q]),
+                    a.dims[p], b.dims[q]), tgt[(p - 1, q)], off, 1)
+            if q >= 1:
+                place(dense_oracle.dense_kron(
+                    dense_oracle.dense_identity(a.dims[p]), _dense(b.d(q)),
+                    a.dims[p], b.dims[q]), tgt[(p, q - 1)], off, (-1) ** p)
+        assert _dense(t.d(n)) == expected
+
+
 def test_tensor_with_point_is_identity_on_dims():
     a, _ = random_complex(3)
     t = tensor_complexes(a, point())

@@ -130,13 +130,13 @@ def test_solve_vector_roundtrip():
 
 def test_decode_entries_applies_the_storage_rule():
     got = decode_entries([[0, 1, 4, 2], [1, 0, 1, 2], [1, 1, 0, 5],
-                          [2, 2, 7, 1], [2, 2, 0, 1]])
+                          [2, 2, 7, 1], [2, 2, 0, 1]], 4)
     assert got == {(0, 1): 2, (1, 0): Fraction(1, 2)}
     assert type(got[(0, 1)]) is int
     m = SparseMatrix.from_entry_list(2, 2, [[0, 1, 4, 2], [1, 1, 0, 3]])
     assert m.entries == {(0, 1): 2} and type(m.entries[(0, 1)]) is int
     with pytest.raises(ZeroDivisionError, match="zero denominator"):
-        decode_entries([[0, 0, 1, 0]])
+        decode_entries([[0, 0, 1, 0]], 4)
 
 
 @given(matrices())

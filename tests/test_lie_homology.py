@@ -117,6 +117,16 @@ def test_lie_json_stores_int_constants_and_drops_zeros():
                for row in back.bracket.values() for v in row.values())
 
 
+def test_lie_json_mirrors_rows_without_their_mirror():
+    # [e0, e1] = e1 given once stands for [e1, e0] = -e1 too
+    g = lie_algebra_from_json({"dim": 2, "bracket": [[0, 1, 1, 1, 1]]})
+    assert g.bracket == {(0, 1): {1: 1}, (1, 0): {1: -1}}
+    # both rows given: they are checked, not overwritten
+    with pytest.raises(LieAxiomError, match="antisymmetry"):
+        lie_algebra_from_json({"dim": 2, "bracket": [[0, 1, 1, 1, 1],
+                                                      [1, 0, 1, 1, 1]]})
+
+
 def test_make_lie_algebra_families():
     assert make_lie_algebra({"family": "abelian", "params": {"d": 3}}).dim == 3
     assert make_lie_algebra({"family": "sl2"}).basis_bracket(1, 2) == {0: frac(1)}

@@ -16,6 +16,7 @@ from exacthom.complexes import verify_complex
 from exacthom.exactlin import SparseMatrix
 from exacthom.lqt import (
     Permutation,
+    _koszul_sort,
     all_permutations,
     cyclic_wedge_complex,
     equivariance_check,
@@ -43,6 +44,18 @@ from exacthom.lqt import (
 )
 
 small_perm_degrees = st.integers(min_value=1, max_value=5)
+
+
+@given(st.lists(st.integers(min_value=0, max_value=6), max_size=7))
+@settings(max_examples=100)
+def test_koszul_sort_of_degree_one_tags_is_the_exterior_sign(legs):
+    res = _koszul_sort([(1, x) for x in legs])
+    if len(set(legs)) < len(legs):
+        assert res is None
+        return
+    inversions = sum(1 for i in range(len(legs))
+                     for j in range(i + 1, len(legs)) if legs[i] > legs[j])
+    assert res == ((-1) ** inversions, tuple((1, x) for x in sorted(legs)))
 perm_seeds = st.integers(min_value=0, max_value=10_000)
 
 
