@@ -34,6 +34,7 @@ from .exactlin import (
     Vec,
     decode_entries,
     inverse,
+    json_int,
     quotient_structure,
     random_unimodular,
     vec_clean,
@@ -148,7 +149,7 @@ def algebra_to_json(a: StructureConstantAlgebra) -> dict:
 
 
 def algebra_from_json(obj: Mapping) -> StructureConstantAlgebra:
-    dim = int(obj["dim"])
+    dim = json_int(obj["dim"], "dim")
     mult: Dict[Tuple[int, int], Vec] = {}
     for (i, j, k), v in decode_entries(obj.get("mult", []), 5).items():
         mult.setdefault((i, j), {})[k] = v

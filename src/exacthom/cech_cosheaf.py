@@ -34,7 +34,8 @@ from itertools import combinations
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .complexes import ChainComplex, HomologyResult, betti_numbers, homology
-from .exactlin import SparseMatrix, Subspace, quotient_structure, rank
+from .exactlin import (SparseMatrix, Subspace, json_int, quotient_structure,
+                       rank)
 
 
 class CosheafDataError(ValueError):
@@ -616,10 +617,10 @@ def cover_model_to_json(u: CoverModel) -> dict:
 
 
 def cover_model_from_json(obj: Mapping) -> CoverModel:
-    return CoverModel(int(obj["points"]),
-                      tuple(tuple(int(x) for x in op)
+    return CoverModel(json_int(obj["points"], "points"),
+                      tuple(tuple(json_int(x, "open point") for x in op)
                             for op in obj["opens"]),
-                      tuple(int(i) for i in obj["cover"]))
+                      tuple(json_int(i, "cover index") for i in obj["cover"]))
 
 
 def precosheaf_to_json(p: FinitePrecosheaf) -> dict:
@@ -637,9 +638,12 @@ def precosheaf_from_json(obj: Mapping) -> FinitePrecosheaf:
     raw = obj["precosheaf"]
     dims = [0] * len(u.opens)
     for key, d in raw["dims"].items():
-        dims[int(key)] = int(d)
+        # JSON object keys are strings: a key must spell an open's index
+        index = (int(key) if isinstance(key, str) and key.isdecimal()
+                 else key)
+        dims[json_int(index, "dims key")] = json_int(d, "dims value")
     exts: Dict[Tuple[int, int], SparseMatrix] = {}
     for a, b, items in raw["extensions"]:
-        exts[(int(a), int(b))] = SparseMatrix.from_entry_list(
-            dims[int(b)], dims[int(a)], items)
+        a, b = json_int(a, "extension source"), json_int(b, "extension target")
+        exts[(a, b)] = SparseMatrix.from_entry_list(dims[b], dims[a], items)
     return FinitePrecosheaf(u, tuple(dims), exts)

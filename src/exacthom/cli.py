@@ -126,7 +126,7 @@ def _load_structured(path: str, builder: Callable, what: str):
         raise CliError(EXIT_PARSE, f"{path}: expected a JSON object")
     try:
         return builder(obj)
-    except (KeyError, TypeError, ZeroDivisionError) as e:
+    except (KeyError, IndexError, TypeError, ZeroDivisionError) as e:
         raise CliError(EXIT_PARSE, f"{path}: bad {what} document: {e!r}")
     # Axiom errors (ValueError subclasses) propagate to main -> exit 3.
 

@@ -21,6 +21,7 @@ from .exactlin import (
     Subspace,
     Vec,
     inverse,
+    json_int,
     kernel_basis,
     random_unimodular,
     rank,
@@ -567,7 +568,7 @@ def complex_from_json(obj: Mapping) -> ChainComplex:
     degrees = sorted(int(k) for k in dims_raw)
     if degrees != list(range(len(degrees))):
         raise ValueError("dims keys must be contiguous 0..max_degree")
-    dims = tuple(int(dims_raw[str(n)]) for n in degrees)
+    dims = tuple(json_int(dims_raw[str(n)], "dims value") for n in degrees)
     diffs: Dict[int, SparseMatrix] = {}
     for k, items in obj.get("differentials", {}).items():
         n = int(k)

@@ -17,10 +17,16 @@ canonical answer. Reduced row echelon form is unique per se; bases of kernels,
 images and quotient complements are canonicalized by re-echelonizing, so none of
 them depend on pivot choices. The pivot rule (leftmost eligible column, then
 smallest bit-size entry, ties broken by row index) only affects speed, not
-results. Elimination
-runs on rows rescaled to coprime integers, which keeps arithmetic in `int` and
-avoids Fraction normalization churn; the bit-size rule is applied to those
-rescaled entries.
+results. Elimination runs on rows rescaled to coprime integers, which keeps
+arithmetic in `int` and avoids Fraction normalization churn; the bit-size rule
+is applied to those rescaled entries.
+
+The elimination core is column-indexed: a column -> set-of-rows index, built
+once from the rescaled rows and kept exact under fill-in and cancellation,
+names the rows that hold each column, so a column's pivot search and clearing
+visit only those rows instead of every row. The index changes which rows are
+visited, not the arithmetic: the pivot rule, the pivots, and every row and
+result are the same as those of a scan over all rows.
 """
 
 from __future__ import annotations
@@ -65,6 +71,14 @@ def _stored(v):
 def vec_clean(v: Mapping[int, Fraction]) -> Vec:
     """Drop explicit zeros and store values by the int-or-Fraction rule."""
     return {i: _stored(x) for i, x in v.items() if x}
+
+
+def json_int(value, field: str) -> int:
+    """`value` when it is a JSON integer (a Python int, not a bool), else
+    TypeError naming `field`; the CLI reports it as a malformed document."""
+    if type(value) is not int:
+        raise TypeError(f"{field} must be a JSON integer, got {value!r}")
+    return value
 
 
 def decode_entries(items: Iterable[Sequence], width: int
@@ -328,41 +342,56 @@ def _eliminate(rows: List[Dict[int, int]], full: bool) -> List[Tuple[int, int]]:
     ties broken by row index. With full=True the pivot column is cleared from
     every other row (RREF up to row scaling); otherwise only from rows not yet
     chosen as pivots (enough for rank).
+
+    A column -> set-of-rows index, built once from the scaled rows, names the
+    rows that hold each column, so a column's pivot search and clearing visit
+    only those rows. Every row update keeps the index exact: a fill-in entry
+    adds the row to its column's set, a cancelled entry removes it, and a
+    column's set is popped when the sweep reaches it. The pivots and every
+    row are the same as those of a scan over all rows per column.
     """
-    n = len(rows)
-    active = set(range(n))
+    holders: Dict[int, set] = {}
+    for i, row in enumerate(rows):
+        for c in row:
+            holders.setdefault(c, set()).add(i)
+    is_pivot = [False] * len(rows)
     pivots: List[Tuple[int, int]] = []
-    sweep = sorted({c for r in rows for c in r})
-    for col in sweep:
+    for col in sorted(holders):
+        held = holders.pop(col)
         best: Optional[Tuple[int, int]] = None  # (bits, row)
-        for i in active:
-            v = rows[i].get(col)
-            if v:
+        for i in held:
+            if not is_pivot[i]:
+                v = rows[i][col]
                 key = ((-v if v < 0 else v).bit_length(), i)
                 if best is None or key < best:
                     best = key
         if best is None:
             continue
         pi = best[1]
-        active.discard(pi)
+        is_pivot[pi] = True
         prow = rows[pi]
         pval = prow[col]
         pivots.append((col, pi))
-        targets = [j for j in range(n) if j != pi] if full else list(active)
-        for i in targets:
-            row = rows[i]
-            coef = row.get(col)
-            if not coef:
+        for i in held:
+            if i == pi or (is_pivot[i] and not full):
                 continue
-            new: Dict[int, int] = {}
-            for c in set(row) | set(prow):
-                v = pval * row.get(c, 0) - coef * prow.get(c, 0)
+            row = rows[i]
+            coef = row[col]
+            new = (dict(row) if pval == 1
+                   else {c: pval * v for c, v in row.items()})
+            # prow holds no swept column but col, which always cancels
+            for c, pv in prow.items():
+                v = new.get(c, 0) - coef * pv
                 if v:
+                    if c not in new:
+                        holders[c].add(i)
                     new[c] = v
+                elif c in new:
+                    del new[c]
+                    if c != col:
+                        holders[c].discard(i)
             if new:
-                g = 0
-                for v in new.values():
-                    g = math.gcd(g, v)
+                g = math.gcd(*new.values())
                 if g > 1:
                     new = {c: v // g for c, v in new.items()}
             rows[i] = new

@@ -31,6 +31,7 @@ from .exactlin import (
     Vec,
     decode_entries,
     inverse,
+    json_int,
     quotient_structure,
     vec_clean,
 )
@@ -120,7 +121,7 @@ def lie_algebra_to_json(g: StructureConstantLieAlgebra) -> dict:
 def lie_algebra_from_json(obj: Mapping) -> StructureConstantLieAlgebra:
     """Load bracket rows `[i, j, k, num, den]`; rows (i, j) whose mirror
     (j, i) is absent also give [e_j, e_i] = -[e_i, e_j]."""
-    dim = int(obj["dim"])
+    dim = json_int(obj["dim"], "dim")
     bracket: Dict[Tuple[int, int], Vec] = {}
     for (i, j, k), v in decode_entries(obj.get("bracket", []), 5).items():
         bracket.setdefault((i, j), {})[k] = v

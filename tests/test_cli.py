@@ -225,6 +225,63 @@ def test_malformed_entry_row_exits_2_naming_the_file(flag, defect, fixtures,
     assert str(path) in err and "integers" in err
 
 
+def _dim(obj, value):
+    obj["dim"] = value
+
+
+def _points(obj, value):
+    obj["points"] = value
+
+
+def _open_point(obj, value):
+    next(op for op in obj["opens"] if op)[0] = value
+
+
+def _cover_index(obj, value):
+    obj["cover"][0] = value
+
+
+def _dims_value(obj, value):
+    obj["precosheaf"]["dims"]["0"] = value
+
+
+def _dims_key(obj, value):
+    dims = obj["precosheaf"]["dims"]
+    dims[str(value)] = dims.pop("0")
+
+
+def _extension_index(obj, value):
+    obj["precosheaf"]["extensions"][0][0] = value
+
+
+@pytest.mark.parametrize("flag, defect", [
+    ("--lie", _dim), ("--algebra", _dim), ("--cover", _points),
+    ("--cover", _open_point), ("--cover", _cover_index),
+    ("--cover", _dims_value), ("--cover", _dims_key),
+    ("--cover", _extension_index)])
+@pytest.mark.parametrize("value", [2.7, "x", True])
+def test_non_integer_size_or_index_exits_2_naming_the_file(
+        flag, defect, value, fixtures, tmp_path, capsys):
+    argv, obj, _ = _document_and_first_row(flag, fixtures)
+    defect(obj, value)
+    path = tmp_path / "non_integer.json"
+    path.write_text(json.dumps(obj))
+    assert main(argv + [flag, str(path)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert str(path) in err and "must be a JSON integer" in err
+
+
+@pytest.mark.parametrize("defect", [_dims_key, _extension_index])
+def test_cover_index_past_the_opens_exits_2(defect, fixtures, tmp_path,
+                                            capsys):
+    argv, obj, _ = _document_and_first_row("--cover", fixtures)
+    defect(obj, len(obj["opens"]))
+    path = tmp_path / "cover_index.json"
+    path.write_text(json.dumps(obj))
+    assert main(argv + ["--cover", str(path)]) == EXIT_PARSE
+    assert str(path) in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("pair", [[1.5, 1], [1], [1, 1, 1], ["x", 1]])
 def test_malformed_unit_pair_exits_2(pair, tmp_path, capsys):
     obj = algebra_to_json(dual_numbers())

@@ -179,6 +179,12 @@ def test_json_roundtrip_bit_exact():
         assert c2.d(n) == c.d(n)
 
 
+@pytest.mark.parametrize("value", [2.7, "x", True])
+def test_json_dims_must_be_integers(value):
+    with pytest.raises(TypeError, match="dims value must be a JSON integer"):
+        complex_from_json({"dims": {"0": value}})
+
+
 def test_json_rejects_gappy_dims():
     with pytest.raises(ValueError):
         complex_from_json({"dims": {"0": 1, "2": 1}, "differentials": {}})

@@ -1,5 +1,7 @@
 """Exact linear algebra: canonical forms, rank/kernel/image, quotients."""
 
+import copy
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import dense_oracle
 from exacthom.exactlin import (
     SparseMatrix,
+    _eliminate,
     Subspace,
     decode_entries,
     image_basis,
@@ -326,3 +329,120 @@ def test_inverse_matches_the_dense_oracle(data):
     assert_stored(inv.entries.values())
     assert dense(inv) == [row[n:] for row in red]
     assert_stored(m.apply(inv.column(0)).values())
+
+
+# -- the column-indexed elimination core against the scan it replaced --------------
+
+
+def reference_eliminate(rows, full):
+    """The elimination core before the column index: every column scans every
+    active row for a pivot and clears it from every row (full=True) or from
+    every active row, rebuilding each updated row over both supports."""
+    n = len(rows)
+    active = set(range(n))
+    pivots = []
+    sweep = sorted({c for r in rows for c in r})
+    for col in sweep:
+        best = None  # (bits, row)
+        for i in active:
+            v = rows[i].get(col)
+            if v:
+                key = ((-v if v < 0 else v).bit_length(), i)
+                if best is None or key < best:
+                    best = key
+        if best is None:
+            continue
+        pi = best[1]
+        active.discard(pi)
+        prow = rows[pi]
+        pval = prow[col]
+        pivots.append((col, pi))
+        targets = [j for j in range(n) if j != pi] if full else list(active)
+        for i in targets:
+            row = rows[i]
+            coef = row.get(col)
+            if not coef:
+                continue
+            new = {}
+            for c in set(row) | set(prow):
+                v = pval * row.get(c, 0) - coef * prow.get(c, 0)
+                if v:
+                    new[c] = v
+            if new:
+                g = 0
+                for v in new.values():
+                    g = math.gcd(g, v)
+                if g > 1:
+                    new = {c: v // g for c, v in new.items()}
+            rows[i] = new
+    return pivots
+
+
+@st.composite
+def sparse_int_rows(draw, max_rows=14, max_cols=18):
+    """(cols, rows): sparse integer rows, some of them integer combinations of
+    earlier rows (possibly perturbed), so that elimination both fills in and
+    cancels entries, and leaves zero rows behind."""
+    cols = draw(st.integers(min_value=1, max_value=max_cols))
+    entries = st.dictionaries(st.integers(min_value=0, max_value=cols - 1),
+                              st.integers(min_value=-9, max_value=9).filter(bool),
+                              max_size=5)
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=max_rows))):
+        if rows and draw(st.booleans()):
+            acc = draw(entries) if draw(st.booleans()) else {}
+            for j, a in draw(st.lists(
+                    st.tuples(st.integers(min_value=0, max_value=len(rows) - 1),
+                              st.integers(min_value=-3, max_value=3)),
+                    min_size=1, max_size=3)):
+                for c, v in rows[j].items():
+                    acc[c] = acc.get(c, 0) + a * v
+            rows.append({c: v for c, v in acc.items() if v})
+        else:
+            rows.append(draw(entries))
+    return cols, rows
+
+
+def dense_rows(rows, cols):
+    return [[Fraction(r.get(c, 0)) for c in range(cols)] for r in rows]
+
+
+@given(sparse_int_rows(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_eliminate_matches_the_reference_scan(data, full):
+    _cols, rows = data
+    got, expected = copy.deepcopy(rows), copy.deepcopy(rows)
+    assert _eliminate(got, full) == reference_eliminate(expected, full)
+    assert got == expected
+
+
+@given(sparse_int_rows())
+@settings(max_examples=150, deadline=None)
+def test_rank_and_rref_match_the_dense_oracle_on_larger_rows(data):
+    cols, rows = data
+    m = SparseMatrix.from_rows(rows, cols)
+    red, piv = dense_oracle.dense_rref(dense_rows(rows, cols))
+    assert rank(m) == dense_oracle.dense_rank(dense_rows(rows, cols))
+    R, got_piv = rref(m)
+    assert got_piv == tuple(piv) and dense(R) == red
+
+
+@pytest.mark.parametrize("rows, cols, pivots", [
+    ([], 3, []),                                            # no rows
+    ([{}, {}, {}], 3, []),                                  # all-zero rows
+    ([{0: 2, 2: 1}, {}, {1: 3, 2: 1}], 3, [(0, 0), (1, 2)]),  # a zero row between
+    # clearing column 0 from row 1 cancels its entry in column 1; row 1 must
+    # not be offered as column 1's pivot, and column 2 is pivoted on row 1
+    ([{0: 1, 1: 1}, {0: 1, 1: 1, 2: 1}], 3, [(0, 0), (2, 1)]),
+])
+def test_eliminate_pinned_edge_cases(rows, cols, pivots):
+    for full in (True, False):
+        got, expected = copy.deepcopy(rows), copy.deepcopy(rows)
+        assert _eliminate(got, full) == pivots == reference_eliminate(expected,
+                                                                      full)
+        assert got == expected
+    m = SparseMatrix.from_rows(rows, cols)
+    red, piv = dense_oracle.dense_rref(dense_rows(rows, cols))
+    assert rank(m) == len(pivots) == len(piv)
+    R, got_piv = rref(m)
+    assert got_piv == tuple(piv) and dense(R) == red
