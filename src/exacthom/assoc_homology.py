@@ -252,10 +252,14 @@ def direct_sum(a: StructureConstantAlgebra,
 _FAMILIES = {
     "rationals": lambda params: field_q(),
     "dual_numbers": lambda params: dual_numbers(),
-    "truncated_polynomials": lambda params: truncated_polynomials(int(params["m"])),
-    "matrix_algebra": lambda params: matrix_algebra(int(params["m"])),
-    "cyclic_group_algebra": lambda params: cyclic_group_algebra(int(params["m"])),
-    "zero_multiplication": lambda params: zero_multiplication(int(params["d"])),
+    "truncated_polynomials": lambda params: truncated_polynomials(
+        json_int(params["m"], "m")),
+    "matrix_algebra": lambda params: matrix_algebra(
+        json_int(params["m"], "m")),
+    "cyclic_group_algebra": lambda params: cyclic_group_algebra(
+        json_int(params["m"], "m")),
+    "zero_multiplication": lambda params: zero_multiplication(
+        json_int(params["d"], "d")),
     "left_unital": lambda params: left_unital_two_dim(),
     "product_of_fields": lambda params: direct_sum(field_q(), field_q()),
 }
@@ -530,14 +534,10 @@ def _column_zero_projection(tot: TotalComplex, conn: ChainComplex,
     comps = {}
     for n in range(max_degree + 1):
         lay = tot.layout.get(n, [])
-        entries = {}
-        for p, q, off in lay:
-            if p != 0:
-                continue
-            proj = quots[n].projection
-            for (r, c), v in proj.entries.items():
-                entries[(r, off + c)] = v
-        comps[n] = SparseMatrix(conn.dims[n], tot.complex.dims[n], entries)
+        comps[n] = SparseMatrix.block(
+            [conn.dims[n]], [dim for _p, _q, dim in lay],
+            {(0, j): quots[n].projection
+             for j, (p, _q, _dim) in enumerate(lay) if p == 0})
     src = truncate_complex(tot.complex, max_degree)
     return ChainMap(src, conn, comps)
 

@@ -244,41 +244,22 @@ def _axiom_instance(p: FinitePrecosheaf, target: int,
     one open and one stored subcover; None when a pair intersection is not
     stored."""
     u = p.cover_model
-    pair_opens: Dict[Tuple[int, int], int] = {}
-    for ai, bi in combinations(range(len(subcover)), 2):
-        meet = tuple(sorted(set(u.opens[subcover[ai]])
-                            & set(u.opens[subcover[bi]])))
-        try:
-            pair_opens[(ai, bi)] = u.open_index(meet)
-        except CosheafDataError:
-            return None
+    pairs = list(combinations(range(len(subcover)), 2))
+    try:
+        meets = [u.intersection_index([subcover[ai], subcover[bi]])
+                 for ai, bi in pairs]
+    except CosheafDataError:
+        return None
     member_dims = [p.dims[i] for i in subcover]
-    member_offsets = [0]
-    for d in member_dims:
-        member_offsets.append(member_offsets[-1] + d)
-    total_members = member_offsets[-1]
-    sum_entries: Dict[Tuple[int, int], Fraction] = {}
-    for mi, open_id in enumerate(subcover):
-        ext = p.extension(open_id, target)
-        for (r, c), v in ext.entries.items():
-            sum_entries[(r, member_offsets[mi] + c)] = v
-    sum_map = SparseMatrix(p.dims[target], total_members, sum_entries)
-    mid_cols = sum(p.dims[w] for w in pair_opens.values())
-    mid_entries: Dict[Tuple[int, int], Fraction] = {}
-    col_offset = 0
-    for (ai, bi), w in sorted(pair_opens.items()):
-        into_a = p.extension(w, subcover[ai])
-        into_b = p.extension(w, subcover[bi])
-        for (r, c), v in into_a.entries.items():
-            key = (member_offsets[ai] + r, col_offset + c)
-            mid_entries[key] = mid_entries.get(key, 0) + v
-        for (r, c), v in into_b.entries.items():
-            key = (member_offsets[bi] + r, col_offset + c)
-            mid_entries[key] = mid_entries.get(key, 0) - v
-        col_offset += p.dims[w]
-    middle = SparseMatrix(total_members, mid_cols, mid_entries)
+    sum_map = SparseMatrix.hstack([p.extension(i, target) for i in subcover])
+    blocks: Dict[Tuple[int, int], SparseMatrix] = {}
+    for col, ((ai, bi), w) in enumerate(zip(pairs, meets)):
+        blocks[(ai, col)] = p.extension(w, subcover[ai])
+        blocks[(bi, col)] = -p.extension(w, subcover[bi])
+    middle = SparseMatrix.block(member_dims, [p.dims[w] for w in meets],
+                                blocks)
     sum_rank = rank(sum_map)
-    kernel_dim = total_members - sum_rank
+    kernel_dim = sum_map.cols - sum_rank
     middle_rank = rank(middle)
     return {"open": list(u.opens[target]),
             "subcover": [int(i) for i in subcover],
@@ -353,35 +334,23 @@ def cech_complex(p: FinitePrecosheaf, u: CoverModel) -> ChainComplex:
     n = len(u.cover)
     tuples: List[List[Tuple[int, ...]]] = []
     open_of: List[List[int]] = []
-    offsets: List[List[int]] = []
-    dims: List[int] = []
     for r in range(n):
         tr = list(combinations(range(n), r + 1))
-        ids = [u.intersection_index([u.cover[i] for i in t]) for t in tr]
-        offs = [0]
-        for oid in ids:
-            offs.append(offs[-1] + p.dims[oid])
         tuples.append(tr)
-        open_of.append(ids)
-        offsets.append(offs)
-        dims.append(offs[-1])
+        open_of.append([u.intersection_index([u.cover[i] for i in t])
+                        for t in tr])
+    cell_dims = [[p.dims[oid] for oid in ids] for ids in open_of]
     index_of = [{t: i for i, t in enumerate(tr)} for tr in tuples]
     diffs: Dict[int, SparseMatrix] = {}
     for r in range(1, n):
-        entries: Dict[Tuple[int, int], Fraction] = {}
+        blocks: Dict[Tuple[int, int], SparseMatrix] = {}
         for ti, t in enumerate(tuples[r]):
-            src_open = open_of[r][ti]
-            src_off = offsets[r][ti]
             for drop in range(r + 1):
-                shorter = t[:drop] + t[drop + 1:]
-                si = index_of[r - 1][shorter]
-                tgt_off = offsets[r - 1][si]
-                ext = p.extension(src_open, open_of[r - 1][si])
-                sign = -1 if drop % 2 else 1
-                for (rr, cc), v in ext.entries.items():
-                    key = (tgt_off + rr, src_off + cc)
-                    entries[key] = entries.get(key, 0) + sign * v
-        diffs[r] = SparseMatrix(dims[r - 1], dims[r], entries)
+                si = index_of[r - 1][t[:drop] + t[drop + 1:]]
+                ext = p.extension(open_of[r][ti], open_of[r - 1][si])
+                blocks[(si, ti)] = -ext if drop % 2 else ext
+        diffs[r] = SparseMatrix.block(cell_dims[r - 1], cell_dims[r], blocks)
+    dims = [sum(cd) for cd in cell_dims]
     return ChainComplex(tuple(dims), diffs, truncated=False)
 
 

@@ -326,61 +326,43 @@ def verify_double_complex(d: DoubleComplex) -> dict:
 class TotalComplex:
     """Total complex of a double complex plus the cell layout per degree.
 
-    layout[n] lists (p, q, offset) for the cells on the antidiagonal p+q=n in
-    ascending p; the complex's degree-n space is their concatenation.
+    layout[n] lists (p, q, dim) for the nonzero cells on the antidiagonal
+    p+q=n in ascending p; the complex's degree-n space is their direct sum,
+    laid out as the blocks of the differentials (see "Block layout" in
+    `exactlin`). The column filtration F_p is therefore a coordinate prefix.
     """
 
     complex: ChainComplex
     layout: Dict[int, List[Tuple[int, int, int]]]
 
+    def filtration_dim(self, n: int, p_max: int) -> int:
+        """Dimension of the subspace F_{p_max} in degree n."""
+        return sum(dim for p, _q, dim in self.layout.get(n, []) if p <= p_max)
+
     def filtration_columns(self, n: int, p_max: int) -> List[int]:
         """Coordinate indices of the subspace F_{p_max} in degree n."""
-        cols: List[int] = []
-        for p, q, off in self.layout.get(n, []):
-            if p <= p_max:
-                cols.extend(range(off, off + (self.layout_dim(n, p, q))))
-        return cols
-
-    def layout_dim(self, n: int, p: int, q: int) -> int:
-        lay = self.layout.get(n, [])
-        for i, (pp, qq, off) in enumerate(lay):
-            if (pp, qq) == (p, q):
-                nxt = lay[i + 1][2] if i + 1 < len(lay) else self.complex.dims[n]
-                return nxt - off
-        return 0
+        return list(range(self.filtration_dim(n, p_max)))
 
 
 def total_complex(d: DoubleComplex, truncated: bool = False) -> TotalComplex:
     nmax = d.max_p + d.max_q
-    layout: Dict[int, List[Tuple[int, int, int]]] = {}
-    dims: List[int] = []
-    for n in range(nmax + 1):
-        off = 0
-        lay = []
-        for p in range(max(0, n - d.max_q), min(d.max_p, n) + 1):
-            q = n - p
-            dim = d.dim(p, q)
-            if dim:
-                lay.append((p, q, off))
-                off += dim
-        layout[n] = lay
-        dims.append(off)
+    layout = {n: [(p, n - p, d.dim(p, n - p))
+                  for p in range(max(0, n - d.max_q), min(d.max_p, n) + 1)
+                  if d.dim(p, n - p)]
+              for n in range(nmax + 1)}
+    cell_dims = {n: [dim for _p, _q, dim in lay] for n, lay in layout.items()}
     diffs: Dict[int, SparseMatrix] = {}
     for n in range(1, nmax + 1):
-        tgt_off = {(p, q): off for p, q, off in layout[n - 1]}
-        entries: Dict[Tuple[int, int], Fraction] = {}
-        for p, q, off in layout[n]:
-            if (p, q - 1) in tgt_off:
-                toff = tgt_off[(p, q - 1)]
-                for (r, c), v in d.d_vert(p, q).entries.items():
-                    entries[(toff + r, off + c)] = v
-            if (p - 1, q) in tgt_off:
-                toff = tgt_off[(p - 1, q)]
-                for (r, c), v in d.d_horiz(p, q).entries.items():
-                    key = (toff + r, off + c)
-                    entries[key] = entries.get(key, 0) + v
-        diffs[n] = SparseMatrix(dims[n - 1], dims[n], entries)
-    cx = ChainComplex(tuple(dims), diffs, truncated=truncated)
+        tgt = {(p, q): i for i, (p, q, _dim) in enumerate(layout[n - 1])}
+        blocks: Dict[Tuple[int, int], SparseMatrix] = {}
+        for j, (p, q, _dim) in enumerate(layout[n]):
+            if (p, q - 1) in tgt:
+                blocks[(tgt[(p, q - 1)], j)] = d.d_vert(p, q)
+            if (p - 1, q) in tgt:
+                blocks[(tgt[(p - 1, q)], j)] = d.d_horiz(p, q)
+        diffs[n] = SparseMatrix.block(cell_dims[n - 1], cell_dims[n], blocks)
+    dims = tuple(sum(cell_dims[n]) for n in range(nmax + 1))
+    cx = ChainComplex(dims, diffs, truncated=truncated)
     return TotalComplex(cx, layout)
 
 
@@ -427,28 +409,19 @@ class SpectralSequence:
             self._a_cache[key] = sub
             return sub
         ambient = self.tot.complex.dims[n]
-        cols = self.tot.filtration_columns(n, p)
+        cols = range(self.tot.filtration_dim(n, p))
+        # kernel of d restricted to F_p columns and to the rows outside
+        # F_{p-r}; F_p is a coordinate prefix, so kernel vectors keep their
+        # coordinates
         if n == 0:
-            rows_banned: List[int] = []
-            dmat = SparseMatrix.zeros(0, ambient)
+            restricted = SparseMatrix.zeros(0, len(cols))
         else:
-            dmat = self.tot.complex.d(n)
-            rows_banned = [i for pp, qq, off in self.tot.layout.get(n - 1, [])
-                           if pp > p - r
-                           for i in range(off, off + self.tot.layout_dim(n - 1, pp, qq))]
-        # kernel of the banned-rows submatrix restricted to F_p columns
-        sub_entries = {}
-        row_pos = {ri: k for k, ri in enumerate(rows_banned)}
-        col_pos = {ci: k for k, ci in enumerate(cols)}
-        for (i, j), v in dmat.entries.items():
-            if i in row_pos and j in col_pos:
-                sub_entries[(row_pos[i], col_pos[j])] = v
-        restricted = SparseMatrix(len(rows_banned), len(cols), sub_entries)
+            rows_banned = range(self.tot.filtration_dim(n - 1, p - r),
+                                self.tot.complex.dims[n - 1])
+            restricted = self.tot.complex.d(n).select(rows_banned, cols)
         kb = kernel_basis(restricted)
-        vectors = []
-        for i in range(kb.rows):
-            vectors.append({cols[j]: v for j, v in kb.row(i).items()})
-        sub = Subspace.from_vectors(ambient, vectors)
+        sub = Subspace.from_vectors(ambient,
+                                    [kb.row(i) for i in range(kb.rows)])
         self._a_cache[key] = sub
         return sub
 

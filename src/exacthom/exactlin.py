@@ -27,6 +27,14 @@ names the rows that hold each column, so a column's pivot search and clearing
 visit only those rows instead of every row. The index changes which rows are
 visited, not the arithmetic: the pivot rule, the pivots, and every row and
 result are the same as those of a scan over all rows.
+
+Block layout: a block matrix lays its blocks out in index order, so the
+offset of block row i is the sum of the sizes of block rows 0..i-1, and
+likewise for block columns. `SparseMatrix.block` and `SparseMatrix.select`
+are the only code that computes such offsets: total complexes, spectral
+sequences, Cech complexes and cosheaf sequences assemble and slice their
+matrices through them, or through `hstack`/`vstack`, which are `block` with
+one block row or column.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 # A sparse vector: coordinate index -> nonzero rational value (int or Fraction).
@@ -265,34 +274,58 @@ class SparseMatrix:
     # -- block assembly ----------------------------------------------------
 
     @staticmethod
+    def block(row_dims: Sequence[int], col_dims: Sequence[int],
+              blocks: Mapping[Tuple[int, int], "SparseMatrix"]
+              ) -> "SparseMatrix":
+        """Block matrix with block rows of sizes `row_dims`, block columns of
+        sizes `col_dims`, and `blocks[(i, j)]` in block row i, column j.
+
+        A missing block is zero; a block of another shape than
+        row_dims[i] x col_dims[j], or a key outside the grid, raises
+        ValueError. See "Block layout" in the module docstring.
+        """
+        row_off = [0, *accumulate(row_dims)]
+        col_off = [0, *accumulate(col_dims)]
+        entries = {}
+        for (i, j), b in blocks.items():
+            if not (0 <= i < len(row_dims) and 0 <= j < len(col_dims)):
+                raise ValueError(f"block ({i},{j}) outside the block grid")
+            if (b.rows, b.cols) != (row_dims[i], col_dims[j]):
+                raise ValueError(
+                    f"block ({i},{j}) is {b.rows}x{b.cols}, expected "
+                    f"{row_dims[i]}x{col_dims[j]}")
+            ro, co = row_off[i], col_off[j]
+            for (r, c), v in b.entries.items():
+                entries[(ro + r, co + c)] = v
+        return SparseMatrix(row_off[-1], col_off[-1], entries)
+
+    def select(self, rows: Sequence[int], cols: Sequence[int]
+               ) -> "SparseMatrix":
+        """The len(rows) x len(cols) submatrix whose entry (a, b) is
+        self[rows[a], cols[b]]; repeated or out-of-range indices raise
+        ValueError."""
+        for idx, n in ((rows, self.rows), (cols, self.cols)):
+            if idx and (len(set(idx)) != len(idx)
+                        or min(idx) < 0 or max(idx) >= n):
+                raise ValueError("select needs distinct in-range indices")
+        rpos = dict(zip(rows, range(len(rows))))
+        return SparseMatrix(len(rows), len(cols), {
+            (rpos[r], b): v for b, c in enumerate(cols)
+            for r, v in self.column(c).items() if r in rpos})
+
+    @staticmethod
     def hstack(blocks: Sequence["SparseMatrix"]) -> "SparseMatrix":
         if not blocks:
             raise ValueError("hstack of nothing")
-        rows = blocks[0].rows
-        entries = {}
-        off = 0
-        for b in blocks:
-            if b.rows != rows:
-                raise ValueError("hstack row mismatch")
-            for (r, c), v in b.entries.items():
-                entries[(r, c + off)] = v
-            off += b.cols
-        return SparseMatrix(rows, off, entries)
+        return SparseMatrix.block([blocks[0].rows], [b.cols for b in blocks],
+                                  {(0, j): b for j, b in enumerate(blocks)})
 
     @staticmethod
     def vstack(blocks: Sequence["SparseMatrix"]) -> "SparseMatrix":
         if not blocks:
             raise ValueError("vstack of nothing")
-        cols = blocks[0].cols
-        entries = {}
-        off = 0
-        for b in blocks:
-            if b.cols != cols:
-                raise ValueError("vstack col mismatch")
-            for (r, c), v in b.entries.items():
-                entries[(r + off, c)] = v
-            off += b.rows
-        return SparseMatrix(off, cols, entries)
+        return SparseMatrix.block([b.rows for b in blocks], [blocks[0].cols],
+                                  {(i, 0): b for i, b in enumerate(blocks)})
 
     # -- serialization -----------------------------------------------------
 
@@ -430,19 +463,23 @@ def kernel_basis(m: SparseMatrix) -> SparseMatrix:
     canonical (RREF) basis of the kernel subspace.
     """
     R, piv = rref(m)
-    pivset = set(piv)
-    raw: List[Vec] = []
-    for f in range(m.cols):
-        if f in pivset:
-            continue
-        v: Vec = {f: 1}
-        for i, p in enumerate(piv):
-            coef = R.entry(i, f)
-            if coef:
-                v[p] = -coef
-        raw.append(v)
+    raw = [{f: 1, **{p: -coef for p, coef in col.items()}}
+           for f, col in _free_columns(R, piv).items()]
     K, _ = rref(SparseMatrix.from_rows(raw, m.cols))
     return K
+
+
+def _free_columns(R: SparseMatrix, pivots: Sequence[int]) -> Dict[int, Vec]:
+    """{free column f: {pivots[i]: R[i, f] for the rows i holding f}} of an
+    RREF matrix R whose row i has its pivot at pivots[i], in increasing f;
+    one walk over R's stored entries."""
+    pivset = set(pivots)
+    free: Dict[int, Vec] = {f: {} for f in range(R.cols) if f not in pivset}
+    for (i, f), v in R.entries.items():
+        col = free.get(f)
+        if col is not None:
+            col[pivots[i]] = v
+    return free
 
 
 def image_basis(m: SparseMatrix) -> SparseMatrix:
@@ -584,16 +621,13 @@ class QuotientStructure:
 
 def quotient_structure(sub: Subspace) -> QuotientStructure:
     n = sub.ambient_dim
-    pivset = set(sub.pivots)
-    free = [c for c in range(n) if c not in pivset]
+    free = _free_columns(sub.basis, sub.pivots)
     q = len(free)
     proj: Dict[Tuple[int, int], Fraction] = {}
     sec: Dict[Tuple[int, int], Fraction] = {}
-    for j, f in enumerate(free):
+    for j, (f, col) in enumerate(free.items()):
         proj[(j, f)] = 1
         sec[(f, j)] = 1
-        for i, p in enumerate(sub.pivots):
-            coef = sub.basis.entry(i, f)
-            if coef:
-                proj[(j, p)] = -coef
+        for p, coef in col.items():
+            proj[(j, p)] = -coef
     return QuotientStructure(sub, SparseMatrix(q, n, proj), SparseMatrix(n, q, sec))

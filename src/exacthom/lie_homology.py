@@ -197,9 +197,10 @@ def change_of_basis_lie(g: StructureConstantLieAlgebra,
 
 
 _LIE_FAMILIES = {
-    "abelian": lambda params, coeff: abelian_lie_algebra(int(params["d"])),
+    "abelian": lambda params, coeff: abelian_lie_algebra(
+        json_int(params["d"], "d")),
     "sl2": lambda params, coeff: sl2_q(),
-    "gl": lambda params, coeff: gl_n_of(coeff, int(params["n"])),
+    "gl": lambda params, coeff: gl_n_of(coeff, json_int(params["n"], "n")),
 }
 
 

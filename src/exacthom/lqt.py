@@ -143,6 +143,12 @@ def _perms(k: int) -> Tuple[Permutation, ...]:
     return tuple(Permutation(p) for p in iter_permutations(range(k)))
 
 
+@lru_cache(maxsize=None)
+def _perm_index(k: int) -> Dict[Permutation, int]:
+    """Position of each permutation in `_perms(k)`."""
+    return {p: i for i, p in enumerate(_perms(k))}
+
+
 def all_permutations(k: int) -> List[Permutation]:
     """The symmetric group on k letters, lexicographic by image tuple."""
     return list(_perms(k))
@@ -329,9 +335,10 @@ def specht_module(alpha: Sequence[int]) -> SpechtModule:
             raise AssertionError(
                 "permuted polytabloid left the standard span")
         action.append(coords)
+    pidx = _perm_index(m)
     for i, p in enumerate(perms):
         for j, q in enumerate(perms):
-            k = perms.index(p.compose(q))
+            k = pidx[p.compose(q)]
             if action[i] @ action[j] != action[k]:
                 raise AssertionError(
                     f"action matrices break composition at pair ({i},{j})")
@@ -475,7 +482,7 @@ def equivariance_check(n: int, k: int) -> dict:
     algebra."""
     phi = trace_invariant_matrix(n, k)
     perms = _perms(k)
-    pidx = {p: i for i, p in enumerate(perms)}
+    pidx = _perm_index(k)
     dim = n * n
     amb = dim ** k
     failures = []
@@ -621,7 +628,7 @@ def signed_group_tensor_coinvariants(a: StructureConstantAlgebra,
     tdim = a.dim ** k
     amb = kfac * tdim
     guard_ambient("signed permutation-tensor space", amb)
-    pidx = {p: i for i, p in enumerate(perms)}
+    pidx = _perm_index(k)
     rels: List[Vec] = []
     for i in range(k - 1):
         s = Permutation.transposition(k, i, i + 1)
@@ -740,8 +747,7 @@ def _theta_pipeline(a: StructureConstantAlgebra, max_degree: int):
     cod = theta_codomain_model(a, max_degree)
     comps: Dict[int, SparseMatrix] = {}
     for deg in range(max_degree + 1):
-        perms = _perms(deg)
-        pidx = {p: i for i, p in enumerate(perms)}
+        pidx = _perm_index(deg)
         tdim = a.dim ** deg
         entries: Dict[Tuple[int, int], Fraction] = {}
         for mi, mono in enumerate(dom.monomials[deg]):
@@ -832,15 +838,8 @@ def highest_weight_space(a: StructureConstantAlgebra, n: int, k: int,
     amb = act.module_dim
     if not cols:
         return Subspace.zero(amb)
-    blocks = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = act.matrices[i * n + j]
-            entries: Dict[Tuple[int, int], Fraction] = {}
-            for lc, gc in enumerate(cols):
-                for r, v in m.column(gc).items():
-                    entries[(r, lc)] = v
-            blocks.append(SparseMatrix(amb, len(cols), entries))
+    blocks = [act.matrices[i * n + j].select(range(amb), cols)
+              for i in range(n) for j in range(i + 1, n)]
     if blocks:
         stacked = SparseMatrix.vstack(blocks)
     else:

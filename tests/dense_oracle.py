@@ -7,7 +7,7 @@ run on small algebras.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 
 def dense_rref(m):
@@ -143,3 +143,37 @@ def dense_kron(a, b, a_cols, b_cols):
 
 def dense_identity(n):
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def cech_matrix(opens, cover, dims, extension, r):
+    """Degree-r boundary of the Cech complex of a precosheaf, straight from
+    the alternating sum d(t; x) = sum_i (-1)^i ext(U_t -> U_{t minus t_i}) x.
+
+    `opens` are sorted point tuples, `cover` indexes into them, `dims[u]` is
+    the dimension on open u and `extension(a, b)` the dense dims[b] x dims[a]
+    matrix from open a into open b (the identity when a == b). Degree k is
+    spanned by (t, x): t a strictly increasing (k+1)-tuple of cover positions
+    in lexicographic order, U_t the meet of its members, x < dims[U_t].
+    Returns (matrix as row lists, row count, column count).
+    """
+    def coords(k):
+        out = []
+        for t in combinations(range(len(cover)), k + 1):
+            meet = set.intersection(*(set(opens[cover[i]]) for i in t))
+            u = opens.index(tuple(sorted(meet)))
+            out.extend((t, u, x) for x in range(dims[u]))
+        return out
+
+    src, tgt = coords(r), coords(r - 1)
+    row_of = {(t, x): i for i, (t, _u, x) in enumerate(tgt)}
+    open_of = {t: u for t, u, _x in tgt}
+    m = [[Fraction(0)] * len(src) for _ in tgt]
+    for col, (t, u, x) in enumerate(src):
+        for i in range(r + 1):
+            face = t[:i] + t[i + 1:]
+            if face not in open_of:  # the face's open carries nothing
+                continue
+            ext = extension(u, open_of[face])
+            for y in range(len(ext)):
+                m[row_of[(face, y)]][col] += (-1) ** i * ext[y][x]
+    return m, len(tgt), len(src)

@@ -97,6 +97,15 @@ def test_json_roundtrip_and_families():
     assert again.mult == a.mult
 
 
+@pytest.mark.parametrize("family, key", [
+    ("truncated_polynomials", "m"), ("matrix_algebra", "m"),
+    ("cyclic_group_algebra", "m"), ("zero_multiplication", "d")])
+@pytest.mark.parametrize("bad", [2.7, 2.0, True, "2"])
+def test_family_sizes_must_be_json_integers(family, key, bad):
+    with pytest.raises(TypeError, match=key):
+        make_algebra({"family": family, "params": {key: bad}})
+
+
 def test_json_stores_int_constants_and_drops_zeros():
     # dual numbers with unreduced constants and an explicit zero entry
     blob = {"dim": 2,

@@ -7,6 +7,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dense_oracle
+
 from exacthom.cech_cosheaf import (
     CosheafDataError,
     CosheafMorphism,
@@ -319,6 +321,30 @@ def test_random_extension_by_zero_models_are_flabby_cosheaves(seed):
     assert betti[0] == u.points
     assert all(b == 0 for b in betti[1:])
     assert cosheaf_axiom_check(p, u)["verdict"]
+
+
+def dense(m):
+    return [[m.entry(r, c) for c in range(m.cols)] for r in range(m.rows)]
+
+
+@given(seeds)
+@settings(max_examples=30, deadline=None)
+def test_cech_complex_matches_the_alternating_sum_oracle(seed):
+    rng = random.Random(seed)
+    u = random_cover_model(rng, rng.randint(1, 6), rng.randint(1, 4))
+    edges = [(rng.randrange(u.points), rng.randrange(u.points))
+             for _ in range(rng.randint(0, 6))]
+    for p in (extension_by_zero_model(u), edge_function_model(u, edges)):
+        cx = cech_complex(p, u)
+        assert cx.max_degree == len(u.cover) - 1
+        for r in range(1, len(u.cover)):
+            want, rows, cols = dense_oracle.cech_matrix(
+                list(u.opens), list(u.cover), list(p.dims),
+                lambda a, b: dense(p.extension(a, b)), r)
+            d = cx.d(r)
+            assert (d.rows, d.cols) == (rows, cols) == (cx.dims[r - 1],
+                                                        cx.dims[r])
+            assert dense(d) == want
 
 
 # -- JSON -------------------------------------------------------------------------------------

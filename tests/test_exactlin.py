@@ -446,3 +446,103 @@ def test_eliminate_pinned_edge_cases(rows, cols, pivots):
     assert rank(m) == len(pivots) == len(piv)
     R, got_piv = rref(m)
     assert got_piv == tuple(piv) and dense(R) == red
+
+
+# -- block assembly and selection against a dense assembly -----------------------
+
+
+@st.composite
+def shaped(draw, rows, cols):
+    return SparseMatrix(rows, cols, {
+        (r, c): draw(entry_values) for r in range(rows) for c in range(cols)
+        if draw(st.booleans())})
+
+
+@st.composite
+def block_grids(draw):
+    sizes = st.lists(st.integers(min_value=0, max_value=3), max_size=3)
+    row_dims, col_dims = draw(sizes), draw(sizes)
+    blocks = {(i, j): draw(shaped(rd, cd))
+              for i, rd in enumerate(row_dims) for j, cd in enumerate(col_dims)
+              if draw(st.booleans())}
+    return row_dims, col_dims, blocks
+
+
+def dense_block(row_dims, col_dims, blocks):
+    out = [[Fraction(0)] * sum(col_dims) for _ in range(sum(row_dims))]
+    r0 = 0
+    for i, rd in enumerate(row_dims):
+        c0 = 0
+        for j, cd in enumerate(col_dims):
+            if (i, j) in blocks:
+                for r, row in enumerate(dense(blocks[(i, j)])):
+                    out[r0 + r][c0:c0 + cd] = row
+            c0 += cd
+        r0 += rd
+    return out
+
+
+@given(block_grids())
+@settings(max_examples=150)
+def test_block_matches_a_dense_assembly(grid):
+    row_dims, col_dims, blocks = grid
+    m = SparseMatrix.block(row_dims, col_dims, blocks)
+    assert (m.rows, m.cols) == (sum(row_dims), sum(col_dims))
+    assert dense(m) == dense_block(row_dims, col_dims, blocks)
+    assert_stored(m.entries.values())
+
+
+@given(st.lists(st.integers(min_value=0, max_value=3), min_size=1,
+                max_size=4), st.integers(min_value=0, max_value=3), st.data())
+@settings(max_examples=100)
+def test_hstack_and_vstack_match_a_dense_assembly(sizes, other, draw):
+    side = [draw.draw(shaped(other, s)) for s in sizes]
+    h = SparseMatrix.hstack(side)
+    assert (h.rows, h.cols) == (other, sum(sizes))
+    assert dense(h) == [sum((dense(b)[r] for b in side), [])
+                        for r in range(other)]
+    tall = [b.transpose() for b in side]
+    v = SparseMatrix.vstack(tall)
+    assert (v.rows, v.cols) == (sum(sizes), other)
+    assert dense(v) == sum((dense(b) for b in tall), [])
+
+
+@given(matrices(), st.data())
+@settings(max_examples=150)
+def test_select_matches_dense_indexing(m, draw):
+    rows = draw.draw(st.permutations(range(m.rows)))
+    rows = rows[:draw.draw(st.integers(min_value=0, max_value=m.rows))]
+    cols = draw.draw(st.permutations(range(m.cols)))
+    cols = cols[:draw.draw(st.integers(min_value=0, max_value=m.cols))]
+    s = m.select(rows, cols)
+    full = dense(m)
+    assert (s.rows, s.cols) == (len(rows), len(cols))
+    assert dense(s) == [[full[r][c] for c in cols] for r in rows]
+    assert m.select(range(m.rows), range(m.cols)) == m
+
+
+def test_block_assembly_rejects_bad_shapes_and_indices():
+    two = SparseMatrix.identity(2)
+    with pytest.raises(ValueError):
+        SparseMatrix.block([2, 1], [2], {(1, 0): two})
+    with pytest.raises(ValueError):
+        SparseMatrix.block([2], [2], {(0, 1): two})
+    with pytest.raises(ValueError):
+        SparseMatrix.block([2], [2], {(-1, 0): two})
+    with pytest.raises(ValueError):
+        SparseMatrix.block([0], [0], {(0, 0): SparseMatrix.zeros(0, 1)})
+    with pytest.raises(ValueError):
+        SparseMatrix.hstack([two, SparseMatrix.zeros(3, 1)])
+    with pytest.raises(ValueError):
+        SparseMatrix.vstack([two, SparseMatrix.zeros(1, 3)])
+    with pytest.raises(ValueError):
+        SparseMatrix.hstack([])
+    with pytest.raises(ValueError):
+        two.select([0, 0], [1])
+    with pytest.raises(ValueError):
+        two.select([0], [2])
+    with pytest.raises(ValueError):
+        two.select([-1], [0])
+    assert SparseMatrix.block([], [], {}) == SparseMatrix.zeros(0, 0)
+    assert SparseMatrix.block([0, 2], [3, 0], {}) == SparseMatrix.zeros(2, 3)
+    assert two.select([], [1, 0]) == SparseMatrix.zeros(0, 2)

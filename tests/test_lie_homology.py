@@ -138,6 +138,13 @@ def test_make_lie_algebra_families():
         make_lie_algebra({"family": "gl", "params": {"n": 2}})
 
 
+@pytest.mark.parametrize("family, key", [("abelian", "d"), ("gl", "n")])
+@pytest.mark.parametrize("bad", [2.7, 2.0, True, "2"])
+def test_lie_family_sizes_must_be_json_integers(family, key, bad):
+    with pytest.raises(TypeError, match=key):
+        make_lie_algebra({"family": family, "params": {key: bad}}, field_q())
+
+
 # -- exterior basis -------------------------------------------------------------
 
 
