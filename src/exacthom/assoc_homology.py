@@ -33,6 +33,7 @@ from .exactlin import (
     Subspace,
     Vec,
     decode_entries,
+    guard_ambient,
     inverse,
     json_int,
     quotient_structure,
@@ -412,14 +413,23 @@ def connes_b_operator(a: StructureConstantAlgebra, n: int) -> SparseMatrix:
 # -- complexes ----------------------------------------------------------------
 
 
+def _guard_tensor_power(a: StructureConstantAlgebra, top: int) -> None:
+    """ResourceGuardError before any boundary is built when the largest
+    chain space, A^(top+1), is past AMBIENT_LIMIT."""
+    guard_ambient(f"tensor power {top + 1} of a {a.dim}-dimensional algebra",
+                  a.dim ** (top + 1))
+
+
 def hochschild_complex(a: StructureConstantAlgebra,
                        max_degree: int) -> ChainComplex:
+    _guard_tensor_power(a, max_degree)
     dims = tuple(a.dim ** (n + 1) for n in range(max_degree + 1))
     diffs = {n: hochschild_boundary(a, n) for n in range(1, max_degree + 1)}
     return ChainComplex(dims, diffs, truncated=True)
 
 
 def bar_complex(a: StructureConstantAlgebra, max_degree: int) -> ChainComplex:
+    _guard_tensor_power(a, max_degree)
     dims = tuple(a.dim ** (n + 1) for n in range(max_degree + 1))
     diffs = {n: bar_boundary(a, n) for n in range(1, max_degree + 1)}
     return ChainComplex(dims, diffs, truncated=True)
@@ -434,6 +444,7 @@ def connes_quotient_complex(
     Well-definedness (b maps im(1-t) into im(1-t), via b(1-t) = (1-t)b') is
     asserted exactly in every degree, not assumed.
     """
+    _guard_tensor_power(a, max_degree)
     quots = []
     dims = []
     for n in range(max_degree + 1):
@@ -459,6 +470,7 @@ def connes_quotient_complex(
 def cyclic_bicomplex(a: StructureConstantAlgebra, bound: int) -> DoubleComplex:
     """Cyclic double complex: columns alternate (b, -b') vertically, rows
     alternate (1 - t, N) horizontally; all squares anticommute exactly."""
+    _guard_tensor_power(a, bound)
     d = a.dim
     cells = {(p, q): d ** (q + 1) for p in range(bound + 1)
              for q in range(bound + 1)}
@@ -481,6 +493,7 @@ def cyclic_bicomplex(a: StructureConstantAlgebra, bound: int) -> DoubleComplex:
 def bB_bicomplex(a: StructureConstantAlgebra, bound: int) -> DoubleComplex:
     """Unital mixed double complex: cell (p, q) = (q - p + 1)-fold tensors for
     q >= p, vertical b, horizontal B. Raises MissingUnitError otherwise."""
+    _guard_tensor_power(a, bound)
     if a.unit is None:
         raise MissingUnitError("the (b, B) double complex needs a unit")
     d = a.dim

@@ -9,6 +9,11 @@ Three commands:
 - ``report FILE...``: aggregate previously written JSON reports into a single
   document.
 
+Two tables describe the commands. ``OPTIONS`` declares every option once
+(flag, metavar, default, lowest allowed value, help); ``KINDS`` gives each
+kind its handler and the options it reads, which are also the parameters its
+document records. The parser is generated from the tables, once per process.
+
 Every run prints a human-readable table to stdout (or the canonical JSON
 itself with ``--format json``) and optionally writes the canonical JSON
 document to ``--json PATH``.  JSON is the interchange format; the table is a
@@ -25,14 +30,15 @@ guard tripped.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from .assoc_homology import (AlgebraAxiomError, MissingUnitError,
                              StructureConstantAlgebra, algebra_from_json,
@@ -42,7 +48,7 @@ from .assoc_homology import (AlgebraAxiomError, MissingUnitError,
                              hochschild_complex)
 from .cech_cosheaf import (CosheafDataError, FinitePrecosheaf, cech_report,
                            cosheaf_axiom_check, precosheaf_from_json)
-from .complexes import (ChainComplex, betti_numbers, kunneth_check,
+from .complexes import (ChainComplex, homology, kunneth_check,
                         random_complex, random_double_complex,
                         spectral_sequence, total_complex, truncate_complex)
 from .exactlin import ResourceGuardError
@@ -65,42 +71,6 @@ class CliError(Exception):
     def __init__(self, exit_code: int, message: str):
         super().__init__(message)
         self.exit_code = exit_code
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated invocation parameters for one CLI run."""
-
-    command: str
-    kind: str = ""
-    algebra: Optional[str] = None
-    lie: Optional[str] = None
-    cover: Optional[str] = None
-    gl: int = 2
-    n: int = 2
-    k: int = 1
-    m: int = 1
-    max_degree: int = 3
-    max_r: int = 1
-    max_k: int = 8
-    count: int = 0
-    threads: int = 1
-    seed: int = 0
-    json_path: Optional[str] = None
-    out_format: str = "table"
-    files: Tuple[str, ...] = ()
-
-    def __post_init__(self):
-        checks = [("--max-degree", self.max_degree, 1),
-                  ("--n", self.n, 1), ("--gl", self.gl, 1),
-                  ("--k", self.k, 0), ("--max-r", self.max_r, 0),
-                  ("--max-k", self.max_k, 0), ("--count", self.count, 0),
-                  ("--threads", self.threads, 1), ("--m", self.m, 0)]
-        for name, value, low in checks:
-            if value < low:
-                raise CliError(EXIT_PARSE, f"{name} must be >= {low}")
-        if self.out_format not in ("table", "json"):
-            raise CliError(EXIT_PARSE, "--format must be table or json")
 
 
 # -- input loading ------------------------------------------------------------
@@ -131,22 +101,22 @@ def _load_structured(path: str, builder: Callable, what: str):
     # Axiom errors (ValueError subclasses) propagate to main -> exit 3.
 
 
-def load_algebra(cfg: RunConfig) -> StructureConstantAlgebra:
-    if not cfg.algebra:
+def load_algebra(ns: argparse.Namespace) -> StructureConstantAlgebra:
+    if not ns.algebra:
         raise CliError(EXIT_PARSE, "this command needs --algebra PATH")
-    return _load_structured(cfg.algebra, algebra_from_json, "algebra")
+    return _load_structured(ns.algebra, algebra_from_json, "algebra")
 
 
-def load_lie(cfg: RunConfig) -> StructureConstantLieAlgebra:
-    if not cfg.lie:
+def load_lie(ns: argparse.Namespace) -> StructureConstantLieAlgebra:
+    if not ns.lie:
         raise CliError(EXIT_PARSE, "this command needs --lie PATH")
-    return _load_structured(cfg.lie, lie_algebra_from_json, "Lie algebra")
+    return _load_structured(ns.lie, lie_algebra_from_json, "Lie algebra")
 
 
-def load_precosheaf(cfg: RunConfig) -> FinitePrecosheaf:
-    if not cfg.cover:
+def load_precosheaf(ns: argparse.Namespace) -> FinitePrecosheaf:
+    if not ns.cover:
         raise CliError(EXIT_PARSE, "this command needs --cover PATH")
-    return _load_structured(cfg.cover, precosheaf_from_json, "precosheaf")
+    return _load_structured(ns.cover, precosheaf_from_json, "precosheaf")
 
 
 # -- shared helpers -----------------------------------------------------------
@@ -171,9 +141,15 @@ def verdict_ok(report: Mapping) -> bool:
     return bool(v)
 
 
-def _betti_doc(check: str, cx: ChainComplex) -> dict:
-    return {"check": check, "dims": list(cx.dims),
-            "betti": betti_numbers(cx), "truncated": bool(cx.truncated)}
+def _betti_doc(check: str, cx: ChainComplex,
+               top: Optional[int] = None) -> dict:
+    """Betti table of cx in degrees 0..top (default: all of them), with each
+    degree's flag, "exact" or "upper_bound"."""
+    h = homology(cx)
+    end = None if top is None else top + 1
+    return {"check": check, "dims": list(cx.dims)[:end],
+            "betti": list(h.betti)[:end], "flags": list(h.flags)[:end],
+            "truncated": bool(cx.truncated)}
 
 
 def _total_betti_doc(check: str, bicomplex, max_degree: int) -> dict:
@@ -182,140 +158,95 @@ def _total_betti_doc(check: str, bicomplex, max_degree: int) -> dict:
     The bicomplex is built out to max_degree + 1 and the total complex
     truncated there, so every reported degree <= max_degree is exact."""
     tot = total_complex(bicomplex, truncated=True)
-    sliced = truncate_complex(tot.complex, max_degree + 1)
-    return {"check": check,
-            "dims": list(sliced.dims)[:max_degree + 1],
-            "betti": betti_numbers(sliced)[:max_degree + 1],
-            "truncated": True}
+    return _betti_doc(check, truncate_complex(tot.complex, max_degree + 1),
+                      max_degree)
 
 
-# -- homology subcommands -----------------------------------------------------
+# -- homology kinds -----------------------------------------------------------
 
 
-def _homology_hochschild(cfg: RunConfig) -> dict:
+def _homology_hochschild(ns: argparse.Namespace) -> dict:
     return _betti_doc("hochschild_homology",
-                      hochschild_complex(load_algebra(cfg), cfg.max_degree))
+                      hochschild_complex(load_algebra(ns), ns.max_degree))
 
 
-def _homology_bar(cfg: RunConfig) -> dict:
+def _homology_bar(ns: argparse.Namespace) -> dict:
     return _betti_doc("bar_homology",
-                      bar_complex(load_algebra(cfg), cfg.max_degree))
+                      bar_complex(load_algebra(ns), ns.max_degree))
 
 
-def _homology_connes(cfg: RunConfig) -> dict:
-    cx, _ = connes_quotient_complex(load_algebra(cfg), cfg.max_degree)
+def _homology_connes(ns: argparse.Namespace) -> dict:
+    cx, _ = connes_quotient_complex(load_algebra(ns), ns.max_degree)
     return _betti_doc("cyclic_quotient_homology", cx)
 
 
-def _homology_cyclic_total(cfg: RunConfig) -> dict:
-    a = load_algebra(cfg)
+def _homology_cyclic_total(ns: argparse.Namespace) -> dict:
     return _total_betti_doc("cyclic_bicomplex_total_homology",
-                            cyclic_bicomplex(a, cfg.max_degree + 1),
-                            cfg.max_degree)
+                            cyclic_bicomplex(load_algebra(ns),
+                                             ns.max_degree + 1),
+                            ns.max_degree)
 
 
-def _homology_bb_total(cfg: RunConfig) -> dict:
-    a = load_algebra(cfg)
+def _homology_bb_total(ns: argparse.Namespace) -> dict:
     return _total_betti_doc("bB_bicomplex_total_homology",
-                            bB_bicomplex(a, cfg.max_degree + 1),
-                            cfg.max_degree)
+                            bB_bicomplex(load_algebra(ns), ns.max_degree + 1),
+                            ns.max_degree)
 
 
-def _ce_input(cfg: RunConfig) -> StructureConstantLieAlgebra:
-    if cfg.lie:
-        return load_lie(cfg)
-    if cfg.algebra:
-        return gl_n_of(load_algebra(cfg), cfg.gl)
-    raise CliError(EXIT_PARSE,
-                   "homology ce needs --lie PATH, or --algebra PATH with "
-                   "--gl N for the matrix Lie algebra over it")
-
-
-def _homology_ce(cfg: RunConfig) -> dict:
-    g = _ce_input(cfg)
-    doc = _betti_doc("lie_chain_homology", ce_complex(g, cfg.max_degree))
+def _homology_ce(ns: argparse.Namespace) -> dict:
+    if ns.lie:
+        g = load_lie(ns)
+    elif ns.algebra:
+        g = gl_n_of(load_algebra(ns), ns.gl)
+    else:
+        raise CliError(EXIT_PARSE,
+                       "homology ce needs --lie PATH, or --algebra PATH with "
+                       "--gl N for the matrix Lie algebra over it")
+    doc = _betti_doc("lie_chain_homology", ce_complex(g, ns.max_degree))
     doc["lie_dim"] = g.dim
     return doc
 
 
-def _homology_gl(cfg: RunConfig) -> dict:
-    a = load_algebra(cfg)
-    qcx, _ = gln_coinvariant_complex(a, cfg.gl, cfg.max_degree)
+def _homology_gl(ns: argparse.Namespace) -> dict:
+    qcx, _ = gln_coinvariant_complex(load_algebra(ns), ns.gl, ns.max_degree)
     return _betti_doc("gl_coinvariant_homology", qcx)
 
 
-HOMOLOGY_HANDLERS: Dict[str, Callable[[RunConfig], dict]] = {
-    "hochschild": _homology_hochschild,
-    "bar": _homology_bar,
-    "connes": _homology_connes,
-    "cyclic-total": _homology_cyclic_total,
-    "bB-total": _homology_bb_total,
-    "ce": _homology_ce,
-    "gl": _homology_gl,
-}
-
-HOMOLOGY_PARAMS: Dict[str, Tuple[str, ...]] = {
-    "hochschild": ("algebra", "max_degree"),
-    "bar": ("algebra", "max_degree"),
-    "connes": ("algebra", "max_degree"),
-    "cyclic-total": ("algebra", "max_degree"),
-    "bB-total": ("algebra", "max_degree"),
-    "ce": ("algebra", "lie", "gl", "max_degree"),
-    "gl": ("algebra", "gl", "max_degree"),
-}
+# -- verify kinds -------------------------------------------------------------
 
 
-# -- verify subcommands -------------------------------------------------------
-
-
-def _verify_lqt(cfg: RunConfig) -> dict:
-    return lqt_stable_check(load_algebra(cfg), cfg.n, cfg.max_r)
-
-
-def _verify_hunital(cfg: RunConfig) -> dict:
-    return h_unitality_report(load_algebra(cfg), cfg.max_degree)
-
-
-def _verify_theta(cfg: RunConfig) -> dict:
-    return theta_check(load_algebra(cfg), cfg.max_degree)
-
-
-def _verify_phi(cfg: RunConfig) -> dict:
-    invariant = trace_invariant_check(cfg.n, cfg.k)
-    equivariance = equivariance_check(cfg.n, cfg.k)
+def _verify_phi(ns: argparse.Namespace) -> dict:
+    invariant = trace_invariant_check(ns.n, ns.k)
+    equivariance = equivariance_check(ns.n, ns.k)
     ok = verdict_ok(invariant) and verdict_ok(equivariance)
-    return {"check": "trace_invariant_suite", "n": cfg.n, "k": cfg.k,
+    return {"check": "trace_invariant_suite", "n": ns.n, "k": ns.k,
             "invariant_map": invariant, "equivariance": equivariance,
             "verdict": ok}
 
 
-def _verify_psi(cfg: RunConfig) -> dict:
-    part = (1,) * cfg.m
-    return psi_restriction_check(load_algebra(cfg), cfg.n, cfg.m,
-                                 part, part, cfg.max_degree)
+def _verify_psi(ns: argparse.Namespace) -> dict:
+    part = (1,) * ns.m
+    return psi_restriction_check(load_algebra(ns), ns.n, ns.m,
+                                 part, part, ns.max_degree)
 
 
-def _verify_quasi_iso(cfg: RunConfig) -> dict:
-    return cyclic_comparison_report(load_algebra(cfg), cfg.max_degree + 1)
-
-
-def _verify_kunneth(cfg: RunConfig) -> dict:
-    count = cfg.count or 20
-    pairs = [(cfg.seed + 2 * i, cfg.seed + 2 * i + 1) for i in range(count)]
+def _verify_kunneth(ns: argparse.Namespace) -> dict:
+    count = ns.count or 20
+    pairs = [(ns.seed + 2 * i, ns.seed + 2 * i + 1) for i in range(count)]
 
     def one(pair: Tuple[int, int]) -> dict:
         ca, _ = random_complex(pair[0])
         cb, _ = random_complex(pair[1])
         return dict(kunneth_check(ca, cb), seeds=list(pair))
 
-    instances = parallel_map(one, pairs, cfg.threads)
+    instances = parallel_map(one, pairs, ns.threads)
     ok = all(verdict_ok(r) for r in instances)
     return {"check": "kunneth_suite", "count": count,
             "instances": instances, "verdict": "pass" if ok else "fail"}
 
 
-def _verify_cech(cfg: RunConfig) -> dict:
-    p = load_precosheaf(cfg)
+def _verify_cech(ns: argparse.Namespace) -> dict:
+    p = load_precosheaf(ns)
     u = p.cover_model
     axiom = cosheaf_axiom_check(p, u)
     cech = cech_report(p, u)
@@ -324,98 +255,132 @@ def _verify_cech(cfg: RunConfig) -> dict:
             "verdict": ok}
 
 
-def _verify_spectral(cfg: RunConfig) -> dict:
-    count = cfg.count or 10
-    seeds = list(range(cfg.seed, cfg.seed + count))
+def _verify_spectral(ns: argparse.Namespace) -> dict:
+    count = ns.count or 10
+    seeds = list(range(ns.seed, ns.seed + count))
 
     def one(seed: int) -> dict:
         report = spectral_sequence(random_double_complex(seed))
         return dict(report.convergence_report(), seed=seed)
 
-    instances = parallel_map(one, seeds, cfg.threads)
+    instances = parallel_map(one, seeds, ns.threads)
     ok = all(verdict_ok(r) for r in instances)
     return {"check": "spectral_suite", "count": count,
             "instances": instances, "verdict": "pass" if ok else "fail"}
 
 
-def _verify_xi(cfg: RunConfig) -> dict:
-    seq = xi_sequence(cfg.n, cfg.max_k)
+def _verify_xi(ns: argparse.Namespace) -> dict:
+    seq = xi_sequence(ns.n, ns.max_k)
     # Independent reconstruction: ramp 0..n, then alternate n+1, n, n+1, ...
-    expected: List[int] = []
-    for k in range(cfg.max_k + 1):
-        if k <= cfg.n:
-            expected.append(k)
-        elif (k - cfg.n) % 2 == 1:
-            expected.append(cfg.n + 1)
-        else:
-            expected.append(cfg.n)
-    return {"check": "stable_boundary_sequence", "n": cfg.n,
-            "max_k": cfg.max_k, "sequence": seq, "expected_shape": expected,
+    expected = [k if k <= ns.n else ns.n + (k - ns.n) % 2
+                for k in range(ns.max_k + 1)]
+    return {"check": "stable_boundary_sequence", "n": ns.n,
+            "max_k": ns.max_k, "sequence": seq, "expected_shape": expected,
             "verdict": seq == expected}
 
 
-VERIFY_HANDLERS: Dict[str, Callable[[RunConfig], dict]] = {
-    "lqt": _verify_lqt,
-    "hunital": _verify_hunital,
-    "theta": _verify_theta,
-    "phi": _verify_phi,
-    "psi": _verify_psi,
-    "quasi-iso": _verify_quasi_iso,
-    "kunneth": _verify_kunneth,
-    "cech": _verify_cech,
-    "spectral": _verify_spectral,
-    "xi": _verify_xi,
+# -- the command tables -------------------------------------------------------
+
+
+class Option(NamedTuple):
+    """A command-line option. An int default makes it an int option, whose
+    lowest allowed value is `low` (None: unbounded)."""
+
+    flag: str
+    metavar: Optional[str]
+    default: object
+    low: Optional[int]
+    help: str
+    choices: Optional[Tuple] = None
+
+
+OPTIONS: Dict[str, Option] = {
+    "algebra": Option("--algebra", "PATH", None, None,
+                      "associative algebra JSON file"),
+    "lie": Option("--lie", "PATH", None, None, "Lie algebra JSON file"),
+    "cover": Option("--cover", "PATH", None, None,
+                    "cover + precosheaf JSON file (cech)"),
+    "gl": Option("--gl", "N", 2, 1,
+                 "matrix size for ce/gl kinds (default %(default)s)"),
+    "n": Option("--n", "N", 2, 1,
+                "matrix size / stability parameter (default %(default)s)"),
+    "k": Option("--k", "K", 1, 0,
+                "tensor degree for phi (default %(default)s)"),
+    "m": Option("--m", None, 1, 0,
+                "number of exterior blocks for psi (default %(default)s)",
+                choices=(0, 1)),
+    "max_degree": Option("--max-degree", "D", 3, 1,
+                         "top homological degree reported or checked "
+                         "(default %(default)s)"),
+    "max_r": Option("--max-r", "R", 1, 0,
+                    "top stable degree for lqt (default %(default)s)"),
+    "max_k": Option("--max-k", "K", 8, 0,
+                    "top index for the xi sequence (default %(default)s)"),
+    "count": Option("--count", "C", 0, 0,
+                    "instances for kunneth/spectral suites (default 20 / 10)"),
+    "threads": Option("--threads", None, os.cpu_count() or 1, 1,
+                      "worker threads (results are thread-count independent; "
+                      "default: available parallelism)"),
+    "seed": Option("--seed", None, 0, None,
+                   "seed recorded in the report and used by randomized "
+                   "suites (default %(default)s)"),
+    "json_path": Option("--json", "PATH", None, None,
+                        "also write the canonical JSON document here"),
+    "out_format": Option("--format", None, "table", None,
+                         "stdout rendering (default %(default)s)",
+                         choices=("table", "json")),
 }
 
-VERIFY_PARAMS: Dict[str, Tuple[str, ...]] = {
-    "lqt": ("algebra", "n", "max_r"),
-    "hunital": ("algebra", "max_degree"),
-    "theta": ("algebra", "max_degree"),
-    "phi": ("n", "k"),
-    "psi": ("algebra", "n", "m", "max_degree"),
-    "quasi-iso": ("algebra", "max_degree"),
-    "kunneth": ("count",),
-    "cech": ("cover",),
-    "spectral": ("count",),
-    "xi": ("n", "max_k"),
+COMMON = ("threads", "seed", "json_path", "out_format")
+
+Handler = Callable[[argparse.Namespace], dict]
+
+KINDS: Dict[str, Dict[str, Tuple[Handler, Tuple[str, ...]]]] = {
+    "homology": {
+        "hochschild": (_homology_hochschild, ("algebra", "max_degree")),
+        "bar": (_homology_bar, ("algebra", "max_degree")),
+        "connes": (_homology_connes, ("algebra", "max_degree")),
+        "cyclic-total": (_homology_cyclic_total, ("algebra", "max_degree")),
+        "bB-total": (_homology_bb_total, ("algebra", "max_degree")),
+        "ce": (_homology_ce, ("algebra", "lie", "gl", "max_degree")),
+        "gl": (_homology_gl, ("algebra", "gl", "max_degree")),
+    },
+    "verify": {
+        "lqt": (lambda ns: lqt_stable_check(load_algebra(ns), ns.n, ns.max_r),
+                ("algebra", "n", "max_r")),
+        "hunital": (lambda ns: h_unitality_report(load_algebra(ns),
+                                                  ns.max_degree),
+                    ("algebra", "max_degree")),
+        "theta": (lambda ns: theta_check(load_algebra(ns), ns.max_degree),
+                  ("algebra", "max_degree")),
+        "phi": (_verify_phi, ("n", "k")),
+        "psi": (_verify_psi, ("algebra", "n", "m", "max_degree")),
+        "quasi-iso": (lambda ns: cyclic_comparison_report(
+            load_algebra(ns), ns.max_degree + 1), ("algebra", "max_degree")),
+        "kunneth": (_verify_kunneth, ("count",)),
+        "cech": (_verify_cech, ("cover",)),
+        "spectral": (_verify_spectral, ("count",)),
+        "xi": (_verify_xi, ("n", "max_k")),
+    },
 }
 
 
 # -- document assembly and output ---------------------------------------------
 
 
-def _parameters(cfg: RunConfig, names: Tuple[str, ...]) -> dict:
-    out = {}
-    for name in names:
-        value = getattr(cfg, name)
-        if value is not None:
-            out[name] = value
-    return out
-
-
-def make_document(cfg: RunConfig, report: dict, verdict: bool) -> dict:
-    params = _parameters(cfg, HOMOLOGY_PARAMS.get(cfg.kind, ())
-                         if cfg.command == "homology"
-                         else VERIFY_PARAMS.get(cfg.kind, ()))
-    return {"command": cfg.command, "kind": cfg.kind, "parameters": params,
-            "seed": cfg.seed, "report": report,
+def make_document(ns: argparse.Namespace, report: dict, verdict: bool) -> dict:
+    _, names = KINDS[ns.command][ns.kind]
+    params = {name: getattr(ns, name) for name in names
+              if getattr(ns, name) is not None}
+    return {"command": ns.command, "kind": ns.kind, "parameters": params,
+            "seed": ns.seed, "report": report,
             "verdict": "pass" if verdict else "fail"}
 
 
-def cmd_homology(cfg: RunConfig) -> dict:
-    report = HOMOLOGY_HANDLERS[cfg.kind](cfg)
-    return make_document(cfg, report, True)
-
-
-def cmd_verify(cfg: RunConfig) -> dict:
-    report = VERIFY_HANDLERS[cfg.kind](cfg)
-    return make_document(cfg, report, verdict_ok(report))
-
-
-def cmd_report(cfg: RunConfig) -> dict:
+def cmd_report(ns: argparse.Namespace) -> dict:
     """Aggregate previously written JSON report documents into one."""
     entries: List[Mapping] = []
-    for path in cfg.files:
+    for path in ns.files:
         obj = load_json_file(path)
         if not isinstance(obj, Mapping):
             raise CliError(EXIT_PARSE, f"{path}: expected a JSON object")
@@ -426,13 +391,12 @@ def cmd_report(cfg: RunConfig) -> dict:
             seeds.append(entry["seed"])
     n_pass = sum(1 for e in entries if verdict_ok(e))
     n_fail = len(entries) - n_pass
-    doc = {"command": "report", "kind": "", "parameters": {},
-           "seed": cfg.seed, "files": list(cfg.files), "entries": entries,
-           "seeds": seeds,
-           "summary": {"entries": len(entries), "pass": n_pass,
-                       "fail": n_fail},
-           "verdict": "pass" if n_fail == 0 else "fail"}
-    return doc
+    return {"command": "report", "kind": "", "parameters": {},
+            "seed": ns.seed, "files": list(ns.files), "entries": entries,
+            "seeds": seeds,
+            "summary": {"entries": len(entries), "pass": n_pass,
+                        "fail": n_fail},
+            "verdict": "pass" if n_fail == 0 else "fail"}
 
 
 def canonical_json(doc: Mapping) -> str:
@@ -465,11 +429,14 @@ def render_table(doc: Mapping) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit(doc: Mapping, cfg: RunConfig) -> None:
+def emit(doc: Mapping, ns: argparse.Namespace) -> None:
     text = canonical_json(doc)
-    if cfg.json_path:
-        Path(cfg.json_path).write_text(text, encoding="utf-8")
-    if cfg.out_format == "json":
+    if ns.json_path:
+        try:
+            Path(ns.json_path).write_text(text, encoding="utf-8")
+        except OSError as e:
+            raise CliError(EXIT_PARSE, f"{ns.json_path}: {e.strerror or e}")
+    if ns.out_format == "json":
         sys.stdout.write(text)
     else:
         sys.stdout.write(render_table(doc))
@@ -478,110 +445,71 @@ def emit(doc: Mapping, cfg: RunConfig) -> None:
 # -- argument parsing ---------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                     help="worker threads (results are thread-count "
-                          "independent; default: available parallelism)")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="seed recorded in the report and used by "
-                          "randomized suites (default 0)")
-    sub.add_argument("--json", dest="json_path", metavar="PATH",
-                     help="also write the canonical JSON document here")
-    sub.add_argument("--format", dest="out_format", default="table",
-                     choices=("table", "json"),
-                     help="stdout rendering (default table)")
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """The argparse type of an int option with a lowest allowed value."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}")
+        return value
+    return parse
 
 
+def _add_options(sub: argparse.ArgumentParser, names: Sequence[str]) -> None:
+    for dest in names:
+        opt = OPTIONS[dest]
+        parse = None
+        if isinstance(opt.default, int):
+            parse = int if opt.low is None else _int_at_least(opt.low)
+        sub.add_argument(opt.flag, dest=dest, metavar=opt.metavar,
+                         default=opt.default, type=parse, choices=opt.choices,
+                         help=opt.help)
+
+
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser generated from OPTIONS and KINDS: each command offers the
+    options its kinds read, plus the COMMON ones. Built once per process."""
     parser = argparse.ArgumentParser(
         prog="exacthom",
         description="Exact-arithmetic homological algebra workbench over Q.")
     commands = parser.add_subparsers(dest="command", required=True)
-
-    hom = commands.add_parser(
-        "homology", help="build a complex and print its Betti table")
-    hom.add_argument("kind", choices=HOMOLOGY_HANDLERS)
-    hom.add_argument("--algebra", metavar="PATH",
-                     help="associative algebra JSON file")
-    hom.add_argument("--lie", metavar="PATH", help="Lie algebra JSON file")
-    hom.add_argument("--gl", type=int, default=2, metavar="N",
-                     help="matrix size for ce/gl kinds (default 2)")
-    hom.add_argument("--max-degree", type=int, default=3, metavar="D",
-                     dest="max_degree",
-                     help="top homological degree reported (default 3)")
-    _add_common(hom)
-
-    ver = commands.add_parser(
-        "verify", help="run a verification suite; exit 1 on a failed verdict")
-    ver.add_argument("kind", choices=VERIFY_HANDLERS)
-    ver.add_argument("--algebra", metavar="PATH",
-                     help="associative algebra JSON file")
-    ver.add_argument("--cover", metavar="PATH",
-                     help="cover + precosheaf JSON file (cech)")
-    ver.add_argument("--n", type=int, default=2, metavar="N",
-                     help="matrix size / stability parameter (default 2)")
-    ver.add_argument("--k", type=int, default=1, metavar="K",
-                     help="tensor degree for phi (default 1)")
-    ver.add_argument("--m", type=int, default=1, choices=(0, 1),
-                     help="number of exterior blocks for psi (default 1)")
-    ver.add_argument("--max-degree", type=int, default=3, metavar="D",
-                     dest="max_degree",
-                     help="top degree checked (default 3)")
-    ver.add_argument("--max-r", type=int, default=1, metavar="R",
-                     dest="max_r",
-                     help="top stable degree for lqt (default 1)")
-    ver.add_argument("--max-k", type=int, default=8, metavar="K",
-                     dest="max_k",
-                     help="top index for the xi sequence (default 8)")
-    ver.add_argument("--count", type=int, default=0, metavar="C",
-                     help="instances for kunneth/spectral suites "
-                          "(default 20 / 10)")
-    _add_common(ver)
-
+    helps = {"homology": "build a complex and print its Betti table",
+             "verify": "run a verification suite; exit 1 on a failed verdict"}
+    for command, kinds in KINDS.items():
+        sub = commands.add_parser(command, help=helps[command])
+        sub.add_argument("kind", choices=kinds)
+        used = [dest for dest in OPTIONS
+                if any(dest in names for _, names in kinds.values())]
+        _add_options(sub, used + list(COMMON))
     rep = commands.add_parser(
         "report", help="aggregate JSON report files into one document")
     rep.add_argument("files", nargs="*", metavar="FILE",
                      help="JSON report documents from earlier runs")
-    _add_common(rep)
-
+    _add_options(rep, COMMON)
     return parser
 
 
-def config_from_args(ns: argparse.Namespace) -> RunConfig:
-    fields = {"command": ns.command,
-              "threads": ns.threads, "seed": ns.seed,
-              "json_path": ns.json_path, "out_format": ns.out_format}
-    if ns.command == "report":
-        fields["files"] = tuple(ns.files)
-    else:
-        fields["kind"] = ns.kind
-        fields["max_degree"] = ns.max_degree
-        if ns.command == "homology":
-            fields.update(algebra=ns.algebra, lie=ns.lie, gl=ns.gl)
-        else:
-            fields.update(algebra=ns.algebra, cover=ns.cover, n=ns.n,
-                          k=ns.k, m=ns.m, max_r=ns.max_r, max_k=ns.max_k,
-                          count=ns.count)
-    return RunConfig(**fields)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = build_parser().parse_args(argv)
     except SystemExit as e:
         # argparse already printed the usage message; its error exit is 2,
         # matching the parse-error contract.
         return int(e.code or 0)
     started = time.monotonic()
     try:
-        cfg = config_from_args(ns)
-        if cfg.command == "homology":
-            doc = cmd_homology(cfg)
-        elif cfg.command == "verify":
-            doc = cmd_verify(cfg)
+        if ns.command == "report":
+            doc = cmd_report(ns)
         else:
-            doc = cmd_report(cfg)
+            handler, _ = KINDS[ns.command][ns.kind]
+            report = handler(ns)
+            doc = make_document(ns, report,
+                                ns.command == "homology" or verdict_ok(report))
+        emit(doc, ns)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code
@@ -600,7 +528,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # verification: that is a verdict failure, not a crash.
         print(f"verification failed: {e}", file=sys.stderr)
         return EXIT_FAIL
-    emit(doc, cfg)
     print(f"elapsed_seconds: {time.monotonic() - started:.2f}",
           file=sys.stderr)
     return EXIT_PASS if doc["verdict"] == "pass" else EXIT_FAIL

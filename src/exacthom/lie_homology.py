@@ -18,6 +18,7 @@ in A.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,6 +31,7 @@ from .exactlin import (
     Subspace,
     Vec,
     decode_entries,
+    guard_ambient,
     inverse,
     json_int,
     quotient_structure,
@@ -225,6 +227,8 @@ class ExteriorBasis:
     """Strictly increasing index tuples of length k over range(dim)."""
 
     def __init__(self, dim: int, k: int):
+        guard_ambient(f"exterior power {k} of a {dim}-dimensional space",
+                      math.comb(dim, k))
         self.dim = dim
         self.k = k
         self.tuples: List[Tuple[int, ...]] = list(combinations(range(dim), k))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_oracle
-from exacthom.exactlin import SparseMatrix
+from exacthom.exactlin import ResourceGuardError, SparseMatrix
 from exacthom.complexes import homology, verify_double_complex
 from exacthom.assoc_homology import (
     AlgebraAxiomError,
@@ -285,3 +285,14 @@ def test_change_of_basis_preserves_homology():
     g = SparseMatrix.from_dense([[1, 1], [0, 1]])
     b = change_of_basis(a, g)
     assert list(homology(hochschild_complex(b, 4)).betti)[:4] == HH_DUAL
+
+
+@pytest.mark.parametrize("build", [hochschild_complex, bar_complex,
+                                   connes_quotient_complex, cyclic_bicomplex,
+                                   bB_bicomplex])
+def test_builders_guard_the_top_tensor_power(build):
+    # dim 2, top degree 19: the top chain space has 2^20 > 500,000 basis
+    # tensors, so the guard trips before any boundary is built.
+    with pytest.raises(ResourceGuardError) as e:
+        build(dual_numbers(), 19)
+    assert e.value.sizing["size"] == 2 ** 20

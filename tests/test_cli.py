@@ -5,6 +5,7 @@ the captured stdout / written JSON files; one subprocess test proves the
 ``python -m exacthom`` entry point works as installed.
 """
 
+import argparse
 import json
 import subprocess
 import sys
@@ -18,8 +19,9 @@ from exacthom.assoc_homology import (algebra_to_json, dual_numbers, field_q,
 from exacthom.cech_cosheaf import (cover_model_from_cover,
                                    extension_by_zero_model, precosheaf_to_json)
 from exacthom.cli import (EXIT_FAIL, EXIT_INVARIANT, EXIT_PARSE, EXIT_PASS,
-                          CliError, RunConfig, canonical_json, main,
-                          render_table, verdict_ok)
+                          EXIT_RESOURCE, KINDS, build_parser, canonical_json,
+                          main, render_table, verdict_ok)
+from exacthom.lie_homology import lie_algebra_to_json, sl2_q
 
 
 @pytest.fixture(scope="module")
@@ -323,6 +325,57 @@ def test_missing_required_input_exits_2(capsys):
     assert "--algebra" in capsys.readouterr().err
 
 
+def test_unwritable_json_path_exits_2_naming_it(tmp_path, capsys):
+    path = tmp_path / "missing" / "out.json"
+    assert main(["verify", "xi", "--n", "2", "--json", str(path)]) \
+        == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert str(path) in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["homology", "hochschild", "--algebra", "DUAL", "--max-degree", "19"],
+    ["homology", "ce", "--lie", "ABELIAN40", "--max-degree", "6"],
+    ["verify", "lqt", "--algebra", "FIELD", "--n", "6", "--max-r", "5"],
+], ids=["hochschild-2^20", "ce-abelian40", "lqt-gl6"])
+def test_oversized_input_exits_4_within_seconds(argv, fixtures, tmp_path):
+    abelian = tmp_path / "abelian40.json"
+    abelian.write_text(json.dumps({"dim": 40, "bracket": []}))
+    paths = dict(fixtures, abelian40=str(abelian))
+    argv = [paths[a.lower()] if a.isupper() else a for a in argv]
+    # In a subprocess, so that a missing guard fails on the timeout
+    # instead of hanging the suite.
+    proc = subprocess.run([sys.executable, "-m", "exacthom", *argv],
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode == EXIT_RESOURCE, proc.stderr
+    assert "above the limit" in proc.stderr
+
+
+def test_homology_flags_mark_the_truncated_top_degree(fixtures, tmp_path):
+    _, doc = run_json(["homology", "hochschild", "--algebra",
+                       fixtures["dual"], "--max-degree", "3"], tmp_path)
+    report = doc["report"]
+    assert report["flags"] == ["exact"] * 3 + ["upper_bound"]
+    assert len(report["flags"]) == len(report["betti"])
+
+
+def test_homology_flags_of_a_complete_ce_complex_are_exact(tmp_path):
+    path = tmp_path / "sl2.json"
+    path.write_text(json.dumps(lie_algebra_to_json(sl2_q())))
+    _, doc = run_json(["homology", "ce", "--lie", str(path),
+                       "--max-degree", "3"], tmp_path)
+    assert doc["report"]["flags"] == ["exact"] * 4
+
+
+@pytest.mark.parametrize("kind", ["cyclic-total", "bB-total"])
+def test_total_homology_flags_are_exact_in_reported_degrees(kind, fixtures,
+                                                            tmp_path):
+    _, doc = run_json(["homology", kind, "--algebra", fixtures["dual"],
+                       "--max-degree", "3"], tmp_path)
+    assert doc["report"]["flags"] == ["exact"] * 4
+    assert len(doc["report"]["betti"]) == 4
+
+
 # -- determinism and serialization ---------------------------------------------
 
 
@@ -413,12 +466,83 @@ def test_report_missing_input_exits_2(tmp_path):
 # -- config and helpers ----------------------------------------------------------
 
 
-def test_runconfig_rejects_bad_values():
-    with pytest.raises(CliError) as e:
-        RunConfig(command="verify", kind="lqt", max_degree=0)
-    assert e.value.exit_code == EXIT_PARSE
-    with pytest.raises(CliError):
-        RunConfig(command="verify", kind="lqt", n=0)
+# Lowest allowed value of every bounded option, and a command offering it.
+BOUNDS = [("--max-degree", 1, "verify"), ("--n", 1, "verify"),
+          ("--gl", 1, "homology"), ("--k", 0, "verify"),
+          ("--max-r", 0, "verify"), ("--max-k", 0, "verify"),
+          ("--count", 0, "verify"), ("--threads", 1, "verify"),
+          ("--threads", 1, "report"), ("--m", 0, "verify")]
+
+
+def test_each_option_below_its_lowest_value_exits_2(capsys):
+    for flag, low, command in BOUNDS:
+        kind = {"homology": ["ce"], "verify": ["xi"], "report": []}[command]
+        argv = [command, *kind, flag, str(low - 1)]
+        assert main(argv) == EXIT_PARSE, argv
+        assert flag in capsys.readouterr().err
+
+
+# The parameters each kind's document records, as before the command table.
+RECORDED = {
+    "homology": {
+        "hochschild": ("algebra", "max_degree"),
+        "bar": ("algebra", "max_degree"),
+        "connes": ("algebra", "max_degree"),
+        "cyclic-total": ("algebra", "max_degree"),
+        "bB-total": ("algebra", "max_degree"),
+        "ce": ("algebra", "lie", "gl", "max_degree"),
+        "gl": ("algebra", "gl", "max_degree"),
+    },
+    "verify": {
+        "lqt": ("algebra", "n", "max_r"),
+        "hunital": ("algebra", "max_degree"),
+        "theta": ("algebra", "max_degree"),
+        "phi": ("n", "k"),
+        "psi": ("algebra", "n", "m", "max_degree"),
+        "quasi-iso": ("algebra", "max_degree"),
+        "kunneth": ("count",),
+        "cech": ("cover",),
+        "spectral": ("count",),
+        "xi": ("n", "max_k"),
+    },
+}
+
+
+def test_every_kind_records_its_parameters():
+    table = {command: {kind: names for kind, (_, names) in kinds.items()}
+             for command, kinds in KINDS.items()}
+    assert table == RECORDED
+    assert sum(len(kinds) for kinds in table.values()) == 17
+
+
+COMMON_FLAGS = {"--threads", "--seed", "--json", "--format", "-h", "--help"}
+
+
+def test_each_command_offers_its_kinds_options():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    flags = {name: {f for a in sub._actions for f in a.option_strings}
+             - COMMON_FLAGS for name, sub in subparsers.choices.items()}
+    assert flags == {
+        "homology": {"--algebra", "--lie", "--gl", "--max-degree"},
+        "verify": {"--algebra", "--cover", "--n", "--k", "--m",
+                   "--max-degree", "--max-r", "--max-k", "--count"},
+        "report": set()}
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    argv = ["verify", "xi", "--n", "2", "--max-k", "2"]
+    assert main(argv) == EXIT_PASS
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(argv) == EXIT_PASS
+    assert built == []
 
 
 def test_verdict_normalization():

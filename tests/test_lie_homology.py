@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exacthom.exactlin import SparseMatrix, random_unimodular
+from exacthom.exactlin import (ResourceGuardError, SparseMatrix,
+                               random_unimodular)
 from exacthom.complexes import (
     betti_numbers,
     homology,
@@ -338,3 +339,10 @@ def test_homotopy_identity_sampled_branch():
 def test_homotopy_identity_abelian_trivial():
     rep = homotopy_identity_check(abelian_lie_algebra(3), 3)
     assert rep["verdict"] == "pass"
+
+
+def test_exterior_basis_guards_its_dimension():
+    assert len(ExteriorBasis(40, 3)) == 9880
+    with pytest.raises(ResourceGuardError) as e:
+        ExteriorBasis(40, 6)
+    assert e.value.sizing["size"] == 3838380
