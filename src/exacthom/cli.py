@@ -405,15 +405,24 @@ def canonical_json(doc: Mapping) -> str:
 
 def render_table(doc: Mapping) -> str:
     """Flat indented key/value view of a report document (derived from the
-    JSON, same sorted-key order)."""
+    JSON, same sorted-key order). A Betti number whose flag is
+    "upper_bound" is shown as ≤b."""
     lines: List[str] = []
+
+    def items(mapping: Mapping):
+        for k in sorted(mapping, key=str):
+            value = mapping[k]
+            if k == "betti" and "flags" in mapping:
+                value = [f"≤{b}" if flag == "upper_bound" else b
+                         for b, flag in zip(value, mapping["flags"])]
+            yield str(k), value
 
     def walk(key: str, value, depth: int) -> None:
         pad = "  " * depth
         if isinstance(value, Mapping):
             lines.append(f"{pad}{key}:")
-            for k in sorted(value, key=str):
-                walk(str(k), value[k], depth + 1)
+            for k, v in items(value):
+                walk(k, v, depth + 1)
         elif isinstance(value, (list, tuple)) and any(
                 isinstance(x, (Mapping, list, tuple)) for x in value):
             lines.append(f"{pad}{key}:")
@@ -424,8 +433,8 @@ def render_table(doc: Mapping) -> str:
         else:
             lines.append(f"{pad}{key}: {value}")
 
-    for k in sorted(doc, key=str):
-        walk(str(k), doc[k], 0)
+    for k, v in items(doc):
+        walk(k, v, 0)
     return "\n".join(lines) + "\n"
 
 

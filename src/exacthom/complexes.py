@@ -339,10 +339,6 @@ class TotalComplex:
         """Dimension of the subspace F_{p_max} in degree n."""
         return sum(dim for p, _q, dim in self.layout.get(n, []) if p <= p_max)
 
-    def filtration_columns(self, n: int, p_max: int) -> List[int]:
-        """Coordinate indices of the subspace F_{p_max} in degree n."""
-        return list(range(self.filtration_dim(n, p_max)))
-
 
 def total_complex(d: DoubleComplex, truncated: bool = False) -> TotalComplex:
     nmax = d.max_p + d.max_q
@@ -375,98 +371,68 @@ class SpectralSequence:
     pages[r][(p, q)] is dim E^r_{p,q} (zero entries omitted);
     page_maps[r][(p, q)] is the matrix of d^r: E^r_{p,q} -> E^r_{p-r,q+r-1}
     in the canonical representative bases (omitted when either side is 0).
+
+    Every page comes from one formula (McCleary, *A User's Guide to Spectral
+    Sequences*, ch. 2). Let Z(n, c, k) be the x in the first c coordinates of
+    Tot_n whose dx lies in the first k coordinates of Tot_{n-1}, and write
+    F_p for the size of the column-filtration prefix (`filtration_dim`, which
+    is 0 outside the complex). With n = p + q,
+
+        E^r_{p,q} = Z(n, F_p, F_{p-r})
+                    / (Z(n, F_{p-1}, F_{p-r}) + d Z(n+1, F_{p+r-1}, F_p)).
+
+    At r = 0 the denominator is F_{p-1}, since d preserves the filtration.
+    One per-instance memo holds each Z under ("Z", n, c, k), each
+    denominator under its two Z keys and each basis of representatives under
+    its three, so a subspace named by several (r, p, q) is built once.
     """
 
     def __init__(self, dc: DoubleComplex):
         self.dc = dc
         self.tot = total_complex(dc)
         self.stable_page = dc.max_p + dc.max_q + 1
-        self._a_cache: Dict[Tuple[int, int, int], Subspace] = {}
-        self._den_cache: Dict[Tuple[int, int, int], Subspace] = {}
-        self._rep_cache: Dict[Tuple[int, int, int], List[Vec]] = {}
+        self._memo: Dict[tuple, object] = {}
         self.pages: List[Dict[Tuple[int, int], int]] = []
         self.page_maps: List[Dict[Tuple[int, int], SparseMatrix]] = []
         for r in range(self.stable_page + 1):
             self.pages.append(self._page_dims(r))
             self.page_maps.append(self._page_maps(r))
 
-    # approximant A^r_{p,q} = {x in F_p Tot_{p+q} : dx in F_{p-r}}
-    # (only p and the total degree n = p+q matter; q may be negative when a
-    # denominator term reaches past the grid)
-    def _approximant(self, r: int, p: int, q: int) -> Subspace:
-        key = (r, p, q)
-        hit = self._a_cache.get(key)
-        if hit is not None:
-            return hit
-        n = p + q
-        nmax = self.tot.complex.max_degree
-        if n < 0 or n > nmax:
-            sub = Subspace.zero(0)
-            self._a_cache[key] = sub
-            return sub
-        if p < 0:
-            sub = Subspace.zero(self.tot.complex.dims[n])
-            self._a_cache[key] = sub
-            return sub
-        ambient = self.tot.complex.dims[n]
-        cols = range(self.tot.filtration_dim(n, p))
-        # kernel of d restricted to F_p columns and to the rows outside
-        # F_{p-r}; F_p is a coordinate prefix, so kernel vectors keep their
-        # coordinates
-        if n == 0:
-            restricted = SparseMatrix.zeros(0, len(cols))
-        else:
-            rows_banned = range(self.tot.filtration_dim(n - 1, p - r),
-                                self.tot.complex.dims[n - 1])
-            restricted = self.tot.complex.d(n).select(rows_banned, cols)
-        kb = kernel_basis(restricted)
-        sub = Subspace.from_vectors(ambient,
-                                    [kb.row(i) for i in range(kb.rows)])
-        self._a_cache[key] = sub
-        return sub
+    def _term(self, r: int, p: int, q: int) -> Tuple[Tuple[int, int, int], ...]:
+        """The Z keys of E^r_{p,q}: its numerator, then the two terms of its
+        denominator."""
+        n, f = p + q, self.tot.filtration_dim
+        return ((n, f(n, p), f(n - 1, p - r)),
+                (n, f(n, p - 1), f(n - 1, p - r)),
+                (n + 1, f(n + 1, p + r - 1), f(n, p)))
 
-    def _boundary_image(self, r: int, p: int, q: int) -> Subspace:
-        """d(A^{r}_{p, q}) as a subspace one total degree down."""
-        n = p + q
-        nmax = self.tot.complex.max_degree
-        tgt_dim = self.tot.complex.dims[n - 1] if 0 <= n - 1 <= nmax else 0
-        if n < 1 or n > nmax:
-            return Subspace.zero(tgt_dim)
-        src = self._approximant(r, p, q)
-        if src.dim == 0:
-            return Subspace.zero(tgt_dim)
-        dmat = self.tot.complex.d(n)
-        vecs = [dmat.apply(src.basis.row(i)) for i in range(src.dim)]
-        return Subspace.from_vectors(tgt_dim, vecs)
+    def _z(self, n: int, c: int, k: int) -> Subspace:
+        key = ("Z", n, c, k)
+        if key not in self._memo:
+            # the prefixes keep kernel vectors in their Tot_n coordinates
+            dmat = self.tot.complex.d(n)
+            kb = kernel_basis(dmat.select(range(k, dmat.rows), range(c)))
+            self._memo[key] = Subspace.from_matrix_rows(
+                SparseMatrix(kb.rows, dmat.cols, kb.entries))
+        return self._memo[key]
 
-    def _denominator(self, r: int, p: int, q: int) -> Subspace:
-        key = (r, p, q)
-        hit = self._den_cache.get(key)
-        if hit is not None:
-            return hit
-        if r == 0:
-            # E^0 is the associated graded: denominator is F_{p-1}
-            n = p + q
-            ambient = (self.tot.complex.dims[n]
-                       if 0 <= n <= self.tot.complex.max_degree else 0)
-            cols = self.tot.filtration_columns(n, p - 1)
-            den = Subspace.from_vectors(
-                ambient, [{c: 1} for c in cols])
-        else:
-            den = self._approximant(r - 1, p - 1, q + 1).sum(
-                self._boundary_image(r - 1, p + r - 1, q - r + 2))
-        self._den_cache[key] = den
-        return den
+    def _denominator(self, z: Tuple[int, int, int],
+                     b: Tuple[int, int, int]) -> Subspace:
+        """Z(z) + d Z(b)."""
+        key = ("den", z, b)
+        if key not in self._memo:
+            boundaries = self._z(*b).basis @ self.tot.complex.d(b[0]).transpose()
+            self._memo[key] = Subspace.from_matrix_rows(
+                SparseMatrix.vstack([self._z(*z).basis, boundaries]))
+        return self._memo[key]
 
-    def _reps(self, r: int, p: int, q: int) -> List[Vec]:
-        key = (r, p, q)
-        hit = self._rep_cache.get(key)
-        if hit is not None:
-            return hit
-        reps = _reduced_basis(self._approximant(r, p, q).basis,
-                              self._denominator(r, p, q))
-        self._rep_cache[key] = reps
-        return reps
+    def _reps(self, term: Tuple[Tuple[int, int, int], ...]) -> List[Vec]:
+        key = ("reps", *term)
+        if key not in self._memo:
+            num, z, b = term
+            self._memo[key] = _reduced_basis(self._z(*num).basis,
+                                             self._denominator(z, b))
+        return self._memo[key]
 
     def _page_dims(self, r: int) -> Dict[Tuple[int, int], int]:
         out: Dict[Tuple[int, int], int] = {}
@@ -474,7 +440,7 @@ class SpectralSequence:
             for q in range(self.dc.max_q + 1):
                 if self.dc.dim(p, q) == 0:
                     continue
-                dim = len(self._reps(r, p, q))
+                dim = len(self._reps(self._term(r, p, q)))
                 if dim:
                     out[(p, q)] = dim
         return out
@@ -488,15 +454,16 @@ class SpectralSequence:
             if tgtdim == 0:
                 continue
             dmat = self.tot.complex.d(p + q)
-            tgt_a = self._approximant(r, tp, tq)
+            tgt = self._term(r, tp, tq)
+            tgt_a = self._z(*tgt[0])
             images = dmat @ SparseMatrix.from_rows(
-                self._reps(r, p, q), dmat.cols).transpose()
+                self._reps(self._term(r, p, q)), dmat.cols).transpose()
             for j in range(srcdim):
                 if not tgt_a.contains(images.column(j)):
                     raise AssertionError(
                         f"page {r} differential leaves its target at {(p, q)}")
-            m = _coordinates(self._reps(r, tp, tq),
-                             self._denominator(r, tp, tq).basis.transpose(),
+            m = _coordinates(self._reps(tgt),
+                             self._denominator(*tgt[1:]).basis.transpose(),
                              images)
             if m is None:
                 raise AssertionError(

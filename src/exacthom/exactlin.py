@@ -348,23 +348,21 @@ class SparseMatrix:
 
 def _scaled_int_rows(m: SparseMatrix) -> List[Dict[int, int]]:
     """Rescale each row to coprime integer entries (sign preserved)."""
-    out: List[Dict[int, int]] = []
-    for i in range(m.rows):
-        rd = m.row(i)
-        if not rd:
-            out.append({})
+    rows: List[Dict[int, int]] = [{} for _ in range(m.rows)]
+    for (i, j), v in m.entries.items():
+        rows[i][j] = v
+    for i, row in enumerate(rows):
+        if not row:
             continue
-        den = 1
-        for v in rd.values():
-            den = den * v.denominator // math.gcd(den, v.denominator)
-        ints = {c: v.numerator * (den // v.denominator) for c, v in rd.items()}
-        g = 0
-        for v in ints.values():
-            g = math.gcd(g, v)
+        if not all(type(v) is int for v in row.values()):
+            den = math.lcm(*(v.denominator for v in row.values()))
+            row = {c: v.numerator * (den // v.denominator)
+                   for c, v in row.items()}
+        g = math.gcd(*row.values())
         if g > 1:
-            ints = {c: v // g for c, v in ints.items()}
-        out.append(ints)
-    return out
+            row = {c: v // g for c, v in row.items()}
+        rows[i] = row
+    return rows
 
 
 def _eliminate(rows: List[Dict[int, int]], full: bool) -> List[Tuple[int, int]]:

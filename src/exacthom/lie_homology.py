@@ -23,7 +23,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from .exactlin import (
     QuotientStructure,
@@ -223,12 +224,20 @@ def make_lie_algebra(spec: Mapping,
 # -- exterior powers ----------------------------------------------------------
 
 
+def guard_exterior_powers(dim: int, degrees: Iterable[int]) -> None:
+    """Raise ResourceGuardError for the first k in `degrees` whose exterior
+    power of a dim-dimensional space, C(dim, k) tuples, exceeds
+    AMBIENT_LIMIT. It only counts, and enumerates no tuple."""
+    for k in degrees:
+        guard_ambient(f"exterior power {k} of a {dim}-dimensional space",
+                      math.comb(dim, k))
+
+
 class ExteriorBasis:
     """Strictly increasing index tuples of length k over range(dim)."""
 
     def __init__(self, dim: int, k: int):
-        guard_ambient(f"exterior power {k} of a {dim}-dimensional space",
-                      math.comb(dim, k))
+        guard_exterior_powers(dim, [k])
         self.dim = dim
         self.k = k
         self.tuples: List[Tuple[int, ...]] = list(combinations(range(dim), k))
@@ -256,7 +265,9 @@ def ce_complex(g: StructureConstantLieAlgebra,
                max_degree: int) -> ChainComplex:
     """Exterior-power complex with d(x ^ y) = [x, y] in degree 2 and the
     alternating pairwise-bracket extension in higher degrees. Complete (not
-    truncated) when max_degree reaches dim(g)."""
+    truncated) when max_degree reaches dim(g). Every exterior power is
+    guarded before any of them is enumerated."""
+    guard_exterior_powers(g.dim, range(max_degree + 1))
     bases = [ExteriorBasis(g.dim, k) for k in range(max_degree + 1)]
     dims = tuple(len(b) for b in bases)
     diffs: Dict[int, SparseMatrix] = {}

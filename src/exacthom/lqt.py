@@ -59,7 +59,7 @@ from .exactlin import (QuotientStructure, SparseMatrix, Subspace, Vec,
                        vec_clean)
 from .lie_homology import (ExteriorBasis, LieModuleAction, ce_complex,
                            coinvariant_reduction, gl_index, gl_n_of,
-                           gln_action_on_chains,
+                           gln_action_on_chains, guard_exterior_powers,
                            scalar_matrix_generator_action)
 
 
@@ -698,10 +698,6 @@ def theta_codomain_model(a: StructureConstantAlgebra,
     construction.
     """
     n = max(1, max_degree)
-    gdim = n * n * a.dim
-    for k in range(max_degree + 1):
-        guard_ambient("wedge power of matrix algebra generators",
-                      math.comb(gdim, k))
     cx = ce_complex(gl_n_of(a, n), max_degree)
     actions = [gln_action_on_chains(a, n, k) for k in range(max_degree + 1)]
     qcx, _, ce_quots = coinvariant_reduction(cx, actions)
@@ -1011,9 +1007,7 @@ def psi_restriction_check(a: StructureConstantAlgebra, n: int, m: int,
     if m > 1:
         raise ValueError("marked-block count m >= 2 is not supported")
     gdim = n * n * a.dim
-    for k in range(max_degree + 1):
-        guard_ambient("wedge power of matrix algebra generators",
-                      math.comb(gdim, k))
+    guard_exterior_powers(gdim, range(max_degree + 1))
     mu = weight_vector(alpha, beta, n)
     dom = cyclic_wedge_complex(a, max_degree)
     lhs_dims: List[int] = []
@@ -1099,10 +1093,9 @@ def lqt_stable_check(a: StructureConstantAlgebra, n: int,
     non-unital A (where bar-acyclicity is checked and recorded)."""
     if n < 1 or max_r < 0:
         raise ValueError("need n >= 1 and max_r >= 0")
-    gdim = n * n * a.dim
-    for k in range(max_r + 2):
-        guard_ambient("wedge power of matrix algebra generators",
-                      math.comb(gdim, k))
+    # first, so that its guard refuses oversized wedge powers before any
+    # other model is built
+    lie_betti = betti_numbers(ce_complex(gl_n_of(a, n), max_r + 1))
     unital = a.unit is not None
     if unital:
         degrees = [r for r in range(max_r + 1) if r + 1 <= n]
@@ -1114,7 +1107,6 @@ def lqt_stable_check(a: StructureConstantAlgebra, n: int,
         degrees = [r for r in range(max_r + 1) if 2 * r + 1 <= n]
         route = "h_unital"
         precondition = hrep["verdict"] == "pass"
-    lie_betti = betti_numbers(ce_complex(gl_n_of(a, n), max_r + 1))
     conn, _ = connes_quotient_complex(a, max_r)
     cyclic_betti = betti_numbers(conn)
     h = [0] + cyclic_betti[:max_r]

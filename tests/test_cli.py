@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exacthom.assoc_homology import (algebra_to_json, dual_numbers, field_q,
-                                     zero_multiplication)
+                                     matrix_algebra, zero_multiplication)
 from exacthom.cech_cosheaf import (cover_model_from_cover,
                                    extension_by_zero_model, precosheaf_to_json)
 from exacthom.cli import (EXIT_FAIL, EXIT_INVARIANT, EXIT_PARSE, EXIT_PASS,
@@ -425,7 +425,8 @@ def test_table_output_renders_betti(fixtures, capsys):
                  "--max-degree", "4"])
     assert code == EXIT_PASS
     out = capsys.readouterr().out
-    assert "betti: 1, 0, 1, 0, 1" in out
+    # degree 4 is the truncated top degree, so its number is an upper bound
+    assert "betti: 1, 0, 1, 0, ≤1" in out
 
 
 # -- report aggregation ---------------------------------------------------------
@@ -559,6 +560,18 @@ def test_render_table_is_sorted_and_flat():
     assert lines[0] == "a:"
     assert lines.index("a:") < lines.index("z: 1, 2")
     assert "      k: 3" in lines
+
+
+def test_table_marks_upper_bounds_and_json_keeps_numbers(tmp_path, capsys):
+    # HH_4(M_2(Q)) = 0 by Morita invariance; the truncated top degree only
+    # bounds it by 819
+    path = tmp_path / "m2.json"
+    path.write_text(json.dumps(algebra_to_json(matrix_algebra(2))))
+    out = tmp_path / "out.json"
+    assert main(["homology", "hochschild", "--algebra", str(path),
+                 "--max-degree", "4", "--json", str(out)]) == EXIT_PASS
+    assert "  betti: 1, 0, 0, 0, ≤819" in capsys.readouterr().out.splitlines()
+    assert json.loads(out.read_text())["report"]["betti"] == [1, 0, 0, 0, 819]
 
 
 @settings(max_examples=20, deadline=None)

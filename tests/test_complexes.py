@@ -3,16 +3,21 @@
 import json
 import random
 from fractions import Fraction
+from typing import Dict, List, Tuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_oracle
 from exacthom import complexes
-from exacthom.exactlin import SparseMatrix, inverse, random_unimodular, rank
+from exacthom.exactlin import (SparseMatrix, Subspace, Vec, inverse,
+                               kernel_basis, random_unimodular, rank)
 from exacthom.complexes import (
     ChainComplex,
     ChainMap,
+    DoubleComplex,
+    _coordinates,
+    _reduced_basis,
     betti_numbers,
     complex_from_json,
     complex_to_json,
@@ -300,7 +305,6 @@ def test_random_double_complex_is_valid(seed):
 
 def _staircase(length: int):
     """Hand-built staircase double complex whose last differential is d^length."""
-    from exacthom.complexes import DoubleComplex
     cells = {}
     horiz = {}
     vert = {}
@@ -315,10 +319,178 @@ def _staircase(length: int):
     return DoubleComplex(length, length, cells, vert, horiz)
 
 
-@pytest.mark.parametrize("length", [1, 2, 3])
+# -- the spectral sequence before its single-memo rewrite, kept verbatim as the
+# reference: three caches keyed by (r, p, q) and special cases for r = 0,
+# p < 0 and degrees outside the complex. The one edit is the r = 0
+# denominator, which reads the prefix of F_{p-1} through `filtration_dim`,
+# because the old `filtration_columns` helper is gone.
+
+
+class ReferenceSpectralSequence:
+    """Pages of the column-filtration spectral sequence of a double complex.
+
+    pages[r][(p, q)] is dim E^r_{p,q} (zero entries omitted);
+    page_maps[r][(p, q)] is the matrix of d^r: E^r_{p,q} -> E^r_{p-r,q+r-1}
+    in the canonical representative bases (omitted when either side is 0).
+    """
+
+    def __init__(self, dc: DoubleComplex):
+        self.dc = dc
+        self.tot = total_complex(dc)
+        self.stable_page = dc.max_p + dc.max_q + 1
+        self._a_cache: Dict[Tuple[int, int, int], Subspace] = {}
+        self._den_cache: Dict[Tuple[int, int, int], Subspace] = {}
+        self._rep_cache: Dict[Tuple[int, int, int], List[Vec]] = {}
+        self.pages: List[Dict[Tuple[int, int], int]] = []
+        self.page_maps: List[Dict[Tuple[int, int], SparseMatrix]] = []
+        for r in range(self.stable_page + 1):
+            self.pages.append(self._page_dims(r))
+            self.page_maps.append(self._page_maps(r))
+
+    # approximant A^r_{p,q} = {x in F_p Tot_{p+q} : dx in F_{p-r}}
+    # (only p and the total degree n = p+q matter; q may be negative when a
+    # denominator term reaches past the grid)
+    def _approximant(self, r: int, p: int, q: int) -> Subspace:
+        key = (r, p, q)
+        hit = self._a_cache.get(key)
+        if hit is not None:
+            return hit
+        n = p + q
+        nmax = self.tot.complex.max_degree
+        if n < 0 or n > nmax:
+            sub = Subspace.zero(0)
+            self._a_cache[key] = sub
+            return sub
+        if p < 0:
+            sub = Subspace.zero(self.tot.complex.dims[n])
+            self._a_cache[key] = sub
+            return sub
+        ambient = self.tot.complex.dims[n]
+        cols = range(self.tot.filtration_dim(n, p))
+        # kernel of d restricted to F_p columns and to the rows outside
+        # F_{p-r}; F_p is a coordinate prefix, so kernel vectors keep their
+        # coordinates
+        if n == 0:
+            restricted = SparseMatrix.zeros(0, len(cols))
+        else:
+            rows_banned = range(self.tot.filtration_dim(n - 1, p - r),
+                                self.tot.complex.dims[n - 1])
+            restricted = self.tot.complex.d(n).select(rows_banned, cols)
+        kb = kernel_basis(restricted)
+        sub = Subspace.from_vectors(ambient,
+                                    [kb.row(i) for i in range(kb.rows)])
+        self._a_cache[key] = sub
+        return sub
+
+    def _boundary_image(self, r: int, p: int, q: int) -> Subspace:
+        """d(A^{r}_{p, q}) as a subspace one total degree down."""
+        n = p + q
+        nmax = self.tot.complex.max_degree
+        tgt_dim = self.tot.complex.dims[n - 1] if 0 <= n - 1 <= nmax else 0
+        if n < 1 or n > nmax:
+            return Subspace.zero(tgt_dim)
+        src = self._approximant(r, p, q)
+        if src.dim == 0:
+            return Subspace.zero(tgt_dim)
+        dmat = self.tot.complex.d(n)
+        vecs = [dmat.apply(src.basis.row(i)) for i in range(src.dim)]
+        return Subspace.from_vectors(tgt_dim, vecs)
+
+    def _denominator(self, r: int, p: int, q: int) -> Subspace:
+        key = (r, p, q)
+        hit = self._den_cache.get(key)
+        if hit is not None:
+            return hit
+        if r == 0:
+            # E^0 is the associated graded: denominator is F_{p-1}
+            n = p + q
+            ambient = (self.tot.complex.dims[n]
+                       if 0 <= n <= self.tot.complex.max_degree else 0)
+            cols = range(self.tot.filtration_dim(n, p - 1))
+            den = Subspace.from_vectors(
+                ambient, [{c: 1} for c in cols])
+        else:
+            den = self._approximant(r - 1, p - 1, q + 1).sum(
+                self._boundary_image(r - 1, p + r - 1, q - r + 2))
+        self._den_cache[key] = den
+        return den
+
+    def _reps(self, r: int, p: int, q: int) -> List[Vec]:
+        key = (r, p, q)
+        hit = self._rep_cache.get(key)
+        if hit is not None:
+            return hit
+        reps = _reduced_basis(self._approximant(r, p, q).basis,
+                              self._denominator(r, p, q))
+        self._rep_cache[key] = reps
+        return reps
+
+    def _page_dims(self, r: int) -> Dict[Tuple[int, int], int]:
+        out: Dict[Tuple[int, int], int] = {}
+        for p in range(self.dc.max_p + 1):
+            for q in range(self.dc.max_q + 1):
+                if self.dc.dim(p, q) == 0:
+                    continue
+                dim = len(self._reps(r, p, q))
+                if dim:
+                    out[(p, q)] = dim
+        return out
+
+    def _page_maps(self, r: int) -> Dict[Tuple[int, int], SparseMatrix]:
+        out: Dict[Tuple[int, int], SparseMatrix] = {}
+        dims = self.pages[r]
+        for (p, q), srcdim in dims.items():
+            tp, tq = p - r, q + r - 1
+            tgtdim = dims.get((tp, tq), 0)
+            if tgtdim == 0:
+                continue
+            dmat = self.tot.complex.d(p + q)
+            tgt_a = self._approximant(r, tp, tq)
+            images = dmat @ SparseMatrix.from_rows(
+                self._reps(r, p, q), dmat.cols).transpose()
+            for j in range(srcdim):
+                if not tgt_a.contains(images.column(j)):
+                    raise AssertionError(
+                        f"page {r} differential leaves its target at {(p, q)}")
+            m = _coordinates(self._reps(r, tp, tq),
+                             self._denominator(r, tp, tq).basis.transpose(),
+                             images)
+            if m is None:
+                raise AssertionError(
+                    f"page {r} differential not expressible at {(p, q)}")
+            if not m.is_zero():
+                out[(p, q)] = m
+        return out
+
+    def convergence_report(self) -> dict:
+        """Check sum of E^infinity dims along each antidiagonal against betti(Tot)."""
+        einf = self.pages[self.stable_page]
+        tot_betti = betti_numbers(self.tot.complex)
+        rows = []
+        ok = True
+        for n in range(self.tot.complex.max_degree + 1):
+            s = sum(dim for (p, q), dim in einf.items() if p + q == n)
+            match = (s == tot_betti[n])
+            ok = ok and match
+            rows.append({"degree": n, "e_infinity_sum": s,
+                         "total_betti": tot_betti[n], "match": match})
+        return {"check": "spectral_convergence", "stable_page": self.stable_page,
+                "rows": rows, "verdict": "pass" if ok else "fail"}
+
+
+def _assert_same_sequence(dc):
+    got, ref = spectral_sequence(dc), ReferenceSpectralSequence(dc)
+    assert got.stable_page == ref.stable_page
+    assert got.pages == ref.pages
+    assert got.page_maps == ref.page_maps
+    assert got.convergence_report() == ref.convergence_report()
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 4])
 def test_staircase_produces_higher_differential(length):
     d = _staircase(length)
     assert verify_double_complex(d)["ok"]
+    _assert_same_sequence(d)
     ss = spectral_sequence(d)
     # the surviving corner classes cancel exactly at page `length`
     maps = ss.page_maps[length]
@@ -367,5 +539,42 @@ def test_total_complex_layout():
     lay = tot.layout[2]
     assert [(p, q) for p, q, _ in lay] == [(1, 1), (2, 0)]
     assert tot.complex.dims[2] == 2
-    assert tot.filtration_columns(2, 1) == [0]
-    assert tot.filtration_columns(2, 2) == [0, 1]
+    assert tot.filtration_dim(2, 1) == 1
+    assert tot.filtration_dim(2, 2) == 2
+    # F_p is 0 below the first column and outside the complex
+    assert tot.filtration_dim(2, -1) == 0
+    assert tot.filtration_dim(5, 2) == 0
+
+
+@given(seeds, st.integers(1, 5), st.integers(1, 5))
+@settings(max_examples=40, deadline=None)
+def test_spectral_sequence_matches_the_reference(seed, max_p, max_q):
+    _assert_same_sequence(random_double_complex(seed, max_p, max_q))
+
+
+def _prefix_keys(ss):
+    """Every (n, dim F_p Tot_n, dim F_{p-r} Tot_{n-1}) that a page term or
+    its denominator can read: n runs one past the top degree and r from -1,
+    because the denominator of E^r_{p,q} reads Z at page r - 1 in degrees
+    p + q and p + q + 1."""
+    f = ss.tot.filtration_dim
+    top = ss.tot.complex.max_degree
+    return {(n, f(n, p), f(n - 1, p - r))
+            for n in range(top + 2)
+            for p in range(-1, ss.dc.max_p + ss.stable_page)
+            for r in range(-1, ss.stable_page + 1)}
+
+
+@pytest.mark.parametrize("dc", [random_double_complex(s) for s in range(8)]
+                         + [_staircase(n) for n in (1, 2, 3, 4)])
+def test_each_page_subspace_is_built_once(dc, monkeypatch):
+    calls = []
+    real = complexes.kernel_basis
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(complexes, "kernel_basis", counted)
+    ss = spectral_sequence(dc)
+    assert len(calls) <= len(_prefix_keys(ss))

@@ -346,3 +346,17 @@ def test_exterior_basis_guards_its_dimension():
     with pytest.raises(ResourceGuardError) as e:
         ExteriorBasis(40, 6)
     assert e.value.sizing["size"] == 3838380
+
+
+def test_ce_complex_guards_every_degree_before_enumerating(monkeypatch):
+    from exacthom import lie_homology
+
+    def enumerated(*args):
+        raise AssertionError("an exterior power was enumerated")
+
+    monkeypatch.setattr(lie_homology, "combinations", enumerated)
+    with pytest.raises(ResourceGuardError) as e:
+        ce_complex(abelian_lie_algebra(40), 6)
+    # the first degree over the limit is named: C(40, 5)
+    assert e.value.sizing["size"] == 658008
+    assert "exterior power 5 of a 40-dimensional space" in str(e.value)
