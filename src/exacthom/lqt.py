@@ -698,6 +698,7 @@ def theta_codomain_model(a: StructureConstantAlgebra,
     construction.
     """
     n = max(1, max_degree)
+    guard_exterior_powers(n * n * a.dim, range(max_degree + 1))
     cx = ce_complex(gl_n_of(a, n), max_degree)
     actions = [gln_action_on_chains(a, n, k) for k in range(max_degree + 1)]
     qcx, _, ce_quots = coinvariant_reduction(cx, actions)
@@ -1093,9 +1094,7 @@ def lqt_stable_check(a: StructureConstantAlgebra, n: int,
     non-unital A (where bar-acyclicity is checked and recorded)."""
     if n < 1 or max_r < 0:
         raise ValueError("need n >= 1 and max_r >= 0")
-    # first, so that its guard refuses oversized wedge powers before any
-    # other model is built
-    lie_betti = betti_numbers(ce_complex(gl_n_of(a, n), max_r + 1))
+    guard_exterior_powers(n * n * a.dim, range(max_r + 2))
     unital = a.unit is not None
     if unital:
         degrees = [r for r in range(max_r + 1) if r + 1 <= n]
@@ -1107,6 +1106,7 @@ def lqt_stable_check(a: StructureConstantAlgebra, n: int,
         degrees = [r for r in range(max_r + 1) if 2 * r + 1 <= n]
         route = "h_unital"
         precondition = hrep["verdict"] == "pass"
+    lie_betti = betti_numbers(ce_complex(gl_n_of(a, n), max_r + 1))
     conn, _ = connes_quotient_complex(a, max_r)
     cyclic_betti = betti_numbers(conn)
     h = [0] + cyclic_betti[:max_r]

@@ -337,7 +337,8 @@ def test_unwritable_json_path_exits_2_naming_it(tmp_path, capsys):
     ["homology", "hochschild", "--algebra", "DUAL", "--max-degree", "19"],
     ["homology", "ce", "--lie", "ABELIAN40", "--max-degree", "6"],
     ["verify", "lqt", "--algebra", "FIELD", "--n", "6", "--max-r", "5"],
-], ids=["hochschild-2^20", "ce-abelian40", "lqt-gl6"])
+    ["verify", "lqt", "--algebra", "FIELD", "--n", "32"],
+], ids=["hochschild-2^20", "ce-abelian40", "lqt-gl6", "lqt-gl32"])
 def test_oversized_input_exits_4_within_seconds(argv, fixtures, tmp_path):
     abelian = tmp_path / "abelian40.json"
     abelian.write_text(json.dumps({"dim": 40, "bracket": []}))

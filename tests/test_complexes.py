@@ -577,4 +577,6 @@ def test_each_page_subspace_is_built_once(dc, monkeypatch):
 
     monkeypatch.setattr(complexes, "kernel_basis", counted)
     ss = spectral_sequence(dc)
+    # one kernel per memoised Z, and the Z keys are prefix sizes
+    assert len(calls) == sum(1 for key in ss._memo if key[0] == "Z")
     assert len(calls) <= len(_prefix_keys(ss))

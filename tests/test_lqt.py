@@ -13,7 +13,7 @@ from exacthom.assoc_homology import (
     zero_multiplication,
 )
 from exacthom.complexes import verify_complex
-from exacthom.exactlin import SparseMatrix
+from exacthom.exactlin import ResourceGuardError, SparseMatrix
 from exacthom.lqt import (
     Permutation,
     _koszul_sort,
@@ -582,3 +582,22 @@ def test_xi_rejects_bad_input():
         xi(0, 1)
     with pytest.raises(ValueError):
         xi(2, -1)
+
+
+@pytest.mark.parametrize("build, size", [
+    # gl_3 of a 20-dimensional algebra: C(180, 3) tuples in degree 3
+    (lambda: theta_codomain_model(zero_multiplication(20), 3), 955860),
+    # gl_32(Q): C(1024, 2) tuples in degree 2
+    (lambda: lqt_stable_check(field_q(), 32, 1), 523776),
+], ids=["theta-codomain", "lqt-stable"])
+def test_wedge_powers_are_guarded_before_gl_n_is_built(build, size,
+                                                       monkeypatch):
+    from exacthom import lqt
+
+    def built(*args):
+        raise AssertionError("gl_n(A) was built")
+
+    monkeypatch.setattr(lqt, "gl_n_of", built)
+    with pytest.raises(ResourceGuardError) as e:
+        build()
+    assert e.value.sizing["size"] == size
