@@ -6,8 +6,11 @@ every degree r <= max-r and matrix size n <= max-n. Prints a grid marking
 where the dimensions agree, so the stable boundary (r + 1 <= n for unital
 algebras) is visible directly in the data.
 
-Matrix sizes grow fast: n = 4 with a 2-dimensional algebra already means
-exterior powers of a 32-dimensional Lie algebra. Keep the bounds small.
+For a unital algebra only the weight-0 block of the Lie chains is built,
+which stays small: on a 2-vCPU host n = 5 with r <= 4 over Q takes 0.14 s,
+and n = 6 with r <= 5 takes 70 s. The non-unital route (left-unital)
+builds whole exterior powers of the n*n*dim-dimensional Lie algebra, so
+keep its bounds small there: n = 4 already means a 32-dimensional one.
 
 Usage: python3 scripts/stable_range_scan.py [--algebra NAME] [--max-n N]
        [--max-r R]

@@ -234,13 +234,17 @@ def guard_exterior_powers(dim: int, degrees: Iterable[int]) -> None:
 
 
 class ExteriorBasis:
-    """Strictly increasing index tuples of length k over range(dim)."""
+    """Strictly increasing index tuples of length k over range(dim): all of
+    them in lexicographic order (guarded), or the given sublist."""
 
-    def __init__(self, dim: int, k: int):
-        guard_exterior_powers(dim, [k])
+    def __init__(self, dim: int, k: int,
+                 tuples: Optional[List[Tuple[int, ...]]] = None):
+        if tuples is None:
+            guard_exterior_powers(dim, [k])
+            tuples = list(combinations(range(dim), k))
         self.dim = dim
         self.k = k
-        self.tuples: List[Tuple[int, ...]] = list(combinations(range(dim), k))
+        self.tuples: List[Tuple[int, ...]] = tuples
         self.index: Dict[Tuple[int, ...], int] = \
             {t: i for i, t in enumerate(self.tuples)}
 
@@ -268,7 +272,17 @@ def ce_complex(g: StructureConstantLieAlgebra,
     truncated) when max_degree reaches dim(g). Every exterior power is
     guarded before any of them is enumerated."""
     guard_exterior_powers(g.dim, range(max_degree + 1))
-    bases = [ExteriorBasis(g.dim, k) for k in range(max_degree + 1)]
+    return ce_complex_on(g, [ExteriorBasis(g.dim, k)
+                             for k in range(max_degree + 1)])
+
+
+def ce_complex_on(g: StructureConstantLieAlgebra,
+                  bases: Sequence[ExteriorBasis]) -> ChainComplex:
+    """The boundary of `ce_complex` on bases[k] in degree k, for bases that
+    span a subcomplex (each boundary of a bases[k] tuple lies in the span of
+    bases[k - 1]), such as one Cartan weight of gl_n(A). Truncated when the
+    top degree is below dim(g)."""
+    max_degree = len(bases) - 1
     dims = tuple(len(b) for b in bases)
     diffs: Dict[int, SparseMatrix] = {}
     for k in range(2, max_degree + 1):

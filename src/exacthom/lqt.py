@@ -33,7 +33,8 @@ The pieces, bottom up:
 * ``lqt_stable_check``: the dimension comparison between the Lie homology
   of gl_n(A) and the free graded-commutative closure of cyclic homology,
   in the stable range r+1 <= n (unital) or 2r+1 <= n (bar-acyclic
-  non-unital).
+  non-unital). For unital A it builds only the Cartan weight-0 block of
+  the Lie chains (``weight_zero_tuples``, sized by ``weight_zero_count``).
 * ``xi``: the closed form of the stable-range boundary sequence
   0, 1, ..., n-1, n, n+1, n, n+1, ...
 """
@@ -58,8 +59,8 @@ from .exactlin import (QuotientStructure, SparseMatrix, Subspace, Vec,
                        quotient_structure, rank, rref, solve_matrix,
                        vec_clean)
 from .lie_homology import (ExteriorBasis, LieModuleAction, ce_complex,
-                           coinvariant_reduction, gl_index, gl_n_of,
-                           gln_action_on_chains, guard_exterior_powers,
+                           ce_complex_on, coinvariant_reduction, gl_index,
+                           gl_n_of, gln_action_on_chains, guard_exterior_powers,
                            scalar_matrix_generator_action)
 
 
@@ -815,6 +816,80 @@ def wedge_weight(a: StructureConstantAlgebra, n: int,
     return tuple(wt)
 
 
+def weight_zero_count(n: int, a_dim: int, k: int) -> int:
+    """Number of weight-0 k-tuples of gl_n(A) generators, dim A = a_dim,
+    counted without enumerating a tuple.
+
+    A DP over the off-diagonal positions, in order of their smaller index i:
+    once the pairs (i, j), (j, i) with j > i are taken, the weight at i is
+    final and must be 0, so a state is (size, weights at the indices not yet
+    final). One generator moves |w|_1 by at most 2, so a state with |w|_1
+    above twice the slots left is dropped. The n * a_dim diagonal generators
+    have weight 0 and fill the slots left at the end. The work grows fast
+    with k, so a guard counts one degree at a time and stops at the first
+    one over its limit."""
+    # ways[m1 - m2][m1 + m2]: choices of m1 legs at (i, j) and m2 at (j, i)
+    ways: Dict[int, Dict[int, int]] = {}
+    for m1 in range(a_dim + 1):
+        for m2 in range(a_dim + 1):
+            by_size = ways.setdefault(m1 - m2, {})
+            by_size[m1 + m2] = (by_size.get(m1 + m2, 0)
+                                + math.comb(a_dim, m1) * math.comb(a_dim, m2))
+    states: Dict[Tuple[int, Tuple[int, ...]], int] = {(0, (0,) * n): 1}
+    for i in range(n):
+        # weights are stored from index i on, so j - i is the slot of j
+        for slot in range(1, n - i):
+            grown: Dict[Tuple[int, Tuple[int, ...]], int] = {}
+            for (size, w), count in states.items():
+                for delta, by_size in ways.items():
+                    moved = list(w)
+                    moved[0] += delta
+                    moved[slot] -= delta
+                    l1 = sum(map(abs, moved))
+                    key_w = tuple(moved)
+                    for s, c in by_size.items():
+                        if l1 <= 2 * (k - size - s):
+                            key = (size + s, key_w)
+                            grown[key] = grown.get(key, 0) + count * c
+            states = grown
+        states = {(size, w[1:]): count for (size, w), count in states.items()
+                  if w[0] == 0}
+    return sum(count * math.comb(n * a_dim, k - size)
+               for (size, _), count in states.items())
+
+
+def weight_zero_tuples(n: int, a_dim: int, k: int) -> List[Tuple[int, ...]]:
+    """The increasing k-tuples of gl_n(A) generators, dim A = a_dim, of
+    weight 0 (see `wedge_weight`), in lexicographic order: the weight-0
+    sublist of `ExteriorBasis(n * n * a_dim, k).tuples`. A depth-first
+    search that drops a prefix whose |w|_1 is above twice the slots left."""
+    dim = n * n * a_dim
+    position = [divmod(x // a_dim, n) for x in range(dim)]
+    w = [0] * n
+    prefix: List[int] = []
+    out: List[Tuple[int, ...]] = []
+
+    def extend(start: int, left: int, l1: int) -> None:
+        if not left:
+            out.append(tuple(prefix))
+            return
+        for x in range(start, dim - left + 1):
+            i, j = position[x]
+            before = abs(w[i]) + abs(w[j])
+            w[i] += 1
+            w[j] -= 1
+            grown = l1 - before + abs(w[i]) + abs(w[j])
+            if grown <= 2 * (left - 1):
+                prefix.append(x)
+                extend(x + 1, left - 1, grown)
+                prefix.pop()
+            w[i] -= 1
+            w[j] += 1
+
+    extend(0, k, 0)
+    return out
+
+
 def weight_components(a: StructureConstantAlgebra, n: int,
                       k: int) -> Dict[Tuple[int, ...], List[int]]:
     """Wedge basis indices grouped by Cartan weight."""
@@ -1091,22 +1166,44 @@ def lqt_stable_check(a: StructureConstantAlgebra, n: int,
     """Compare matrix Lie homology of gl_n(A) against the free
     graded-commutative algebra on cyclic homology shifted up by one, in the
     stable range: degrees r with r+1 <= n for unital A, 2r+1 <= n for
-    non-unital A (where bar-acyclicity is checked and recorded)."""
+    non-unital A (where bar-acyclicity is checked and recorded).
+
+    For unital A only the weight-0 block of the Chevalley-Eilenberg complex
+    is built (`weight_zero_tuples`, degrees 0..max_r+1): the boundary keeps
+    the Cartan weight, and E_ii (x) 1 lies in gl_n(A), so by the Cartan
+    homotopy formula (`homotopy_identity_check`) every block of nonzero
+    weight is acyclic. Without a unit this fails (for zero multiplication
+    gl_n(A) is abelian and H_1 carries every weight), so the h_unital route
+    builds whole exterior powers. Building gl_n(A) walks C(dim, 2) bracket
+    pairs and C(dim, 3) Jacobi triples; those, and each chain space (the
+    weight-0 count on the unital route), are guarded before gl_n(A) is
+    built or any tuple is enumerated."""
     if n < 1 or max_r < 0:
         raise ValueError("need n >= 1 and max_r >= 0")
-    guard_exterior_powers(n * n * a.dim, range(max_r + 2))
+    dim = n * n * a.dim
+    top = max_r + 1
+    guard_exterior_powers(dim, (2, 3))
     unital = a.unit is not None
     if unital:
+        for k in range(top + 1):
+            guard_ambient(f"weight-0 part of exterior power {k} of a "
+                          f"{dim}-dimensional gl_{n}(A)",
+                          weight_zero_count(n, a.dim, k))
         degrees = [r for r in range(max_r + 1) if r + 1 <= n]
         route = "unital"
         precondition = True
         hrep = None
+        bases = [ExteriorBasis(dim, k, weight_zero_tuples(n, a.dim, k))
+                 for k in range(top + 1)]
+        lie = ce_complex_on(gl_n_of(a, n), bases)
     else:
+        guard_exterior_powers(dim, range(top + 1))
         hrep = h_unitality_report(a, max_r + 2)
         degrees = [r for r in range(max_r + 1) if 2 * r + 1 <= n]
         route = "h_unital"
         precondition = hrep["verdict"] == "pass"
-    lie_betti = betti_numbers(ce_complex(gl_n_of(a, n), max_r + 1))
+        lie = ce_complex(gl_n_of(a, n), top)
+    lie_betti = betti_numbers(lie)
     conn, _ = connes_quotient_complex(a, max_r)
     cyclic_betti = betti_numbers(conn)
     h = [0] + cyclic_betti[:max_r]

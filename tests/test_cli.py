@@ -336,9 +336,13 @@ def test_unwritable_json_path_exits_2_naming_it(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["homology", "hochschild", "--algebra", "DUAL", "--max-degree", "19"],
     ["homology", "ce", "--lie", "ABELIAN40", "--max-degree", "6"],
-    ["verify", "lqt", "--algebra", "FIELD", "--n", "6", "--max-r", "5"],
+    # weight-0 part of degree 8: 2,076,788 tuples
+    ["verify", "lqt", "--algebra", "FIELD", "--n", "8", "--max-r", "7"],
     ["verify", "lqt", "--algebra", "FIELD", "--n", "32"],
-], ids=["hochschild-2^20", "ce-abelian40", "lqt-gl6", "lqt-gl32"])
+    # building gl_13(Q) would walk C(169, 3) Jacobi triples
+    ["verify", "lqt", "--algebra", "FIELD", "--n", "13", "--max-r", "0"],
+], ids=["hochschild-2^20", "ce-abelian40", "lqt-gl8", "lqt-gl32",
+        "lqt-gl13-jacobi"])
 def test_oversized_input_exits_4_within_seconds(argv, fixtures, tmp_path):
     abelian = tmp_path / "abelian40.json"
     abelian.write_text(json.dumps({"dim": 40, "bracket": []}))

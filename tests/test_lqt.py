@@ -1,19 +1,28 @@
 """Stable matrix-Lie / cyclic comparison: trace pairing, theta, weights, psi."""
 
 import math
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from exacthom.assoc_homology import (
+    change_of_basis,
+    connes_quotient_complex,
     dual_numbers,
     field_q,
+    h_unitality_report,
     left_unital_two_dim,
+    truncated_polynomials,
     zero_multiplication,
 )
-from exacthom.complexes import verify_complex
-from exacthom.exactlin import ResourceGuardError, SparseMatrix
+from exacthom.complexes import betti_numbers, verify_complex
+from exacthom.exactlin import (ResourceGuardError, SparseMatrix,
+                               random_unimodular)
+from exacthom.lie_homology import (ExteriorBasis, ce_complex, ce_complex_on,
+                                   gl_n_of, guard_exterior_powers)
 from exacthom.lqt import (
     Permutation,
     _koszul_sort,
@@ -38,6 +47,9 @@ from exacthom.lqt import (
     weight_decomposition,
     weight_decomposition_report,
     weight_vector,
+    weight_zero_count,
+    weight_zero_tuples,
+    wedge_weight,
     xi,
     xi_sequence,
     zeta_map,
@@ -559,6 +571,155 @@ def test_stable_comparison_restricts_to_stable_degrees():
     assert report["degrees"] == [0, 1]
 
 
+def test_stable_comparison_reaches_gl5():
+    report = lqt_stable_check(field_q(), 5, 4)
+    assert report["lhs_dims"] == [1, 1, 0, 1, 1]
+    assert report["rhs_dims"] == [1, 1, 0, 1, 1]
+    assert report["verdict"]
+
+
+# -- the weight-0 block ------------------------------------------------------------
+
+
+def reference_lqt_stable_check(a, n, max_r):
+    """The stable check on whole exterior powers, as it was before the
+    unital route kept only the weight-0 block; the reference for it."""
+    if n < 1 or max_r < 0:
+        raise ValueError("need n >= 1 and max_r >= 0")
+    guard_exterior_powers(n * n * a.dim, range(max_r + 2))
+    unital = a.unit is not None
+    if unital:
+        degrees = [r for r in range(max_r + 1) if r + 1 <= n]
+        route = "unital"
+        precondition = True
+        hrep = None
+    else:
+        hrep = h_unitality_report(a, max_r + 2)
+        degrees = [r for r in range(max_r + 1) if 2 * r + 1 <= n]
+        route = "h_unital"
+        precondition = hrep["verdict"] == "pass"
+    lie_betti = betti_numbers(ce_complex(gl_n_of(a, n), max_r + 1))
+    conn, _ = connes_quotient_complex(a, max_r)
+    cyclic_betti = betti_numbers(conn)
+    h = [0] + cyclic_betti[:max_r]
+    rhs_all = graded_free_commutative_dims(h, max_r)
+    lhs = [lie_betti[r] for r in degrees]
+    rhs = [rhs_all[r] for r in degrees]
+    report = {"check": "stable_matrix_homology",
+              "params": {"algebra_dim": a.dim, "n": n, "max_r": max_r,
+                         "route": route, "unital": unital},
+              "degrees": degrees,
+              "lhs_dims": lhs,
+              "rhs_dims": rhs,
+              "cyclic_betti": cyclic_betti,
+              "verdict": bool(precondition and lhs == rhs),
+              "seed": 0}
+    if hrep is not None:
+        report["h_unitality"] = hrep
+    return report
+
+
+def conjugated(a, seed):
+    return change_of_basis(a, random_unimodular(random.Random(seed), a.dim))
+
+
+# the (algebra, n, max_r) of the benchmark's `verify lqt` jobs, with a
+# seeded change of basis standing in for its conjugated algebra files
+BENCHMARK_LQT_CASES = [
+    ("Q", field_q(), 4, 3),
+    ("dual", dual_numbers(), 3, 2),
+    ("Q", field_q(), 2, 1),
+    ("dual", dual_numbers(), 2, 1),
+    ("dual-conj", conjugated(dual_numbers(), 1), 2, 1),
+    ("Q", field_q(), 3, 2),
+    ("x3", truncated_polynomials(3), 2, 1),
+    ("x3-conj", conjugated(truncated_polynomials(3), 2), 2, 1),
+]
+
+
+@pytest.mark.parametrize("name,alg,n,max_r",
+                         UNITAL_CASES + BENCHMARK_LQT_CASES
+                         + [("left-unital", left_unital_two_dim(), 3, 1)])
+def test_stable_check_report_matches_the_full_complex(name, alg, n, max_r):
+    assert lqt_stable_check(alg, n, max_r) == \
+        reference_lqt_stable_check(alg, n, max_r)
+
+
+def brute_weight_zero(n, a_dim, k):
+    a = zero_multiplication(a_dim)
+    return [t for t in combinations(range(n * n * a_dim), k)
+            if not any(wedge_weight(a, n, t))]
+
+
+@pytest.mark.parametrize("n,a_dim,max_k", [
+    (1, 1, 1), (1, 3, 3), (2, 1, 4), (2, 2, 5), (2, 3, 4), (3, 1, 6),
+    (3, 2, 4), (4, 1, 4),
+])
+def test_weight_zero_enumerator_matches_a_filter(n, a_dim, max_k):
+    for k in range(max_k + 1):
+        tuples = weight_zero_tuples(n, a_dim, k)
+        assert tuples == brute_weight_zero(n, a_dim, k)
+        assert weight_zero_count(n, a_dim, k) == len(tuples)
+
+
+@pytest.mark.parametrize("n,a_dim,k,size", [
+    (4, 1, 5, 180), (5, 1, 5, 840), (6, 1, 6, 9660), (5, 2, 5, 30080),
+    (4, 3, 4, 8406),
+])
+def test_weight_zero_count_pins_the_table(n, a_dim, k, size):
+    assert weight_zero_count(n, a_dim, k) == size
+
+
+def weight_zero_complex(a, n, max_degree):
+    dim = n * n * a.dim
+    return ce_complex_on(gl_n_of(a, n), [
+        ExteriorBasis(dim, k, weight_zero_tuples(n, a.dim, k))
+        for k in range(max_degree + 1)])
+
+
+@pytest.mark.parametrize("alg,n,max_r", [
+    (field_q(), 3, 8), (dual_numbers(), 3, 3), (field_q(), 4, 4),
+], ids=["gl3-Q", "gl3-dual", "gl4-Q"])
+def test_weight_zero_betti_equal_the_full_ones(alg, n, max_r):
+    full = betti_numbers(ce_complex(gl_n_of(alg, n), max_r + 1))
+    block = betti_numbers(weight_zero_complex(alg, n, max_r + 1))
+    assert block[:max_r + 1] == full[:max_r + 1]
+
+
+def weight_blocks(a, n):
+    """The complete CE complex of gl_n(A), one subcomplex per weight."""
+    g = gl_n_of(a, n)
+    by_weight = {}
+    for k in range(g.dim + 1):
+        for t in combinations(range(g.dim), k):
+            by_weight.setdefault(wedge_weight(a, n, t), {}).setdefault(
+                k, []).append(t)
+    return {mu: ce_complex_on(g, [ExteriorBasis(g.dim, k, parts.get(k, []))
+                                  for k in range(g.dim + 1)])
+            for mu, parts in by_weight.items()}
+
+
+@pytest.mark.parametrize("alg,n", [
+    (field_q(), 2), (field_q(), 3), (dual_numbers(), 2),
+], ids=["gl2-Q", "gl3-Q", "gl2-dual"])
+def test_blocks_of_nonzero_weight_are_acyclic_for_unital_a(alg, n):
+    blocks = weight_blocks(alg, n)
+    assert len(blocks) > 1
+    for mu, cx in blocks.items():
+        assert not cx.truncated
+        if any(mu):
+            assert not any(betti_numbers(cx)), mu
+    full = betti_numbers(ce_complex(gl_n_of(alg, n), n * n * alg.dim))
+    assert betti_numbers(blocks[(0,) * n]) == full
+
+
+def test_blocks_of_nonzero_weight_carry_h1_without_a_unit():
+    # gl_2 of a zero-multiplication algebra is abelian: H_1 is all of it
+    blocks = weight_blocks(zero_multiplication(1), 2)
+    assert betti_numbers(blocks[(1, -1)])[1] == 1
+    assert betti_numbers(blocks[(-1, 1)])[1] == 1
+
+
 # -- stable-range boundary sequence ----------------------------------------------------
 
 
@@ -589,7 +750,9 @@ def test_xi_rejects_bad_input():
     (lambda: theta_codomain_model(zero_multiplication(20), 3), 955860),
     # gl_32(Q): C(1024, 2) tuples in degree 2
     (lambda: lqt_stable_check(field_q(), 32, 1), 523776),
-], ids=["theta-codomain", "lqt-stable"])
+    # gl_13(Q): its Jacobi check walks C(169, 3) triples
+    (lambda: lqt_stable_check(field_q(), 13, 0), 790244),
+], ids=["theta-codomain", "lqt-stable", "lqt-jacobi"])
 def test_wedge_powers_are_guarded_before_gl_n_is_built(build, size,
                                                        monkeypatch):
     from exacthom import lqt
@@ -601,3 +764,19 @@ def test_wedge_powers_are_guarded_before_gl_n_is_built(build, size,
     with pytest.raises(ResourceGuardError) as e:
         build()
     assert e.value.sizing["size"] == size
+
+
+def test_weight_zero_guard_fires_before_anything_is_built(monkeypatch):
+    from exacthom import lie_homology, lqt
+
+    def built(*args):
+        raise AssertionError("built or enumerated")
+
+    monkeypatch.setattr(lqt, "gl_n_of", built)
+    monkeypatch.setattr(lqt, "weight_zero_tuples", built)
+    monkeypatch.setattr(lie_homology, "combinations", built)
+    # gl_8(Q): degree 7 has 436,856 weight-0 tuples, degree 8 2,076,788
+    with pytest.raises(ResourceGuardError) as e:
+        lqt_stable_check(field_q(), 8, 7)
+    assert e.value.sizing["size"] == 2076788
+    assert "weight-0" in str(e.value)
