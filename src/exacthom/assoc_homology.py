@@ -49,7 +49,6 @@ from .complexes import (
     homology,
     quasi_iso_degrees,
     total_complex,
-    truncate_complex,
     verify_chain_map,
     verify_double_complex,
 )
@@ -516,43 +515,37 @@ def bB_bicomplex(a: StructureConstantAlgebra, bound: int) -> DoubleComplex:
 # -- derived reports ----------------------------------------------------------
 
 
-def connes_report(a: StructureConstantAlgebra, max_degree: int) -> dict:
-    cx, _ = connes_quotient_complex(a, max_degree)
-    h = homology(cx)
-    return {"check": "cyclic_quotient_homology", "dims": list(cx.dims),
-            "betti": list(h.betti), "flags": list(h.flags)}
-
-
 def h_unitality_report(a: StructureConstantAlgebra, max_degree: int) -> dict:
     """Bar-complex acyclicity in positive degrees, the homological unitality
-    test. Degrees 1..max_degree-1 are decided exactly; the top degree of the
-    truncation is only an upper bound and is excluded from the verdict."""
+    test. Every positive degree flagged exact is decided; the top degree of
+    the truncation is only an upper bound and is excluded from the verdict,
+    which is "inconclusive" when no degree is decided."""
     h = homology(bar_complex(a, max_degree))
-    reliable = list(range(1, max_degree))
-    failures = [n for n in reliable if h.betti[n] != 0]
+    decided = [n for n, flag in enumerate(h.flags)
+               if n >= 1 and flag == "exact"]
+    failures = [n for n in decided if h.betti[n] != 0]
+    verdict = "fail" if failures else "pass" if decided else "inconclusive"
     return {
         "check": "h_unitality",
         "betti": list(h.betti),
         "flags": list(h.flags),
-        "degrees_decided": reliable,
+        "degrees_decided": decided,
         "first_failure": failures[0] if failures else None,
-        "verdict": "pass" if not failures else "fail",
+        "verdict": verdict,
     }
 
 
 def _column_zero_projection(tot: TotalComplex, conn: ChainComplex,
-                            quots, max_degree: int) -> ChainMap:
+                            quots) -> ChainMap:
     """Chain map Tot(cyclic bicomplex) -> cyclic quotient complex: project to
     the column-0 cell, then to the quotient."""
     comps = {}
-    for n in range(max_degree + 1):
-        lay = tot.layout.get(n, [])
+    for n, lay in tot.layout.items():
         comps[n] = SparseMatrix.block(
             [conn.dims[n]], [dim for _p, _q, dim in lay],
             {(0, j): quots[n].projection
              for j, (p, _q, _dim) in enumerate(lay) if p == 0})
-    src = truncate_complex(tot.complex, max_degree)
-    return ChainMap(src, conn, comps)
+    return ChainMap(tot.complex, conn, comps)
 
 
 def cyclic_comparison_report(a: StructureConstantAlgebra, bound: int = 4) -> dict:
@@ -563,22 +556,23 @@ def cyclic_comparison_report(a: StructureConstantAlgebra, bound: int = 4) -> dic
     - (unital only) total complex of the (b, B) double complex,
 
     and verify that projecting the first onto column 0 is a chain map inducing
-    isomorphisms on homology in all decided degrees.
+    isomorphisms on homology in all decided degrees: those flagged exact on
+    the total complex, which ends at its last complete degree, bound.
     """
-    reliable = list(range(bound))
     cc = cyclic_bicomplex(a, bound)
     vr = verify_double_complex(cc)
     if not vr["ok"]:
         raise AssertionError(f"cyclic double complex invalid: {vr}")
-    tot = total_complex(cc, truncated=True)
-    tot_sliced = truncate_complex(tot.complex, bound)
+    tot = total_complex(cc, bound)
     conn, quots = connes_quotient_complex(a, bound)
-    proj = _column_zero_projection(tot, conn, quots, bound)
+    proj = _column_zero_projection(tot, conn, quots)
     pv = verify_chain_map(proj)
     if not pv["ok"]:
         raise AssertionError(f"column-0 projection is not a chain map: {pv}")
     qiso = quasi_iso_degrees(proj)
-    tot_betti = betti_numbers(tot_sliced)
+    h = homology(tot.complex)
+    reliable = [n for n, flag in enumerate(h.flags) if flag == "exact"]
+    tot_betti = list(h.betti)
     conn_betti = betti_numbers(conn)
     report = {
         "check": "cyclic_comparison",
@@ -596,9 +590,7 @@ def cyclic_comparison_report(a: StructureConstantAlgebra, bound: int = 4) -> dic
         vb = verify_double_complex(bb)
         if not vb["ok"]:
             raise AssertionError(f"(b, B) double complex invalid: {vb}")
-        bb_tot = truncate_complex(total_complex(bb, truncated=True).complex,
-                                  bound)
-        bb_betti = betti_numbers(bb_tot)
+        bb_betti = betti_numbers(total_complex(bb, bound).complex)
         report["bB_betti"] = bb_betti
         agree = agree and all(bb_betti[n] == conn_betti[n] for n in reliable)
     report["verdict"] = "pass" if (agree and quasi) else "fail"

@@ -50,7 +50,7 @@ from .cech_cosheaf import (CosheafDataError, FinitePrecosheaf, cech_report,
                            cosheaf_axiom_check, precosheaf_from_json)
 from .complexes import (ChainComplex, homology, kunneth_check,
                         random_complex, random_double_complex,
-                        spectral_sequence, total_complex, truncate_complex)
+                        spectral_sequence, total_complex)
 from .exactlin import ResourceGuardError
 from .lie_homology import (LieAxiomError, StructureConstantLieAlgebra,
                            ce_complex, gl_n_of, gln_coinvariant_complex,
@@ -155,11 +155,11 @@ def _betti_doc(check: str, cx: ChainComplex,
 def _total_betti_doc(check: str, bicomplex, max_degree: int) -> dict:
     """Betti table of a total complex, reliable through max_degree.
 
-    The bicomplex is built out to max_degree + 1 and the total complex
-    truncated there, so every reported degree <= max_degree is exact."""
-    tot = total_complex(bicomplex, truncated=True)
-    return _betti_doc(check, truncate_complex(tot.complex, max_degree + 1),
-                      max_degree)
+    The bicomplex is built out to max_degree + 1, its last complete total
+    degree, where the total complex ends, so every reported degree
+    <= max_degree is exact."""
+    tot = total_complex(bicomplex, max_degree + 1)
+    return _betti_doc(check, tot.complex, max_degree)
 
 
 # -- homology kinds -----------------------------------------------------------
@@ -304,7 +304,7 @@ OPTIONS: Dict[str, Option] = {
                  "matrix size for ce/gl kinds (default %(default)s)"),
     "n": Option("--n", "N", 2, 1,
                 "matrix size / stability parameter (default %(default)s)"),
-    "k": Option("--k", "K", 1, 0,
+    "k": Option("--k", "K", 1, 1,
                 "tensor degree for phi (default %(default)s)"),
     "m": Option("--m", None, 1, 0,
                 "number of exterior blocks for psi (default %(default)s)",

@@ -226,7 +226,8 @@ def tensor_complexes(a: ChainComplex, b: ChainComplex) -> ChainComplex:
     It is the total complex of the double complex A_p (x) B_q with horizontal
     d_A (x) id and vertical (-1)^p id (x) d_B, so its basis layout in degree n
     is the blocks (p, q=n-p) with p ascending; inside a block the index is
-    i * dim(B_q) + j.
+    i * dim(B_q) + j. With a truncated factor it ends at the last complete
+    degree, the smallest top degree among the truncated factors.
     """
     cells = {(p, q): a.dims[p] * b.dims[q]
              for p in range(a.max_degree + 1) for q in range(b.max_degree + 1)}
@@ -237,7 +238,8 @@ def tensor_complexes(a: ChainComplex, b: ChainComplex) -> ChainComplex:
     vert = {(p, q): eye[a.dims[p]].kron(neg_db[q] if p % 2 else b.d(q))
             for p, q in cells if q >= 1 and cells[(p, q)]}
     dc = DoubleComplex(a.max_degree, b.max_degree, cells, vert, horiz)
-    return total_complex(dc, truncated=a.truncated or b.truncated).complex
+    cuts = [c.max_degree for c in (a, b) if c.truncated]
+    return total_complex(dc, min(cuts) if cuts else None).complex
 
 
 def kunneth_check(a: ChainComplex, b: ChainComplex) -> dict:
@@ -340,8 +342,14 @@ class TotalComplex:
         return sum(dim for p, _q, dim in self.layout.get(n, []) if p <= p_max)
 
 
-def total_complex(d: DoubleComplex, truncated: bool = False) -> TotalComplex:
-    nmax = d.max_p + d.max_q
+def total_complex(d: DoubleComplex, top: Optional[int] = None) -> TotalComplex:
+    """Total complex of d, in degrees 0..max_p + max_q when d is complete.
+
+    For a double complex cut off by a degree bound, `top` is the last total
+    degree whose cells are all present (`bound` for `cyclic_bicomplex` and
+    `bB_bicomplex`). The complex then ends at `top` and is truncated, so its
+    top degree is an upper bound and every lower degree is exact."""
+    nmax = d.max_p + d.max_q if top is None else top
     layout = {n: [(p, n - p, d.dim(p, n - p))
                   for p in range(max(0, n - d.max_q), min(d.max_p, n) + 1)
                   if d.dim(p, n - p)]
@@ -358,7 +366,7 @@ def total_complex(d: DoubleComplex, truncated: bool = False) -> TotalComplex:
                 blocks[(tgt[(p - 1, q)], j)] = d.d_horiz(p, q)
         diffs[n] = SparseMatrix.block(cell_dims[n - 1], cell_dims[n], blocks)
     dims = tuple(sum(cell_dims[n]) for n in range(nmax + 1))
-    cx = ChainComplex(dims, diffs, truncated=truncated)
+    cx = ChainComplex(dims, diffs, truncated=top is not None)
     return TotalComplex(cx, layout)
 
 

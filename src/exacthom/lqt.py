@@ -410,6 +410,23 @@ def _conjugation_relation_buckets(
     return buckets
 
 
+def _trace_relation_span(n: int, k: int) -> Tuple[SparseMatrix, Subspace, bool]:
+    """The trace pairing phi, the RREF span of the conjugation relations
+    (the weight buckets' bases merged by pivot), and whether phi kills that
+    span, which it does iff it kills the span's RREF basis."""
+    phi = trace_invariant_matrix(n, k)
+    amb = (n * n) ** k
+    merged: List[Tuple[int, Vec]] = []
+    for vecs in _conjugation_relation_buckets(n, k).values():
+        reduced, piv = rref(SparseMatrix.from_rows(vecs, amb))
+        merged.extend((p, reduced.row(i)) for i, p in enumerate(piv))
+    merged.sort(key=lambda t: t[0])
+    rows = [r for _, r in merged]
+    sub = Subspace(amb, SparseMatrix.from_rows(rows, amb),
+                   tuple(p for p, _ in merged))
+    return phi, sub, not any(phi.apply(r) for r in rows)
+
+
 def trace_invariant_map(
         n: int, k: int) -> Tuple[SparseMatrix, Optional[SparseMatrix]]:
     """The trace pairing matrix, plus a right inverse through the
@@ -419,21 +436,10 @@ def trace_invariant_map(
     The inverse I satisfies phi @ I == identity on the group algebra and
     I @ phi == identity modulo the relation span.
     """
-    phi = trace_invariant_matrix(n, k)
-    dim = n * n
-    amb = dim ** k
-    merged: List[Tuple[int, Vec]] = []
-    for vecs in _conjugation_relation_buckets(n, k).values():
-        reduced, piv = rref(SparseMatrix.from_rows(vecs, amb))
-        for i, p in enumerate(piv):
-            row = reduced.row(i)
-            if phi.apply(row):
-                raise AssertionError(
-                    "trace pairing fails to kill a conjugation relation")
-            merged.append((p, row))
-    merged.sort(key=lambda t: t[0])
-    sub = Subspace(amb, SparseMatrix.from_rows([r for _, r in merged], amb),
-                   tuple(p for p, _ in merged))
+    phi, sub, kills = _trace_relation_span(n, k)
+    if not kills:
+        raise AssertionError(
+            "trace pairing fails to kill a conjugation relation")
     q = quotient_structure(sub)
     kfac = math.factorial(k)
     if q.dim != kfac:
@@ -449,17 +455,8 @@ def trace_invariant_check(n: int, k: int) -> dict:
     relations, with the coinvariant dimension, the pairing's rank, and
     whether bijectivity on coinvariants matches the stable-range prediction
     n >= k."""
-    phi = trace_invariant_matrix(n, k)
-    dim = n * n
-    amb = dim ** k
-    well_defined = True
-    relation_rank = 0
-    for vecs in _conjugation_relation_buckets(n, k).values():
-        for v in vecs:
-            if phi.apply(v):
-                well_defined = False
-        relation_rank += rank(SparseMatrix.from_rows(vecs, amb))
-    coinvariant_dim = amb - relation_rank
+    phi, sub, well_defined = _trace_relation_span(n, k)
+    coinvariant_dim = sub.ambient_dim - sub.dim
     kfac = math.factorial(k)
     phi_rank = rank(phi)
     bijective = (well_defined and coinvariant_dim == kfac

@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 import dense_oracle
 from exacthom.exactlin import ResourceGuardError, SparseMatrix
-from exacthom.complexes import homology, verify_double_complex
+from exacthom.complexes import (betti_numbers, homology, total_complex,
+                                verify_double_complex)
 from exacthom.assoc_homology import (
     AlgebraAxiomError,
     MissingUnitError,
@@ -30,7 +31,6 @@ from exacthom.assoc_homology import (
     cyclic_bicomplex,
     cyclic_group_algebra,
     cyclic_operator,
-    connes_report,
     direct_sum,
     dual_numbers,
     field_q,
@@ -219,8 +219,9 @@ def test_connes_quotient_pinned_values():
     assert list(cd.dims)[:5] == CLAM_DIMS_DUAL
     assert list(hd.betti)[:5] == CLAM_BETTI_DUAL
     qxq = direct_sum(field_q(), field_q())
-    assert connes_report(qxq, 4)["betti"][:4] == CLAM_BETTI_QXQ
-    assert connes_report(left_unital_two_dim(), 4)["betti"][:4] == CLAM_BETTI_LEFT
+    assert betti_numbers(connes_quotient_complex(qxq, 4)[0])[:4] == CLAM_BETTI_QXQ
+    assert (betti_numbers(connes_quotient_complex(left_unital_two_dim(), 4)[0])[:4]
+            == CLAM_BETTI_LEFT)
 
 
 def test_h_unitality_verdicts():
@@ -250,6 +251,17 @@ def test_bB_requires_unit():
         bB_bicomplex(left_unital_two_dim(), 2)
     with pytest.raises(MissingUnitError):
         bB_bicomplex(zero_multiplication(2), 2)
+
+
+@pytest.mark.parametrize("algebra, betti", [
+    (field_q(), (1, 0, 1, 4)), (matrix_algebra(2), (1, 0, 1, 274))],
+    ids=["Q", "M2"])
+def test_cyclic_bicomplex_cut_at_3_bounds_its_top_degree(algebra, betti):
+    # HC_3 = 0 for Q and, by Morita invariance, for M_2(Q); degree 3 is the
+    # last complete one, so it can only be read as an upper bound
+    h = homology(total_complex(cyclic_bicomplex(algebra, 3), 3).complex)
+    assert h.betti == betti
+    assert h.flags == ("exact", "exact", "exact", "upper_bound")
 
 
 def test_cyclic_comparison_field():

@@ -90,6 +90,18 @@ def test_verify_hunital_zero_fails_at_degree_one(fixtures, tmp_path):
     assert doc["verdict"] == "fail"
 
 
+def test_verify_hunital_with_no_decided_degree_is_inconclusive(fixtures,
+                                                               tmp_path):
+    # Degree 1 is the bar complex's top: an upper bound, so nothing is
+    # decided and the zero multiplication must not pass.
+    code, doc = run_json(["verify", "hunital", "--algebra", fixtures["zero"],
+                          "--max-degree", "1"], tmp_path)
+    assert code == EXIT_FAIL
+    assert doc["report"]["degrees_decided"] == []
+    assert doc["report"]["verdict"] == "inconclusive"
+    assert doc["verdict"] == "fail"
+
+
 def test_verify_lqt_dual_example(fixtures, tmp_path):
     code, doc = run_json(["verify", "lqt", "--algebra", fixtures["dual"],
                           "--n", "3", "--max-r", "2"], tmp_path)
@@ -474,7 +486,7 @@ def test_report_missing_input_exits_2(tmp_path):
 
 # Lowest allowed value of every bounded option, and a command offering it.
 BOUNDS = [("--max-degree", 1, "verify"), ("--n", 1, "verify"),
-          ("--gl", 1, "homology"), ("--k", 0, "verify"),
+          ("--gl", 1, "homology"), ("--k", 1, "verify"),
           ("--max-r", 0, "verify"), ("--max-k", 0, "verify"),
           ("--count", 0, "verify"), ("--threads", 1, "verify"),
           ("--threads", 1, "report"), ("--m", 0, "verify")]

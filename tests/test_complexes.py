@@ -223,6 +223,9 @@ def test_tensor_product_has_the_koszul_block_layout(sa, sb, ta, tb, cut):
         a = truncate_complex(a, a.max_degree - 1)
     t = tensor_complexes(a, b)
     assert t.truncated == (a.truncated or b.truncated)
+    # a truncated factor cuts the product at its top degree, the last
+    # complete one; the layout below is checked in the degrees that remain
+    top = a.max_degree if a.truncated else a.max_degree + b.max_degree
 
     def blocks(n):
         out, off = {}, 0
@@ -231,7 +234,7 @@ def test_tensor_product_has_the_koszul_block_layout(sa, sb, ta, tb, cut):
             off += a.dims[p] * b.dims[n - p]
         return out, off
 
-    assert t.max_degree == a.max_degree + b.max_degree
+    assert t.max_degree == top
     for n in range(t.max_degree + 1):
         assert t.dims[n] == blocks(n)[1]
     for n in range(1, t.max_degree + 1):
@@ -254,6 +257,37 @@ def test_tensor_product_has_the_koszul_block_layout(sa, sb, ta, tb, cut):
                     dense_oracle.dense_identity(a.dims[p]), _dense(b.d(q)),
                     a.dims[p], b.dims[q]), tgt[(p, q - 1)], off, (-1) ** p)
         assert _dense(t.d(n)) == expected
+
+
+@given(seeds, seeds, st.integers(0, 3), st.integers(0, 2))
+@settings(max_examples=30, deadline=None)
+def test_tensor_with_a_cut_factor_is_exact_where_flagged(sa, sb, ca, cb):
+    """Cutting the factors with truncate_complex changes no Betti number of
+    the product in a degree flagged exact, and only bounds it from above at
+    the top."""
+    a, _ = random_complex(sa, max_degree=3)
+    b, _ = random_complex(sb, max_degree=2)
+    full = homology(tensor_complexes(a, b)).betti
+    cut_a, cut_b = truncate_complex(a, ca), truncate_complex(b, cb)
+    t = tensor_complexes(cut_a, cut_b)
+    tops = [c.max_degree for c in (cut_a, cut_b) if c.truncated]
+    assert t.max_degree == min(tops, default=a.max_degree + b.max_degree)
+    h = homology(t)
+    for n, flag in enumerate(h.flags):
+        if flag == "exact":
+            assert h.betti[n] == full[n], (n, h.betti, full)
+        else:
+            assert h.betti[n] >= full[n], (n, h.betti, full)
+
+
+def test_tensor_with_a_cut_factor_pins_the_upper_bound():
+    # cut at 2, the factor's boundaries out of degree 3 are gone
+    a, _ = random_complex(5, 3)
+    b, _ = random_complex(6, 2)
+    assert homology(tensor_complexes(a, b)).betti[:3] == (4, 2, 6)
+    h = homology(tensor_complexes(truncate_complex(a, 2), b))
+    assert h.betti == (4, 2, 18)
+    assert h.flags == ("exact", "exact", "upper_bound")
 
 
 def test_tensor_with_point_is_identity_on_dims():
@@ -301,6 +335,36 @@ def test_random_double_complex_is_valid(seed):
     assert verify_double_complex(d)["ok"]
     tot = total_complex(d)
     assert verify_complex(tot.complex)["ok"]
+
+
+def _cut(d: DoubleComplex, max_p: int, max_q: int) -> DoubleComplex:
+    """The cells with p <= max_p and q <= max_q, and the maps out of them
+    (which stay inside, since d lowers p or q)."""
+    def keep(table):
+        return {(p, q): v for (p, q), v in table.items()
+                if p <= max_p and q <= max_q}
+    return DoubleComplex(max_p, max_q, keep(d.cells), keep(d.vert),
+                         keep(d.horiz))
+
+
+@given(seeds, st.integers(0, 4), st.integers(0, 4))
+@settings(max_examples=40, deadline=None)
+def test_cut_total_complex_is_exact_where_flagged(seed, max_p, max_q):
+    """The total complex of a cut double complex ends at its last complete
+    degree; there it is an upper bound and below it every degree agrees
+    with the uncut total complex."""
+    d = random_double_complex(seed)
+    full = homology(total_complex(d).complex).betti
+    top = min(max_p, max_q)
+    cx = total_complex(_cut(d, max_p, max_q), top).complex
+    assert cx.truncated and cx.max_degree == top
+    h = homology(cx)
+    assert h.flags == ("exact",) * top + ("upper_bound",)
+    for n, flag in enumerate(h.flags):
+        if flag == "exact":
+            assert h.betti[n] == full[n], (n, h.betti, full)
+        else:
+            assert h.betti[n] >= full[n], (n, h.betti, full)
 
 
 def _staircase(length: int):
