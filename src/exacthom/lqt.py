@@ -23,8 +23,8 @@ The pieces, bottom up:
   induced cyclic boundary.
 * ``theta_map``: the explicit degreewise identification from that wedge
   complex to signed symmetric-group coinvariants of (group algebra tensor
-  A-tensor-power) spaces. The boundary on the target is transported from
-  the matrix Lie complex through the trace identification, so the
+  A-tensor-power) spaces, whose boundary is the matrix Lie boundary moved
+  there by one formula per section column, without building gl_n(A), so the
   chain-map verification ties the two sides of the comparison together.
 * weight machinery: Cartan eigenspace decomposition of wedge powers of
   gl_n(A), highest-weight subspaces, generated submodules, and the
@@ -45,6 +45,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import combinations
 from itertools import permutations as iter_permutations
 from itertools import product as iter_product
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -59,8 +60,8 @@ from .exactlin import (QuotientStructure, SparseMatrix, Subspace, Vec,
                        quotient_structure, rank, rref, solve_matrix,
                        vec_clean)
 from .lie_homology import (ExteriorBasis, LieModuleAction, ce_complex,
-                           ce_complex_on, coinvariant_reduction, gl_index,
-                           gl_n_of, gln_action_on_chains, guard_exterior_powers,
+                           ce_complex_on, gl_index, gl_n_of,
+                           gln_action_on_chains, guard_exterior_powers,
                            scalar_matrix_generator_action)
 
 
@@ -568,18 +569,16 @@ def cyclic_wedge_complex(a: StructureConstantAlgebra,
     per_degree: List[List[Tuple[Tuple[int, int], ...]]] = \
         [[] for _ in range(max_degree + 1)]
 
-    def rec(i: int, deg: int, stack: List[Tuple[int, int]]):
-        if i == len(gens):
-            per_degree[deg].append(tuple(stack))
-            return
-        j, t = gens[i]
-        rec(i + 1, deg, stack)
-        room = (max_degree - deg) // j
-        top = min(1, room) if j % 2 else room
-        for c in range(1, top + 1):
-            rec(i + 1, deg + c * j, stack + [(j, t)] * c)
+    # one frame per monomial slot; gens is sorted by degree
+    def rec(start: int, deg: int, mono: Tuple[Tuple[int, int], ...]):
+        per_degree[deg].append(mono)
+        for i in range(start, len(gens)):
+            j = gens[i][0]
+            if deg + j > max_degree:
+                break
+            rec(i + j % 2, deg + j, mono + (gens[i],))
 
-    rec(0, 0, [])
+    rec(0, 0, ())
     monomials = tuple(tuple(sorted(per_degree[d]))
                       for d in range(max_degree + 1))
     index = [{mono: i for i, mono in enumerate(monomials[d])}
@@ -647,30 +646,6 @@ def signed_group_tensor_coinvariants(a: StructureConstantAlgebra,
     return quotient_structure(Subspace.from_vectors(amb, rels))
 
 
-def _wedge_identification_raw(a: StructureConstantAlgebra, n: int,
-                              k: int) -> SparseMatrix:
-    """Ambient matrix of the canonical identification: a wedge basis tuple of
-    gl_n(A) generators goes to the sum, over permutations whose cycle traces
-    survive on the matrix legs, of (permutation, coefficient legs)."""
-    perms = _perms(k)
-    wedge = ExteriorBasis(n * n * a.dim, k)
-    tdim = a.dim ** k
-    entries: Dict[Tuple[int, int], Fraction] = {}
-    for ci, tup in enumerate(wedge.tuples):
-        mlegs = []
-        clegs = []
-        for x in tup:
-            mpart, cpart = divmod(x, a.dim)
-            mlegs.append(divmod(mpart, n))
-            clegs.append(cpart)
-        tens = tensor_rank(a.dim, tuple(clegs))
-        for pi, p in enumerate(perms):
-            if trace_coefficient(p, mlegs):
-                key = (pi * tdim + tens, ci)
-                entries[key] = entries.get(key, 0) + 1
-    return SparseMatrix(len(perms) * tdim, len(wedge), entries)
-
-
 @dataclass(frozen=True)
 class GroupTensorModel:
     """Signed coinvariant spaces per degree with the boundary transported
@@ -681,44 +656,68 @@ class GroupTensorModel:
     max_degree: int
     complex: ChainComplex
     quots: Tuple[QuotientStructure, ...]
-    wedge_to_classes: Tuple[SparseMatrix, ...]
+
+
+def _theta_section(a_dim: int, k: int, f: int) -> List[Tuple[int, int, int]]:
+    """s(tau, legs) for the coordinate f: the wedge of the (row, column, leg)
+    generators E_{i,tau(i)} (x) legs[i], i = 0..k-1, in this order."""
+    pi, tens = divmod(f, a_dim ** k)
+    return list(zip(range(k), _perms(k)[pi].images,
+                    tensor_unrank(a_dim, k, tens)))
+
+
+def _theta_identification(a_dim: int,
+                          xs: Sequence[Tuple[int, int, int]]) -> int:
+    """J of an ordered tuple of (row, column, leg) generators whose rows are
+    distinct and are its columns: the coordinate (sigma, legs), where sigma
+    sends a position to the one whose row is its column."""
+    where = {row: p for p, (row, _, _) in enumerate(xs)}
+    sigma = Permutation(tuple(where[col] for _, col, _ in xs))
+    return (_perm_index(len(xs))[sigma] * a_dim ** len(xs)
+            + tensor_rank(a_dim, tuple(leg for _, _, leg in xs)))
 
 
 def theta_codomain_model(a: StructureConstantAlgebra,
                          max_degree: int) -> GroupTensorModel:
-    """Build the target of theta at the smallest stable matrix size
-    n = max(1, max_degree).
-
-    The identification J from gl_n-coinvariants of the wedge power to the
-    signed permutation-tensor space is checked to kill the action relation
-    span and to be invertible in every degree <= max_degree; the boundary is
-    the conjugated matrix Lie boundary, so it squares to zero by
-    construction.
-    """
+    """The target of theta at n = max(1, max_degree): the spaces
+    `signed_group_tensor_coinvariants(a, k)`, k <= max_degree, all guarded
+    (k! * dim(A)^k) before any is built. On each section column the boundary
+    is d_k = proj_{k-1} o J o d_CE o s, with s = `_theta_section`,
+    J = `_theta_identification` and d_CE the pair formula of `ce_complex_on`
+    for [E_ab (x) al, E_cd (x) be] = delta_bc E_ad (x) al be
+    - delta_da E_cb (x) be al. As J o s = id (J reads tau off s(tau, legs)),
+    this is the coinvariant Lie boundary of gl_n(A) conjugated by J.
+    `lqt_stable_check` must not read `lhs` from this model: theta proves it
+    isomorphic to the cyclic wedge complex, the right-hand side."""
     n = max(1, max_degree)
-    guard_exterior_powers(n * n * a.dim, range(max_degree + 1))
-    cx = ce_complex(gl_n_of(a, n), max_degree)
-    actions = [gln_action_on_chains(a, n, k) for k in range(max_degree + 1)]
-    qcx, _, ce_quots = coinvariant_reduction(cx, actions)
-    quots: List[QuotientStructure] = []
-    jbars: List[SparseMatrix] = []
     for k in range(max_degree + 1):
-        q = signed_group_tensor_coinvariants(a, k)
-        j_full = q.projection @ _wedge_identification_raw(a, n, k)
-        if not (j_full @ ce_quots[k].subspace.basis.transpose()).is_zero():
-            raise AssertionError(
-                f"identification is not constant on action orbits in degree {k}")
-        jbar = j_full @ ce_quots[k].section
-        if q.dim != ce_quots[k].dim or rank(jbar) != q.dim:
-            raise AssertionError(
-                f"identification is not invertible in degree {k} at n={n}")
-        quots.append(q)
-        jbars.append(jbar)
+        guard_ambient("signed permutation-tensor space",
+                      math.factorial(k) * a.dim ** k)
+    quots = [signed_group_tensor_coinvariants(a, k)
+             for k in range(max_degree + 1)]
     diffs: Dict[int, SparseMatrix] = {}
     for k in range(1, max_degree + 1):
-        diffs[k] = jbars[k - 1] @ qcx.d(k) @ inverse(jbars[k])
+        entries: Dict[Tuple[int, int], Fraction] = {}
+        for f, ci in quots[k].section.entries:
+            xs = _theta_section(a.dim, k, f)
+            acc: Dict[int, Fraction] = {}
+            for ii, jj in combinations(range(k), 2):
+                pair_sign = 1 if (ii + jj) % 2 else -1
+                rest = xs[:ii] + xs[ii + 1:jj] + xs[jj + 1:]
+                for sign, (r1, c1, l1), (r2, c2, l2) in (
+                        (pair_sign, xs[ii], xs[jj]),
+                        (-pair_sign, xs[jj], xs[ii])):
+                    if c1 != r2:
+                        continue
+                    for t, coef in a.mult.get((l1, l2), {}).items():
+                        key = _theta_identification(a.dim,
+                                                    [(r1, c2, t)] + rest)
+                        acc[key] = acc.get(key, 0) + sign * coef
+            for r, v in quots[k - 1].projection.apply(acc).items():
+                entries[(r, ci)] = v
+        diffs[k] = SparseMatrix(quots[k - 1].dim, quots[k].dim, entries)
     wcx = ChainComplex(tuple(q.dim for q in quots), diffs, truncated=True)
-    return GroupTensorModel(a, n, max_degree, wcx, tuple(quots), tuple(jbars))
+    return GroupTensorModel(a, n, max_degree, wcx, tuple(quots))
 
 
 def _block_cycle_permutation(mono: Tuple[Tuple[int, int], ...],
@@ -736,10 +735,10 @@ def _block_cycle_permutation(mono: Tuple[Tuple[int, int], ...],
 
 
 def _theta_pipeline(a: StructureConstantAlgebra, max_degree: int):
-    """Build domain, codomain, and the theta matrices; returns
-    (chain_map, domain_model, codomain_model, chain_map_report)."""
-    dom = cyclic_wedge_complex(a, max_degree)
+    """Build the codomain first, so its guard runs before any work, then the
+    domain and theta; returns (chain_map, domain, codomain, report)."""
     cod = theta_codomain_model(a, max_degree)
+    dom = cyclic_wedge_complex(a, max_degree)
     comps: Dict[int, SparseMatrix] = {}
     for deg in range(max_degree + 1):
         pidx = _perm_index(deg)

@@ -135,6 +135,7 @@ def test_homology_gl_coinvariants(fixtures, tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["verify", "theta", "--algebra", "DUAL", "--max-degree", "2"],
+    ["verify", "theta", "--algebra", "DUAL", "--max-degree", "5"],
     ["verify", "phi", "--n", "2", "--k", "2"],
     ["verify", "psi", "--algebra", "FIELD", "--n", "2", "--max-degree", "1"],
     ["verify", "quasi-iso", "--algebra", "FIELD", "--max-degree", "2"],
@@ -353,12 +354,16 @@ def test_unwritable_json_path_exits_2_naming_it(tmp_path, capsys):
     ["verify", "lqt", "--algebra", "FIELD", "--n", "32"],
     # building gl_13(Q) would walk C(169, 3) Jacobi triples
     ["verify", "lqt", "--algebra", "FIELD", "--n", "13", "--max-r", "0"],
+    # 3! * 50^3 = 750,000 permutation-tensors in degree 3
+    ["verify", "theta", "--algebra", "ZERO50", "--max-degree", "3"],
 ], ids=["hochschild-2^20", "ce-abelian40", "lqt-gl8", "lqt-gl32",
-        "lqt-gl13-jacobi"])
+        "lqt-gl13-jacobi", "theta-zero50"])
 def test_oversized_input_exits_4_within_seconds(argv, fixtures, tmp_path):
     abelian = tmp_path / "abelian40.json"
     abelian.write_text(json.dumps({"dim": 40, "bracket": []}))
-    paths = dict(fixtures, abelian40=str(abelian))
+    zero50 = tmp_path / "zero50.json"
+    zero50.write_text(json.dumps(algebra_to_json(zero_multiplication(50))))
+    paths = dict(fixtures, abelian40=str(abelian), zero50=str(zero50))
     argv = [paths[a.lower()] if a.isupper() else a for a in argv]
     # In a subprocess, so that a missing guard fails on the timeout
     # instead of hanging the suite.

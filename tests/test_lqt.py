@@ -15,17 +15,23 @@ from exacthom.assoc_homology import (
     field_q,
     h_unitality_report,
     left_unital_two_dim,
+    matrix_algebra,
+    tensor_rank,
     truncated_polynomials,
     zero_multiplication,
 )
-from exacthom.complexes import betti_numbers, verify_complex
-from exacthom.exactlin import (ResourceGuardError, SparseMatrix,
-                               random_unimodular)
+from exacthom.complexes import ChainComplex, betti_numbers, verify_complex
+from exacthom.exactlin import (ResourceGuardError, SparseMatrix, inverse,
+                               random_unimodular, rank)
 from exacthom.lie_homology import (ExteriorBasis, ce_complex, ce_complex_on,
-                                   gl_n_of, guard_exterior_powers)
+                                   coinvariant_reduction, gl_index, gl_n_of,
+                                   gln_action_on_chains, guard_exterior_powers)
 from exacthom.lqt import (
+    GroupTensorModel,
     Permutation,
     _koszul_sort,
+    _theta_identification,
+    _theta_section,
     all_permutations,
     cyclic_wedge_complex,
     equivariance_check,
@@ -378,6 +384,128 @@ def test_theta_map_returns_verified_chain_map():
     f = theta_map(dual_numbers(), 2)
     from exacthom.complexes import verify_chain_map
     assert verify_chain_map(f)["ok"]
+
+
+@pytest.mark.parametrize("alg,max_degree,dims", [
+    (field_q(), 5, [1, 1, 0, 1, 1, 1]),
+    (dual_numbers(), 4, [1, 2, 2, 6, 14]),
+], ids=["Q", "dual"])
+def test_theta_reaches_past_degree_3(alg, max_degree, dims):
+    report = theta_check(alg, max_degree)
+    assert report["lhs_dims"] == dims
+    assert report["verdict"]
+
+
+def test_theta_builds_nothing_of_gl_n(monkeypatch):
+    from exacthom import lie_homology, lqt
+
+    def built(*args):
+        raise AssertionError("theta went through gl_n(A)")
+
+    for name in ("gl_n_of", "ce_complex", "gln_action_on_chains",
+                 "coinvariant_reduction"):
+        for module in (lqt, lie_homology):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, built)
+    assert theta_check(dual_numbers(), 3)["verdict"]
+
+
+def test_cyclic_wedge_recursion_is_bounded_by_the_degree():
+    # 1,270 cyclic generators, more than the default recursion limit
+    model = cyclic_wedge_complex(zero_multiplication(15), 3)
+    assert model.complex.dims == (1, 15, 210, 3165)
+    assert list(model.complex.dims) == \
+        graded_free_commutative_dims(model.generator_counts, 3)
+
+
+# -- theta's codomain against the gl_n-coinvariant reference ----------------------
+
+
+def reference_wedge_identification(a, n, k):
+    """The identification J on every wedge basis tuple of gl_n(A)
+    generators: the sum, over the permutations whose cycle traces survive on
+    the matrix legs, of (permutation, coefficient legs)."""
+    perms = all_permutations(k)
+    wedge = ExteriorBasis(n * n * a.dim, k)
+    tdim = a.dim ** k
+    entries = {}
+    for ci, tup in enumerate(wedge.tuples):
+        mlegs = []
+        clegs = []
+        for x in tup:
+            mpart, cpart = divmod(x, a.dim)
+            mlegs.append(divmod(mpart, n))
+            clegs.append(cpart)
+        tens = tensor_rank(a.dim, tuple(clegs))
+        for pi, p in enumerate(perms):
+            if trace_coefficient(p, mlegs):
+                key = (pi * tdim + tens, ci)
+                entries[key] = entries.get(key, 0) + 1
+    return SparseMatrix(len(perms) * tdim, len(wedge), entries)
+
+
+def reference_theta_codomain_model(a, max_degree):
+    """theta's codomain as it was built before the transport formula: the
+    CE complex of gl_n(A) reduced by the gl_n action, conjugated by J. J is
+    checked to kill the action relation span and to be invertible in every
+    degree."""
+    n = max(1, max_degree)
+    guard_exterior_powers(n * n * a.dim, range(max_degree + 1))
+    cx = ce_complex(gl_n_of(a, n), max_degree)
+    actions = [gln_action_on_chains(a, n, k) for k in range(max_degree + 1)]
+    qcx, _, ce_quots = coinvariant_reduction(cx, actions)
+    quots = []
+    jbars = []
+    for k in range(max_degree + 1):
+        q = signed_group_tensor_coinvariants(a, k)
+        j_full = q.projection @ reference_wedge_identification(a, n, k)
+        if not (j_full @ ce_quots[k].subspace.basis.transpose()).is_zero():
+            raise AssertionError(
+                f"identification is not constant on orbits in degree {k}")
+        jbar = j_full @ ce_quots[k].section
+        if q.dim != ce_quots[k].dim or rank(jbar) != q.dim:
+            raise AssertionError(
+                f"identification is not invertible in degree {k} at n={n}")
+        quots.append(q)
+        jbars.append(jbar)
+    diffs = {k: jbars[k - 1] @ qcx.d(k) @ inverse(jbars[k])
+             for k in range(1, max_degree + 1)}
+    wcx = ChainComplex(tuple(q.dim for q in quots), diffs, truncated=True)
+    return GroupTensorModel(a, n, max_degree, wcx, tuple(quots))
+
+
+@pytest.mark.parametrize("alg,max_degree", [
+    (field_q(), 3), (dual_numbers(), 3), (zero_multiplication(1), 3),
+    (left_unital_two_dim(), 3), (truncated_polynomials(3), 2),
+    (matrix_algebra(2), 2),
+], ids=["Q", "dual", "zero1", "left-unital", "x3", "M2"])
+def test_theta_codomain_matches_the_coinvariant_quotient(alg, max_degree):
+    model = theta_codomain_model(alg, max_degree)
+    ref = reference_theta_codomain_model(alg, max_degree)
+    assert model.n == ref.n
+    assert model.complex.dims == ref.complex.dims
+    for k in range(1, max_degree + 1):
+        assert model.complex.d(k) == ref.complex.d(k)
+    for k in range(max_degree + 1):
+        assert model.quots[k].projection == ref.quots[k].projection
+    assert verify_complex(model.complex)["ok"]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("alg", [field_q(), dual_numbers()],
+                         ids=["Q", "dual"])
+def test_identification_inverts_the_section(alg, k):
+    q = signed_group_tensor_coinvariants(alg, k)
+    j_raw = reference_wedge_identification(alg, k, k)
+    wedge = ExteriorBasis(k * k * alg.dim, k)
+    for f, ci in q.section.entries:
+        xs = _theta_section(alg.dim, k, f)
+        assert _theta_identification(alg.dim, xs) == f
+        # the reference J on the sorted wedge tuple, with its exterior sign
+        sign, tup = _koszul_sort([(1, gl_index(k, alg.dim, *x)) for x in xs])
+        col = j_raw.column(wedge.index[tuple(g for _, g in tup)])
+        assert q.projection.apply(
+            {r: sign * v for r, v in col.items()}) == {ci: 1}
 
 
 # -- weight decomposition ------------------------------------------------------------
@@ -746,8 +874,9 @@ def test_xi_rejects_bad_input():
 
 
 @pytest.mark.parametrize("build, size", [
-    # gl_3 of a 20-dimensional algebra: C(180, 3) tuples in degree 3
-    (lambda: theta_codomain_model(zero_multiplication(20), 3), 955860),
+    # theta on a 50-dimensional algebra: 3! * 50^3 permutation-tensors in
+    # degree 3, refused before either side of theta is built
+    (lambda: theta_check(zero_multiplication(50), 3), 750000),
     # gl_32(Q): C(1024, 2) tuples in degree 2
     (lambda: lqt_stable_check(field_q(), 32, 1), 523776),
     # gl_13(Q): its Jacobi check walks C(169, 3) triples
@@ -758,9 +887,11 @@ def test_wedge_powers_are_guarded_before_gl_n_is_built(build, size,
     from exacthom import lqt
 
     def built(*args):
-        raise AssertionError("gl_n(A) was built")
+        raise AssertionError("gl_n(A) or a side of theta was built")
 
-    monkeypatch.setattr(lqt, "gl_n_of", built)
+    for name in ("gl_n_of", "cyclic_wedge_complex",
+                 "signed_group_tensor_coinvariants"):
+        monkeypatch.setattr(lqt, name, built)
     with pytest.raises(ResourceGuardError) as e:
         build()
     assert e.value.sizing["size"] == size
