@@ -48,7 +48,8 @@ class LieAxiomError(ValueError):
 
 @dataclass(frozen=True)
 class StructureConstantLieAlgebra:
-    """Lie algebra given by bracket structure constants; validated exactly."""
+    """Lie algebra given by bracket structure constants; validated exactly,
+    after its C(dim, 2) pairs and C(dim, 3) Jacobi triples are guarded."""
 
     dim: int
     bracket: Dict[Tuple[int, int], Vec]
@@ -57,6 +58,7 @@ class StructureConstantLieAlgebra:
     def __post_init__(self):
         if self.dim <= 0:
             raise LieAxiomError("dimension must be positive")
+        guard_exterior_powers(self.dim, (2, 3))
         if self.names and len(self.names) != self.dim:
             raise LieAxiomError("names length != dim")
         for (i, j), v in self.bracket.items():
@@ -154,10 +156,12 @@ def gl_index(n: int, a_dim: int, i: int, j: int, c: int) -> int:
 
 
 def gl_n_of(a: StructureConstantAlgebra, n: int) -> StructureConstantLieAlgebra:
-    """Matrix Lie algebra gl_n(A) on basis e_ij (x) b_c under the commutator."""
+    """Matrix Lie algebra gl_n(A) on basis e_ij (x) b_c under the commutator;
+    guarded as its Jacobi check is, before its dim^2-entry table is filled."""
     if n < 1:
         raise ValueError("need n >= 1")
     dim = n * n * a.dim
+    guard_exterior_powers(dim, (2, 3))
     bracket: Dict[Tuple[int, int], Vec] = {}
     for i in range(n):
         for j in range(n):

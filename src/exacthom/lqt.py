@@ -15,7 +15,8 @@ The pieces, bottom up:
   group. It kills the conjugation-action relation span (checked exactly),
   commutes with the two symmetric-group actions (place permutation on
   tensor legs, conjugation on the group algebra), and is a bijection on
-  coinvariants exactly when n >= k.
+  coinvariants exactly when n >= k. Each tensor of nonzero Cartan weight is
+  a relation, so only the weight-0 relations e_rs . x are eliminated.
 * ``cyclic_wedge_complex``: the free graded-commutative algebra on the
   cyclic quotient complex shifted up by one (a class in cyclic degree j-1
   becomes a generator of wedge degree j; odd generators square to zero,
@@ -57,7 +58,7 @@ from .complexes import (ChainComplex, ChainMap, betti_numbers,
                         verify_chain_map)
 from .exactlin import (QuotientStructure, SparseMatrix, Subspace, Vec,
                        guard_ambient, inverse, kernel_basis,
-                       quotient_structure, rank, rref, solve_matrix,
+                       quotient_structure, rank, solve_matrix,
                        vec_clean)
 from .lie_homology import (ExteriorBasis, LieModuleAction, ce_complex,
                            ce_complex_on, gl_index, gl_n_of,
@@ -380,47 +381,35 @@ def trace_invariant_matrix(n: int, k: int) -> SparseMatrix:
     return SparseMatrix(len(perms), amb, entries)
 
 
-def _conjugation_relation_buckets(
-        n: int, k: int) -> Dict[Tuple[int, ...], List[Vec]]:
-    """Spanning vectors of the conjugation-action relation space inside the
-    k-fold tensor power of n x n matrices, bucketed by their Cartan weight
-    (buckets have disjoint coordinate supports, so ranks add)."""
+def _trace_relation_span(n: int, k: int) -> Tuple[SparseMatrix, Subspace, bool]:
+    """The trace pairing phi, the RREF span of the conjugation relations
+    e_rs . x, and whether phi kills it (iff it kills its RREF rows). e_rr
+    scales a basis tensor x by its weight at r, so each x of nonzero weight
+    is a unit row; a weight-0 relation is e_rs . x with wt(x) = e_s - e_r,
+    and those alone are eliminated, then merged with the unit rows by pivot."""
+    phi = trace_invariant_matrix(n, k)
     dim = n * n
     amb = dim ** k
-    # a leg is a generator of gl_n(Q); e_rs acts on one leg at a time
     ground = field_q()
-    actions = [(r, s, [scalar_matrix_generator_action(n, 1, r, s)(leg)
-                       for leg in range(dim)])
-               for r in range(n) for s in range(n)]
-    buckets: Dict[Tuple[int, ...], List[Vec]] = {}
+    merged: List[Tuple[int, Vec]] = []
+    weight_zero: List[Vec] = []
     for cidx in range(amb):
         legs = tensor_unrank(dim, k, cidx)
         wt = wedge_weight(ground, n, legs)
-        for r, s, on_leg in actions:
+        if any(wt):
+            merged.append((cidx, {cidx: 1}))
+        if sum(map(abs, wt)) == 2:
+            on_leg = scalar_matrix_generator_action(n, 1, wt.index(-1),
+                                                    wt.index(1))
             acc: Dict[int, Fraction] = {}
             for t, leg in enumerate(legs):
-                for y, coef in on_leg[leg].items():
+                for y, coef in on_leg(leg).items():
                     key = tensor_rank(dim, legs[:t] + (y,) + legs[t + 1:])
                     acc[key] = acc.get(key, 0) + coef
-            vec = vec_clean(acc)
-            if vec:
-                w = list(wt)
-                w[r] += 1
-                w[s] -= 1
-                buckets.setdefault(tuple(w), []).append(vec)
-    return buckets
-
-
-def _trace_relation_span(n: int, k: int) -> Tuple[SparseMatrix, Subspace, bool]:
-    """The trace pairing phi, the RREF span of the conjugation relations
-    (the weight buckets' bases merged by pivot), and whether phi kills that
-    span, which it does iff it kills the span's RREF basis."""
-    phi = trace_invariant_matrix(n, k)
-    amb = (n * n) ** k
-    merged: List[Tuple[int, Vec]] = []
-    for vecs in _conjugation_relation_buckets(n, k).values():
-        reduced, piv = rref(SparseMatrix.from_rows(vecs, amb))
-        merged.extend((p, reduced.row(i)) for i, p in enumerate(piv))
+            weight_zero.append(acc)
+    reduced = Subspace.from_vectors(amb, weight_zero)
+    merged.extend((p, reduced.basis.row(i))
+                  for i, p in enumerate(reduced.pivots))
     merged.sort(key=lambda t: t[0])
     rows = [r for _, r in merged]
     sub = Subspace(amb, SparseMatrix.from_rows(rows, amb),
@@ -1164,28 +1153,31 @@ def lqt_stable_check(a: StructureConstantAlgebra, n: int,
     stable range: degrees r with r+1 <= n for unital A, 2r+1 <= n for
     non-unital A (where bar-acyclicity is checked and recorded).
 
-    For unital A only the weight-0 block of the Chevalley-Eilenberg complex
-    is built (`weight_zero_tuples`, degrees 0..max_r+1): the boundary keeps
-    the Cartan weight, and E_ii (x) 1 lies in gl_n(A), so by the Cartan
-    homotopy formula (`homotopy_identity_check`) every block of nonzero
-    weight is acyclic. Without a unit this fails (for zero multiplication
-    gl_n(A) is abelian and H_1 carries every weight), so the h_unital route
-    builds whole exterior powers. Building gl_n(A) walks C(dim, 2) bracket
+    The Lie chains are built only through one degree past the last stable
+    degree, since no Betti number above it is read. For unital A only the
+    weight-0 block of the Chevalley-Eilenberg complex is built
+    (`weight_zero_tuples`): the boundary keeps the Cartan weight, and
+    E_ii (x) 1 lies in gl_n(A), so by the Cartan homotopy formula
+    (`homotopy_identity_check`) every block of nonzero weight is acyclic.
+    Without a unit this fails (for zero multiplication gl_n(A) is abelian
+    and H_1 carries every weight), so the h_unital route builds whole
+    exterior powers. Building gl_n(A) walks C(dim, 2) bracket
     pairs and C(dim, 3) Jacobi triples; those, and each chain space (the
     weight-0 count on the unital route), are guarded before gl_n(A) is
     built or any tuple is enumerated."""
     if n < 1 or max_r < 0:
         raise ValueError("need n >= 1 and max_r >= 0")
     dim = n * n * a.dim
-    top = max_r + 1
     guard_exterior_powers(dim, (2, 3))
     unital = a.unit is not None
+    width = 1 if unital else 2
+    degrees = [r for r in range(max_r + 1) if width * r + 1 <= n]
+    top = degrees[-1] + 1
     if unital:
         for k in range(top + 1):
             guard_ambient(f"weight-0 part of exterior power {k} of a "
                           f"{dim}-dimensional gl_{n}(A)",
                           weight_zero_count(n, a.dim, k))
-        degrees = [r for r in range(max_r + 1) if r + 1 <= n]
         route = "unital"
         precondition = True
         hrep = None
@@ -1195,7 +1187,6 @@ def lqt_stable_check(a: StructureConstantAlgebra, n: int,
     else:
         guard_exterior_powers(dim, range(top + 1))
         hrep = h_unitality_report(a, max_r + 2)
-        degrees = [r for r in range(max_r + 1) if 2 * r + 1 <= n]
         route = "h_unital"
         precondition = hrep["verdict"] == "pass"
         lie = ce_complex(gl_n_of(a, n), top)

@@ -356,14 +356,25 @@ def test_unwritable_json_path_exits_2_naming_it(tmp_path, capsys):
     ["verify", "lqt", "--algebra", "FIELD", "--n", "13", "--max-r", "0"],
     # 3! * 50^3 = 750,000 permutation-tensors in degree 3
     ["verify", "theta", "--algebra", "ZERO50", "--max-degree", "3"],
+    # building gl_20(Q) would walk C(400, 3) Jacobi triples
+    ["homology", "ce", "--algebra", "FIELD", "--gl", "20",
+     "--max-degree", "1"],
+    ["homology", "gl", "--algebra", "FIELD", "--gl", "20",
+     "--max-degree", "1"],
+    # loading a 200-dimensional Lie algebra walks C(200, 3) Jacobi triples
+    ["homology", "ce", "--lie", "ABELIAN200", "--max-degree", "1"],
 ], ids=["hochschild-2^20", "ce-abelian40", "lqt-gl8", "lqt-gl32",
-        "lqt-gl13-jacobi", "theta-zero50"])
+        "lqt-gl13-jacobi", "theta-zero50", "ce-gl20-jacobi",
+        "gl-gl20-jacobi", "ce-lie200-jacobi"])
 def test_oversized_input_exits_4_within_seconds(argv, fixtures, tmp_path):
     abelian = tmp_path / "abelian40.json"
     abelian.write_text(json.dumps({"dim": 40, "bracket": []}))
+    abelian200 = tmp_path / "abelian200.json"
+    abelian200.write_text(json.dumps({"dim": 200, "bracket": []}))
     zero50 = tmp_path / "zero50.json"
     zero50.write_text(json.dumps(algebra_to_json(zero_multiplication(50))))
-    paths = dict(fixtures, abelian40=str(abelian), zero50=str(zero50))
+    paths = dict(fixtures, abelian40=str(abelian),
+                 abelian200=str(abelian200), zero50=str(zero50))
     argv = [paths[a.lower()] if a.isupper() else a for a in argv]
     # In a subprocess, so that a missing guard fails on the timeout
     # instead of hanging the suite.

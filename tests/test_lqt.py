@@ -17,21 +17,25 @@ from exacthom.assoc_homology import (
     left_unital_two_dim,
     matrix_algebra,
     tensor_rank,
+    tensor_unrank,
     truncated_polynomials,
     zero_multiplication,
 )
 from exacthom.complexes import ChainComplex, betti_numbers, verify_complex
-from exacthom.exactlin import (ResourceGuardError, SparseMatrix, inverse,
-                               random_unimodular, rank)
+from exacthom.exactlin import (ResourceGuardError, SparseMatrix, Subspace,
+                               inverse, quotient_structure, random_unimodular,
+                               rank, rref, vec_clean)
 from exacthom.lie_homology import (ExteriorBasis, ce_complex, ce_complex_on,
                                    coinvariant_reduction, gl_index, gl_n_of,
-                                   gln_action_on_chains, guard_exterior_powers)
+                                   gln_action_on_chains, guard_exterior_powers,
+                                   scalar_matrix_generator_action)
 from exacthom.lqt import (
     GroupTensorModel,
     Permutation,
     _koszul_sort,
     _theta_identification,
     _theta_section,
+    _trace_relation_span,
     all_permutations,
     cyclic_wedge_complex,
     equivariance_check,
@@ -297,6 +301,84 @@ def test_equivariance_hand_pin():
     # conjugation by the swap fixes both group elements in S_2
     rhs = phi.apply(g)
     assert lhs == rhs
+
+
+def reference_conjugation_relation_buckets(n, k):
+    """Spanning vectors of the conjugation-action relation space inside the
+    k-fold tensor power of n x n matrices, bucketed by their Cartan weight
+    (buckets have disjoint coordinate supports, so ranks add)."""
+    dim = n * n
+    amb = dim ** k
+    # a leg is a generator of gl_n(Q); e_rs acts on one leg at a time
+    ground = field_q()
+    actions = [(r, s, [scalar_matrix_generator_action(n, 1, r, s)(leg)
+                       for leg in range(dim)])
+               for r in range(n) for s in range(n)]
+    buckets = {}
+    for cidx in range(amb):
+        legs = tensor_unrank(dim, k, cidx)
+        wt = wedge_weight(ground, n, legs)
+        for r, s, on_leg in actions:
+            acc = {}
+            for t, leg in enumerate(legs):
+                for y, coef in on_leg[leg].items():
+                    key = tensor_rank(dim, legs[:t] + (y,) + legs[t + 1:])
+                    acc[key] = acc.get(key, 0) + coef
+            vec = vec_clean(acc)
+            if vec:
+                w = list(wt)
+                w[r] += 1
+                w[s] -= 1
+                buckets.setdefault(tuple(w), []).append(vec)
+    return buckets
+
+
+def reference_trace_relation_span(n, k):
+    """The trace pairing phi, the RREF span of the conjugation relations
+    (the weight buckets' bases merged by pivot), and whether phi kills that
+    span, which it does iff it kills the span's RREF basis: every generator
+    applied to every tensor, one elimination per weight bucket."""
+    phi = trace_invariant_matrix(n, k)
+    amb = (n * n) ** k
+    merged = []
+    for vecs in reference_conjugation_relation_buckets(n, k).values():
+        reduced, piv = rref(SparseMatrix.from_rows(vecs, amb))
+        merged.extend((p, reduced.row(i)) for i, p in enumerate(piv))
+    merged.sort(key=lambda t: t[0])
+    rows = [r for _, r in merged]
+    sub = Subspace(amb, SparseMatrix.from_rows(rows, amb),
+                   tuple(p for p, _ in merged))
+    return phi, sub, not any(phi.apply(r) for r in rows)
+
+
+SMALL_TRACE_CASES = [(n, k) for n in (1, 2, 3) for k in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("n,k", SMALL_TRACE_CASES + [(4, 2), (4, 3), (2, 4)])
+def test_relation_span_matches_the_weight_buckets(n, k):
+    phi, sub, kills = _trace_relation_span(n, k)
+    ref_phi, ref_sub, ref_kills = reference_trace_relation_span(n, k)
+    assert phi == ref_phi
+    assert sub.basis == ref_sub.basis
+    assert sub.pivots == ref_sub.pivots
+    assert kills == ref_kills
+
+
+@pytest.mark.parametrize("n,k", SMALL_TRACE_CASES)
+def test_trace_map_matches_the_one_built_on_the_reference_span(n, k):
+    phi, inv = trace_invariant_map(n, k)
+    ref_phi, sub, kills = reference_trace_relation_span(n, k)
+    assert kills
+    q = quotient_structure(sub)
+    on_quotient = ref_phi @ q.section
+    kfac = math.factorial(k)
+    bijective = q.dim == kfac and rank(on_quotient) == kfac
+    assert phi == ref_phi
+    assert bijective == (n >= k)
+    if bijective:
+        assert inv == q.section @ inverse(on_quotient)
+    else:
+        assert inv is None
 
 
 # -- the graded wedge domain --------------------------------------------------------
@@ -765,12 +847,48 @@ BENCHMARK_LQT_CASES = [
 ]
 
 
+# max_r past the stable range: the reference still builds every degree
+PAST_STABLE_CASES = [
+    ("Q", field_q(), 1, 3),
+    ("Q", field_q(), 3, 5),
+    ("dual", dual_numbers(), 2, 3),
+    ("dual", dual_numbers(), 3, 4),
+    ("x3", truncated_polynomials(3), 2, 3),
+    ("left-unital", left_unital_two_dim(), 3, 3),
+    ("zero1", zero_multiplication(1), 3, 2),
+]
+
+
 @pytest.mark.parametrize("name,alg,n,max_r",
                          UNITAL_CASES + BENCHMARK_LQT_CASES
-                         + [("left-unital", left_unital_two_dim(), 3, 1)])
+                         + [("left-unital", left_unital_two_dim(), 3, 1)]
+                         + PAST_STABLE_CASES)
 def test_stable_check_report_matches_the_full_complex(name, alg, n, max_r):
     assert lqt_stable_check(alg, n, max_r) == \
         reference_lqt_stable_check(alg, n, max_r)
+
+
+def test_stable_check_builds_no_degree_past_the_stable_range(monkeypatch):
+    from exacthom import lqt
+    asked = []
+
+    def recording_tuples(n, a_dim, k):
+        asked.append(k)
+        return weight_zero_tuples(n, a_dim, k)
+
+    def recording_ce(g, top):
+        asked.append(top)
+        return ce_complex(g, top)
+
+    monkeypatch.setattr(lqt, "weight_zero_tuples", recording_tuples)
+    monkeypatch.setattr(lqt, "ce_complex", recording_ce)
+    # gl_3(Q): stable degrees 0..2, so chains through degree 3
+    assert lqt_stable_check(field_q(), 3, 5)["degrees"] == [0, 1, 2]
+    assert asked == [0, 1, 2, 3]
+    asked.clear()
+    # the h_unital route on gl_3: stable degrees 0..1, chains through 2
+    assert lqt_stable_check(left_unital_two_dim(), 3, 3)["degrees"] == [0, 1]
+    assert asked == [2]
 
 
 def brute_weight_zero(n, a_dim, k):
