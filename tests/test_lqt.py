@@ -4,6 +4,9 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations
+from itertools import permutations as iter_permutations
+from itertools import product as iter_product
+from typing import Dict, List, Tuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +27,7 @@ from exacthom.assoc_homology import (
 from exacthom.complexes import ChainComplex, betti_numbers, verify_complex
 from exacthom.exactlin import (ResourceGuardError, SparseMatrix, Subspace,
                                inverse, quotient_structure, random_unimodular,
-                               rank, rref, vec_clean)
+                               rank, rref, solve_matrix, vec_clean)
 from exacthom.lie_homology import (ExteriorBasis, ce_complex, ce_complex_on,
                                    coinvariant_reduction, gl_index, gl_n_of,
                                    gln_action_on_chains, guard_exterior_powers,
@@ -32,7 +35,14 @@ from exacthom.lie_homology import (ExteriorBasis, ce_complex, ce_complex_on,
 from exacthom.lqt import (
     GroupTensorModel,
     Permutation,
+    SpechtModule,
+    _check_partition,
+    _hook_length_dim,
     _koszul_sort,
+    _perm_index,
+    _perms,
+    _rows_from_filling,
+    _tabloid_key,
     _theta_identification,
     _theta_section,
     _trace_relation_span,
@@ -221,10 +231,151 @@ def test_specht_column_partition_is_sign_module():
 
 
 def test_specht_hook_shape_action_closes():
-    # construction itself verifies the composition law on all pairs
+    # construction itself verifies the composition law on every pair
     s = specht_module((2, 1))
     assert s.dim == 2
     assert len(s.action) == 6
+
+
+def reference_apply_perm_to_entries(rows, perm: Permutation):
+    """Apply a permutation of {1..m} (stored 0-based) to every entry."""
+    return tuple(tuple(perm(e - 1) + 1 for e in row) for row in rows)
+
+
+def reference_column_group(rows) -> List[Tuple[int, Dict[int, int]]]:
+    """All column-preserving entry permutations of a tableau, as
+    (sign, entry -> entry) pairs."""
+    ncols = len(rows[0]) if rows else 0
+    cols: List[List[int]] = []
+    for j in range(ncols):
+        col = [row[j] for row in rows if len(row) > j]
+        cols.append(col)
+    per_col = []
+    for col in cols:
+        options = []
+        for q in iter_permutations(range(len(col))):
+            sign = Permutation(q).sign
+            options.append((sign, {col[i]: col[q[i]] for i in range(len(col))}))
+        per_col.append(options)
+    out = []
+    for combo in iter_product(*per_col):
+        sign = 1
+        mapping: Dict[int, int] = {}
+        for s, mp in combo:
+            sign *= s
+            mapping.update(mp)
+        out.append((sign, mapping))
+    return out
+
+
+def reference_polytabloid(rows, tabloid_index):
+    """Signed sum over the column group of the tabloid classes of the
+    permuted tableau."""
+    acc = {}
+    for sign, mapping in reference_column_group(rows):
+        moved = tuple(tuple(mapping.get(e, e) for e in row) for row in rows)
+        idx = tabloid_index[_tabloid_key(moved)]
+        acc[idx] = acc.get(idx, 0) + sign
+    return vec_clean(acc)
+
+
+def reference_specht_module(alpha) -> SpechtModule:
+    """The Specht module with a column group rebuilt for every tableau and
+    the composition law checked on all m!^2 pairs."""
+    alpha = tuple(alpha)
+    _check_partition(alpha)
+    m = sum(alpha)
+    if m < 1:
+        raise ValueError("need a partition of m >= 1")
+    fillings = list(iter_permutations(range(1, m + 1)))
+    tabloids = sorted({_tabloid_key(_rows_from_filling(alpha, f))
+                       for f in fillings})
+    t_index = {t: i for i, t in enumerate(tabloids)}
+
+    def is_standard(rows) -> bool:
+        for row in rows:
+            if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
+                return False
+        for i in range(1, len(rows)):
+            for j in range(len(rows[i])):
+                if rows[i - 1][j] >= rows[i][j]:
+                    return False
+        return True
+
+    syt = [_rows_from_filling(alpha, f) for f in fillings
+           if is_standard(_rows_from_filling(alpha, f))]
+    basis_rows = [reference_polytabloid(rows, t_index) for rows in syt]
+    basis = SparseMatrix.from_rows(basis_rows, len(tabloids))
+    if rank(basis) != len(syt):
+        raise AssertionError("standard polytabloids are not independent")
+    all_rows = [reference_polytabloid(_rows_from_filling(alpha, f), t_index)
+                for f in fillings]
+    full_rank = rank(SparseMatrix.from_rows(all_rows, len(tabloids)))
+    perms = all_permutations(m)
+    basis_t = basis.transpose()
+    action = []
+    for p in perms:
+        img = SparseMatrix.from_rows(
+            [reference_polytabloid(reference_apply_perm_to_entries(rows, p),
+                                   t_index)
+             for rows in syt], len(tabloids))
+        coords = solve_matrix(basis_t, img.transpose())
+        if coords is None:
+            raise AssertionError(
+                "permuted polytabloid left the standard span")
+        action.append(coords)
+    pidx = _perm_index(m)
+    for i, p in enumerate(perms):
+        for j, q in enumerate(perms):
+            k = pidx[p.compose(q)]
+            if action[i] @ action[j] != action[k]:
+                raise AssertionError(
+                    f"action matrices break composition at pair ({i},{j})")
+    return SpechtModule(alpha, tuple(tabloids), tuple(syt), basis,
+                        tuple(action), _hook_length_dim(alpha), full_rank)
+
+
+@pytest.mark.parametrize(
+    "alpha", [a for m in range(1, 5) for a in partitions(m)]
+    + [(4, 1), (3, 2)])
+def test_specht_module_matches_the_all_pairs_reference(alpha):
+    assert specht_module(alpha) == reference_specht_module(alpha)
+
+
+def test_specht_module_forms_m_times_m_factorial_products(monkeypatch):
+    products = []
+    real = SparseMatrix.__matmul__
+
+    def counted(self, other):
+        products.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(SparseMatrix, "__matmul__", counted)
+    specht_module((3, 2))
+    assert len(products) == 5 * math.factorial(5)
+
+
+@pytest.mark.parametrize("wrong", [
+    Permutation.identity(5),
+    Permutation.transposition(5, 0, 1),
+    Permutation.from_cycle(5, (0, 1, 2, 3, 4)),
+    _perms(5)[-1],
+])
+def test_specht_module_rejects_a_wrong_action_matrix(wrong, monkeypatch):
+    from exacthom import lqt
+    calls = []
+
+    def solve_one_wrong(a, b):
+        coords = solve_matrix(a, b)
+        calls.append(1)
+        if len(calls) - 1 == _perm_index(5)[wrong]:
+            coords = coords + SparseMatrix(coords.rows, coords.cols,
+                                           {(0, 0): 1})
+        return coords
+
+    monkeypatch.setattr(lqt, "solve_matrix", solve_one_wrong)
+    with pytest.raises(AssertionError, match="composition"):
+        specht_module((4, 1))
 
 
 # -- trace pairing ------------------------------------------------------------------
@@ -303,6 +454,97 @@ def test_equivariance_hand_pin():
     assert lhs == rhs
 
 
+SMALL_TRACE_CASES = [(n, k) for n in (1, 2, 3) for k in (1, 2, 3)]
+
+
+def reference_equivariance_check(n: int, k: int) -> dict:
+    """Exact check of phi(sigma . g) == sigma phi(g) sigma^{-1} for every
+    sigma: place permutation on tensor legs against conjugation on the group
+    algebra."""
+    phi = trace_invariant_matrix(n, k)
+    perms = _perms(k)
+    pidx = _perm_index(k)
+    dim = n * n
+    amb = dim ** k
+    failures = []
+    for s in perms:
+        place: Dict[Tuple[int, int], Fraction] = {}
+        for cidx in range(amb):
+            legs = tensor_unrank(dim, k, cidx)
+            moved = [0] * k
+            for t in range(k):
+                moved[s(t)] = legs[t]
+            place[(tensor_rank(dim, tuple(moved)), cidx)] = 1
+        conj: Dict[Tuple[int, int], Fraction] = {}
+        s_inv = s.inverse()
+        for ti, t in enumerate(perms):
+            conj[(pidx[s.compose(t).compose(s_inv)], ti)] = 1
+        lhs = phi @ SparseMatrix(amb, amb, place)
+        rhs = SparseMatrix(len(perms), len(perms), conj) @ phi
+        if lhs != rhs:
+            failures.append(list(s.images))
+    return {"check": "phi_equivariance",
+            "params": {"n": n, "k": k},
+            "lhs_dims": [len(perms)],
+            "rhs_dims": [len(perms)],
+            "failures": failures,
+            "verdict": not failures,
+            "seed": 0}
+
+
+@pytest.mark.parametrize("n,k", SMALL_TRACE_CASES + [(4, 3), (2, 4)])
+def test_equivariance_matches_the_matrix_reference(n, k):
+    assert equivariance_check(n, k) == reference_equivariance_check(n, k)
+
+
+@pytest.mark.parametrize("n,k", [(2, 3), (3, 3)])
+def test_equivariance_lists_the_reference_failures_of_a_moved_phi(
+        n, k, monkeypatch):
+    from exacthom import lqt
+    phi = trace_invariant_matrix(n, k)
+    entries = dict(phi.entries)
+    (r, c), v = sorted(entries.items())[3]
+    del entries[(r, c)]
+    entries[((r + 1) % phi.rows, c)] = v
+    moved = SparseMatrix(phi.rows, phi.cols, entries)
+    monkeypatch.setattr(lqt, "trace_invariant_matrix", lambda n, k: moved)
+    monkeypatch.setitem(globals(), "trace_invariant_matrix",
+                        lambda n, k: moved)
+    report = equivariance_check(n, k)
+    assert report["failures"]
+    assert report == reference_equivariance_check(n, k)
+
+
+def test_equivariance_builds_no_matrix_besides_phi(monkeypatch):
+    from exacthom import lqt
+    phi = trace_invariant_matrix(3, 3)
+    monkeypatch.setattr(lqt, "trace_invariant_matrix", lambda n, k: phi)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("equivariance_check built a matrix")
+
+    monkeypatch.setattr(SparseMatrix, "__init__", forbidden)
+    monkeypatch.setattr(SparseMatrix, "__matmul__", forbidden)
+    assert equivariance_check(3, 3)["verdict"]
+
+
+def test_verify_phi_builds_the_trace_pairing_once(monkeypatch, capsys):
+    from exacthom import cli, lqt
+    calls = []
+    real = lqt.trace_coefficient
+
+    def counted(perm, legs):
+        calls.append(1)
+        return real(perm, legs)
+
+    lqt.trace_invariant_matrix.cache_clear()
+    monkeypatch.setattr(lqt, "trace_coefficient", counted)
+    cli.main(["verify", "phi", "--n", "2", "--k", "2"])
+    capsys.readouterr()
+    lqt.trace_invariant_matrix.cache_clear()
+    assert len(calls) == math.factorial(2) * 2 ** 4
+
+
 def reference_conjugation_relation_buckets(n, k):
     """Spanning vectors of the conjugation-action relation space inside the
     k-fold tensor power of n x n matrices, bucketed by their Cartan weight
@@ -349,9 +591,6 @@ def reference_trace_relation_span(n, k):
     sub = Subspace(amb, SparseMatrix.from_rows(rows, amb),
                    tuple(p for p, _ in merged))
     return phi, sub, not any(phi.apply(r) for r in rows)
-
-
-SMALL_TRACE_CASES = [(n, k) for n in (1, 2, 3) for k in (1, 2, 3)]
 
 
 @pytest.mark.parametrize("n,k", SMALL_TRACE_CASES + [(4, 2), (4, 3), (2, 4)])
