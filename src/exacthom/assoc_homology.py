@@ -30,14 +30,13 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .exactlin import (
     SparseMatrix,
-    Subspace,
     Vec,
     decode_entries,
     guard_ambient,
     inverse,
     json_int,
-    quotient_structure,
     random_unimodular,
+    signed_orbit_quotient,
     vec_clean,
 )
 from .complexes import (
@@ -48,6 +47,7 @@ from .complexes import (
     betti_numbers,
     homology,
     quasi_iso_degrees,
+    quotient_complex,
     total_complex,
     verify_chain_map,
     verify_double_complex,
@@ -437,33 +437,14 @@ def bar_complex(a: StructureConstantAlgebra, max_degree: int) -> ChainComplex:
 def connes_quotient_complex(
         a: StructureConstantAlgebra,
         max_degree: int) -> Tuple[ChainComplex, List]:
-    """Quotient of the Hochschild complex by im(1 - t), with the induced
-    boundary. Returns the complex and the per-degree quotient structures.
-
-    Well-definedness (b maps im(1-t) into im(1-t), via b(1-t) = (1-t)b') is
-    asserted exactly in every degree, not assumed.
-    """
-    _guard_tensor_power(a, max_degree)
-    quots = []
-    dims = []
-    for n in range(max_degree + 1):
-        size = a.dim ** (n + 1)
-        one_minus = SparseMatrix.identity(size) - cyclic_operator(a.dim, n)
-        sub = Subspace.from_matrix_rows(one_minus.transpose())
-        q = quotient_structure(sub)
-        quots.append((q, one_minus))
-        dims.append(q.dim)
-    diffs = {}
-    for n in range(1, max_degree + 1):
-        qn, one_minus_n = quots[n]
-        qm, _ = quots[n - 1]
-        b = hochschild_boundary(a, n)
-        if not (qm.projection @ b @ one_minus_n).is_zero():
-            raise AssertionError(
-                f"cyclic rotation image is not b-stable in degree {n}")
-        diffs[n] = qm.projection @ b @ qn.section
-    return (ChainComplex(tuple(dims), diffs, truncated=True),
-            [q for q, _ in quots])
+    """Connes' complex C^lambda = C / im(1 - t), whose homology is HC_*
+    over Q, and its per-degree quotient structures, read off the orbits of
+    the signed rotation t. `quotient_complex` asserts in every degree that
+    b maps im(1-t) into im(1-t) (b(1-t) = (1-t)b'), not assumed."""
+    hoch = hochschild_complex(a, max_degree)
+    quots = [signed_orbit_quotient(size, [cyclic_operator(a.dim, n)])
+             for n, size in enumerate(hoch.dims)]
+    return quotient_complex(hoch, quots), quots
 
 
 def cyclic_bicomplex(a: StructureConstantAlgebra, bound: int) -> DoubleComplex:

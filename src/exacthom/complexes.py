@@ -1,5 +1,5 @@
-"""Chain complexes over Q: homology, chain maps, tensor products, double
-complexes, total complexes and the spectral sequence of the column filtration.
+"""Chain complexes over Q: homology, chain maps, quotients, tensor products,
+double and total complexes, and the spectral sequence of the column filtration.
 
 Grading convention: a complex is a finite list of dimensions for degrees
 0..max_degree and differentials d_n: C_n -> C_{n-1}. A complex is *truncated*
@@ -14,9 +14,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .exactlin import (
+    QuotientStructure,
     SparseMatrix,
     Subspace,
     Vec,
@@ -142,6 +143,22 @@ def truncate_complex(c: ChainComplex, new_max: int) -> ChainComplex:
     dims = c.dims[: new_max + 1]
     diffs = {n: m for n, m in c.differentials.items() if n <= new_max}
     return ChainComplex(dims, diffs, truncated=True)
+
+
+def quotient_complex(c: ChainComplex,
+                     quots: Sequence[QuotientStructure]) -> ChainComplex:
+    """c modulo quots[n].subspace in each degree n, with the boundary
+    projection @ d @ section; asserts exactly that d maps each degree's
+    subspace into the one below, so that boundary is the induced one."""
+    diffs = {}
+    for n in range(1, c.max_degree + 1):
+        pd = quots[n - 1].projection @ c.d(n)
+        if not (pd @ quots[n].subspace.basis.transpose()).is_zero():
+            raise AssertionError(f"d does not map the degree-{n} subspace "
+                                 f"into the degree-{n - 1} one")
+        diffs[n] = pd @ quots[n].section
+    return ChainComplex(tuple(q.dim for q in quots), diffs,
+                        truncated=c.truncated)
 
 
 # -- chain maps ---------------------------------------------------------------

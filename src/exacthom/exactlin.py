@@ -3,7 +3,9 @@
 Everything downstream (chain complexes, homology, spectral sequences) reduces to
 rank / kernel / image / solve computations here, so this module is deliberately
 boring: immutable sparse matrices over Q, and a single deterministic elimination
-routine that all higher-level operations share.
+routine that all higher-level operations share. A signed permutation quotient
+(`signed_orbit_quotient`) needs none: its relation rows, read off the orbits,
+are already their canonical RREF, as their pivots are distinct coordinates.
 
 Storage rule: a stored entry is a plain `int` when it is integral and a
 reduced `fractions.Fraction` otherwise, never a `float`, and zeros are never
@@ -565,11 +567,6 @@ class Subspace:
     def zero(ambient_dim: int) -> "Subspace":
         return Subspace(ambient_dim, SparseMatrix.zeros(0, ambient_dim), ())
 
-    @staticmethod
-    def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, SparseMatrix.identity(ambient_dim),
-                        tuple(range(ambient_dim)))
-
     @property
     def dim(self) -> int:
         return self.basis.rows
@@ -603,9 +600,9 @@ class Subspace:
 class QuotientStructure:
     """Projection/section pair realizing Q^n / subspace concretely.
 
-    projection (q x n) kills exactly the subspace; section (n x q) picks the
-    canonical complement spanned by the subspace's free coordinates, so
-    projection @ section is the q x q identity.
+    projection (q x n) kills exactly the subspace; section (n x q) holds the
+    unit coordinates of the subspace's free columns, a single 1 per column,
+    so projection @ section is the q x q identity.
     """
 
     subspace: Subspace
@@ -629,3 +626,37 @@ def quotient_structure(sub: Subspace) -> QuotientStructure:
         for p, coef in col.items():
             proj[(j, p)] = -coef
     return QuotientStructure(sub, SparseMatrix(q, n, proj), SparseMatrix(n, q, sec))
+
+
+def signed_orbit_quotient(dim: int,
+                          gens: Sequence[SparseMatrix]) -> QuotientStructure:
+    """Q^dim modulo v - g v, g in the group generated by `gens`, each a
+    signed permutation matrix (so a forward walk finds whole orbits). Walked
+    from its least index r, an orbit signs each member, e_j = c_j e_r; it is
+    zero if two signs meet at one index, else it keeps its largest index t.
+    Its relation rows, e_j - c_j c_t e_t (j != t) or e_j if it is zero, pivot
+    at their own j, so they are already the RREF of the relation span."""
+    moves = [{c: (r, v) for (r, c), v in g.entries.items()} for g in gens]
+    sign, top = [0] * dim, [None] * dim
+    for root in range(dim):
+        if sign[root]:
+            continue
+        sign[root], orbit, alive = 1, [root], True
+        for j in orbit:
+            for move in moves:
+                i, s = move[j]
+                if not sign[i]:
+                    sign[i] = s * sign[j]
+                    orbit.append(i)
+                alive = alive and sign[i] == s * sign[j]
+        t = max(orbit) if alive else None
+        for j in orbit:
+            top[j] = t
+    pivots = tuple(j for j in range(dim) if top[j] != j)
+    rows: Dict[Tuple[int, int], int] = {}
+    for r, j in enumerate(pivots):
+        rows[(r, j)] = 1
+        if top[j] is not None:
+            rows[(r, top[j])] = -sign[j] * sign[top[j]]
+    return quotient_structure(
+        Subspace(dim, SparseMatrix(len(pivots), dim, rows), pivots))

@@ -38,7 +38,7 @@ from .exactlin import (
     quotient_structure,
     vec_clean,
 )
-from .complexes import ChainComplex, ChainMap
+from .complexes import ChainComplex, ChainMap, quotient_complex
 from .assoc_homology import StructureConstantAlgebra, field_q
 
 
@@ -479,23 +479,10 @@ def coinvariant_reduction(cx: ChainComplex,
             if cx.d(k) @ m_src != m_tgt @ cx.d(k):
                 raise AssertionError(
                     f"action does not commute with d in degree {k}")
-    quots = []
-    for k in range(cx.max_degree + 1):
-        vectors: List[Vec] = []
-        for m in actions[k].matrices:
-            cols: Dict[int, Vec] = {}
-            for (r, c), v in m.entries.items():
-                cols.setdefault(c, {})[r] = v
-            vectors.extend(cols.values())
-        sub = Subspace.from_vectors(cx.dims[k], vectors)
-        quots.append(quotient_structure(sub))
-    diffs = {}
-    for k in range(1, cx.max_degree + 1):
-        diffs[k] = quots[k - 1].projection @ cx.d(k) @ quots[k].section
-    qcx = ChainComplex(tuple(q.dim for q in quots), diffs,
-                       truncated=cx.truncated)
-    proj = ChainMap(cx, qcx, {k: quots[k].projection
-                              for k in range(cx.max_degree + 1)})
+    quots = [quotient_structure(Subspace.from_matrix_rows(SparseMatrix.vstack(
+        [m.transpose() for m in act.matrices]))) for act in actions]
+    qcx = quotient_complex(cx, quots)
+    proj = ChainMap(cx, qcx, {k: q.projection for k, q in enumerate(quots)})
     return qcx, proj, quots
 
 

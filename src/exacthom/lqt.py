@@ -26,9 +26,9 @@ The pieces, bottom up:
   induced cyclic boundary.
 * ``theta_map``: the explicit degreewise identification from that wedge
   complex to signed symmetric-group coinvariants of (group algebra tensor
-  A-tensor-power) spaces, whose boundary is the matrix Lie boundary moved
-  there by one formula per section column, without building gl_n(A), so the
-  chain-map verification ties the two sides of the comparison together.
+  A-tensor-power) spaces, read off signed orbits with no elimination. Their
+  boundary is the matrix Lie boundary moved there per section column, with
+  no gl_n(A) built; the chain-map verification ties the two sides together.
 * weight machinery: Cartan eigenspace decomposition of wedge powers of
   gl_n(A), highest-weight subspaces, generated submodules, and the
   row-chain embedding ``zeta_map`` with its highest-weight restriction
@@ -60,8 +60,8 @@ from .complexes import (ChainComplex, ChainMap, betti_numbers,
                         verify_chain_map)
 from .exactlin import (QuotientStructure, SparseMatrix, Subspace, Vec,
                        guard_ambient, inverse, kernel_basis,
-                       quotient_structure, rank, solve_matrix,
-                       vec_clean)
+                       quotient_structure, rank, signed_orbit_quotient,
+                       solve_matrix, vec_clean)
 from .lie_homology import (ExteriorBasis, LieModuleAction, ce_complex,
                            ce_complex_on, gl_index, gl_n_of,
                            gln_action_on_chains, guard_exterior_powers,
@@ -297,6 +297,7 @@ def specht_module(alpha: Sequence[int]) -> SpechtModule:
     m = sum(alpha)
     if m < 1:
         raise ValueError("need a partition of m >= 1")
+    guard_ambient("fillings of a partition", math.factorial(m))
     fillings = list(iter_permutations(range(1, m + 1)))
     tabloids = sorted({_tabloid_key(_rows_from_filling(alpha, f))
                        for f in fillings})
@@ -600,33 +601,24 @@ def signed_group_tensor_coinvariants(a: StructureConstantAlgebra,
     signed simultaneous action: sigma sends (tau, legs) to
     sign(sigma) (sigma tau sigma^{-1}, legs moved by place permutation).
 
-    Relations are generated by the adjacent transpositions. Basis index is
+    Read off the orbits of the adjacent transpositions, signed permutations
+    of the basis, after k! * dim(A)^k is guarded. Basis index is
     perm_index * dim(A)^k + tensor_index.
     """
-    perms = _perms(k)
-    kfac = len(perms)
     tdim = a.dim ** k
-    amb = kfac * tdim
+    amb = math.factorial(k) * tdim
     guard_ambient("signed permutation-tensor space", amb)
     pidx = _perm_index(k)
-    rels: List[Vec] = []
+    gens = []
     for i in range(k - 1):
         s = Permutation.transposition(k, i, i + 1)
-        conj = [pidx[s.compose(t).compose(s)] for t in perms]
-        for ti in range(kfac):
-            ci = conj[ti]
-            for tens in range(tdim):
-                legs = tensor_unrank(a.dim, k, tens)
-                swapped = legs[:i] + (legs[i + 1], legs[i]) + legs[i + 2:]
-                v: Dict[int, Fraction] = {}
-                tgt = ci * tdim + tensor_rank(a.dim, swapped)
-                src = ti * tdim + tens
-                v[tgt] = v.get(tgt, 0) - 1
-                v[src] = v.get(src, 0) - 1
-                vec = vec_clean(v)
-                if vec:
-                    rels.append(vec)
-    return quotient_structure(Subspace.from_vectors(amb, rels))
+        swapped = [tensor_rank(a.dim, t[:i] + (t[i + 1], t[i]) + t[i + 2:])
+                   for t in (tensor_unrank(a.dim, k, x) for x in range(tdim))]
+        conj = [pidx[s.compose(t).compose(s)] * tdim for t in pidx]
+        gens.append(SparseMatrix(amb, amb, {
+            (conj[ti] + swapped[x], ti * tdim + x): -1
+            for ti in range(len(conj)) for x in range(tdim)}))
+    return signed_orbit_quotient(amb, gens)
 
 
 @dataclass(frozen=True)
@@ -723,25 +715,17 @@ def _theta_pipeline(a: StructureConstantAlgebra, max_degree: int):
     cod = theta_codomain_model(a, max_degree)
     dom = cyclic_wedge_complex(a, max_degree)
     comps: Dict[int, SparseMatrix] = {}
+    # each section column is a unit coordinate: a class's representative
+    reps = [{t: f for f, t in q.section.entries} for q in dom.cyclic_quots]
     for deg in range(max_degree + 1):
         pidx = _perm_index(deg)
-        tdim = a.dim ** deg
         entries: Dict[Tuple[int, int], Fraction] = {}
         for mi, mono in enumerate(dom.monomials[deg]):
-            block_perm = _block_cycle_permutation(mono, deg)
-            acc: Dict[int, Fraction] = {0: 1}
+            ti = 0
             for (j, t) in mono:
-                sec = dom.cyclic_quots[j - 1].section.column(t)
-                base = a.dim ** j
-                new: Dict[int, Fraction] = {}
-                for pi_idx, pv in acc.items():
-                    for si, sv in sec.items():
-                        key = pi_idx * base + si
-                        new[key] = new.get(key, 0) + pv * sv
-                acc = new
-            offset = pidx[block_perm] * tdim
-            wvec = {offset + ti: v for ti, v in acc.items()}
-            for r, v in cod.quots[deg].projection.apply(wvec).items():
+                ti = ti * a.dim ** j + reps[j - 1][t]
+            col = pidx[_block_cycle_permutation(mono, deg)] * a.dim ** deg + ti
+            for r, v in cod.quots[deg].projection.column(col).items():
                 entries[(r, mi)] = v
         comps[deg] = SparseMatrix(cod.complex.dims[deg],
                                   dom.complex.dims[deg], entries)

@@ -13,13 +13,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_oracle
-from exacthom.exactlin import ResourceGuardError, SparseMatrix
-from exacthom.complexes import (betti_numbers, homology, total_complex,
-                                verify_double_complex)
+from exacthom.exactlin import (ResourceGuardError, SparseMatrix, Subspace,
+                               quotient_structure)
+from exacthom.complexes import (ChainComplex, betti_numbers, homology,
+                                total_complex, verify_double_complex)
 from exacthom.assoc_homology import (
     AlgebraAxiomError,
     MissingUnitError,
     StructureConstantAlgebra,
+    _guard_tensor_power,
     algebra_from_json,
     algebra_to_json,
     bB_bicomplex,
@@ -308,3 +310,53 @@ def test_builders_guard_the_top_tensor_power(build):
     with pytest.raises(ResourceGuardError) as e:
         build(dual_numbers(), 19)
     assert e.value.sizing["size"] == 2 ** 20
+
+
+# -- C^lambda against the elimination path it replaced ----------------------------
+
+
+def reference_connes_quotient_complex(a, max_degree):
+    """connes_quotient_complex as it was before the signed-orbit quotient:
+    im(1 - t) eliminated to its RREF, and b-stability checked on 1 - t."""
+    _guard_tensor_power(a, max_degree)
+    quots = []
+    dims = []
+    for n in range(max_degree + 1):
+        size = a.dim ** (n + 1)
+        one_minus = SparseMatrix.identity(size) - cyclic_operator(a.dim, n)
+        sub = Subspace.from_matrix_rows(one_minus.transpose())
+        q = quotient_structure(sub)
+        quots.append((q, one_minus))
+        dims.append(q.dim)
+    diffs = {}
+    for n in range(1, max_degree + 1):
+        qn, one_minus_n = quots[n]
+        qm, _ = quots[n - 1]
+        b = hochschild_boundary(a, n)
+        if not (qm.projection @ b @ one_minus_n).is_zero():
+            raise AssertionError(
+                f"cyclic rotation image is not b-stable in degree {n}")
+        diffs[n] = qm.projection @ b @ qn.section
+    return (ChainComplex(tuple(dims), diffs, truncated=True),
+            [q for q, _ in quots])
+
+
+# the reference is compared at every degree whose chain space is this small
+CONNES_REFERENCE_SIZE = 1000
+QUOTIENT_ALGEBRAS = {
+    "Q": field_q(), "dual": dual_numbers(), "x3": truncated_polynomials(3),
+    "M2": matrix_algebra(2), "zero1": zero_multiplication(1),
+    "zero3": zero_multiplication(3), "left-unital": left_unital_two_dim()}
+
+
+@pytest.mark.parametrize("name", sorted(QUOTIENT_ALGEBRAS))
+def test_connes_complex_matches_the_elimination_path(name):
+    a = QUOTIENT_ALGEBRAS[name]
+    top = max(n for n in range(10)
+              if a.dim ** (n + 1) <= CONNES_REFERENCE_SIZE)
+    cx, quots = connes_quotient_complex(a, top)
+    ref_cx, ref_quots = reference_connes_quotient_complex(a, top)
+    assert cx == ref_cx
+    assert quots == ref_quots
+    assert [q.subspace.pivots for q in quots] == \
+        [q.subspace.pivots for q in ref_quots]

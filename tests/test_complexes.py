@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 import dense_oracle
 from exacthom import complexes
 from exacthom.exactlin import (SparseMatrix, Subspace, Vec, inverse,
-                               kernel_basis, random_unimodular, rank)
+                               kernel_basis, quotient_structure,
+                               random_unimodular, rank)
 from exacthom.complexes import (
     ChainComplex,
     ChainMap,
@@ -25,6 +26,7 @@ from exacthom.complexes import (
     induced_on_homology,
     kunneth_check,
     quasi_iso_degrees,
+    quotient_complex,
     random_complex,
     random_double_complex,
     representatives,
@@ -125,6 +127,32 @@ def test_representatives_are_independent_cycles_mod_boundaries(seed, cut):
         stacked = dense_vectors(reps, c.dims[n]) + bnd
         assert (dense_oracle.dense_rank(stacked)
                 == betti[n] + dense_oracle.dense_rank(bnd))
+
+
+@given(seeds)
+@settings(max_examples=20, deadline=None)
+def test_quotient_by_the_boundaries_is_a_complex_with_a_chain_projection(
+        seed):
+    c, _ = random_complex(seed)
+    quots = [quotient_structure(Subspace.from_matrix_rows(
+        c.d(n + 1).transpose())) for n in range(c.max_degree + 1)]
+    q = quotient_complex(c, quots)
+    assert q.dims == tuple(x.dim for x in quots)
+    assert q.truncated == c.truncated
+    assert verify_complex(q)["ok"]
+    proj = ChainMap(c, q, {n: x.projection for n, x in enumerate(quots)})
+    assert verify_chain_map(proj)["ok"]
+
+
+def test_quotient_complex_rejects_subspaces_d_does_not_preserve():
+    c = ChainComplex((1, 1), {1: SparseMatrix.identity(1)}, truncated=False)
+    quots = [quotient_structure(Subspace.zero(1)),
+             quotient_structure(Subspace.from_vectors(1, [{0: 1}]))]
+    with pytest.raises(AssertionError, match="degree-1 subspace"):
+        quotient_complex(c, quots)
+    # killing the image too makes d preserve the subspaces
+    full = quotient_structure(Subspace.from_vectors(1, [{0: 1}]))
+    assert quotient_complex(c, [full, full]).dims == (0, 0)
 
 
 def test_homology_takes_one_rank_per_differential(monkeypatch):

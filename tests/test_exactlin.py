@@ -21,6 +21,7 @@ from exacthom.exactlin import (
     random_unimodular,
     rank,
     rref,
+    signed_orbit_quotient,
     solve_matrix,
     solve_vector,
     vec_clean,
@@ -546,3 +547,61 @@ def test_block_assembly_rejects_bad_shapes_and_indices():
     assert SparseMatrix.block([], [], {}) == SparseMatrix.zeros(0, 0)
     assert SparseMatrix.block([0, 2], [3, 0], {}) == SparseMatrix.zeros(2, 3)
     assert two.select([], [1, 0]) == SparseMatrix.zeros(0, 2)
+
+
+# -- signed-orbit quotients ----------------------------------------------------
+
+
+def signed_permutation(images, signs) -> SparseMatrix:
+    """The matrix sending e_j to signs[j] * e_images[j]."""
+    n = len(images)
+    return SparseMatrix(n, n, {(i, j): s for j, (i, s)
+                               in enumerate(zip(images, signs))})
+
+
+def relation_quotient(dim, gens):
+    """The elimination path: the quotient by the span of the columns of
+    1 - g, g in gens."""
+    return quotient_structure(Subspace.from_matrix_rows(SparseMatrix.vstack(
+        [(SparseMatrix.identity(dim) - g).transpose() for g in gens])))
+
+
+def assert_same_quotient(got, expected):
+    # == compares the subspace's basis, the projection and the section
+    assert got == expected
+    assert got.subspace.pivots == expected.subspace.pivots
+
+
+@st.composite
+def signed_permutations(draw):
+    dim = draw(st.integers(min_value=0, max_value=12))
+    gens = [signed_permutation(draw(st.permutations(range(dim))),
+                               draw(st.lists(st.sampled_from([1, -1]),
+                                             min_size=dim, max_size=dim)))
+            for _ in range(draw(st.integers(min_value=1, max_value=3)))]
+    return dim, gens
+
+
+@given(signed_permutations())
+@settings(max_examples=150)
+def test_signed_orbit_quotient_is_the_quotient_of_its_relation_span(case):
+    dim, gens = case
+    assert_same_quotient(signed_orbit_quotient(dim, gens),
+                         relation_quotient(dim, gens))
+
+
+@pytest.mark.parametrize("images,signs,dim_q", [
+    # e_0 <-> e_1 with one sign: g^2 = -1 on the orbit, which dies
+    ((1, 0, 2), (1, -1, 1), 1),
+    # a fixed point negated dies; a 3-cycle with sign product 1 survives
+    ((0, 2, 3, 1), (-1, -1, -1, 1), 1),
+    # a 3-cycle with sign product -1 dies
+    ((1, 2, 0), (1, 1, -1), 0),
+    ((1, 2, 0), (-1, -1, 1), 1),
+], ids=["swap", "fixed-and-cycle", "odd-cycle", "even-cycle"])
+def test_signed_orbit_quotient_zeroes_orbits_whose_signs_disagree(
+        images, signs, dim_q):
+    g = signed_permutation(images, signs)
+    q = signed_orbit_quotient(len(images), [g])
+    assert q.dim == dim_q
+    assert_same_quotient(q, relation_quotient(len(images), [g]))

@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exacthom.exactlin import (ResourceGuardError, SparseMatrix,
-                               random_unimodular)
+from exacthom.exactlin import (ResourceGuardError, SparseMatrix, Subspace,
+                               quotient_structure, random_unimodular)
 from exacthom.complexes import (
+    ChainComplex,
+    ChainMap,
     betti_numbers,
     homology,
     verify_chain_map,
@@ -301,6 +303,51 @@ def test_nonunital_coinvariant_complex_builds():
     assert verify_complex(qcx)["ok"]
     assert verify_chain_map(proj)["ok"]
     assert qcx.truncated
+
+
+def reference_coinvariant_reduction(cx, actions):
+    """coinvariant_reduction as it was before `quotient_complex`: the
+    action images gathered column by column, and its own boundary loop."""
+    if len(actions) != cx.max_degree + 1:
+        raise ValueError("need one action per degree")
+    for k, act in enumerate(actions):
+        if act.module_dim != cx.dims[k]:
+            raise ValueError(f"action in degree {k} has wrong module dim")
+    for k in range(1, cx.max_degree + 1):
+        for m_src, m_tgt in zip(actions[k].matrices, actions[k - 1].matrices):
+            if cx.d(k) @ m_src != m_tgt @ cx.d(k):
+                raise AssertionError(
+                    f"action does not commute with d in degree {k}")
+    quots = []
+    for k in range(cx.max_degree + 1):
+        vectors = []
+        for m in actions[k].matrices:
+            cols = {}
+            for (r, c), v in m.entries.items():
+                cols.setdefault(c, {})[r] = v
+            vectors.extend(cols.values())
+        sub = Subspace.from_vectors(cx.dims[k], vectors)
+        quots.append(quotient_structure(sub))
+    diffs = {}
+    for k in range(1, cx.max_degree + 1):
+        diffs[k] = quots[k - 1].projection @ cx.d(k) @ quots[k].section
+    qcx = ChainComplex(tuple(q.dim for q in quots), diffs,
+                       truncated=cx.truncated)
+    proj = ChainMap(cx, qcx, {k: quots[k].projection
+                              for k in range(cx.max_degree + 1)})
+    return qcx, proj, quots
+
+
+@pytest.mark.parametrize("alg,max_degree", [
+    (field_q(), 4), (dual_numbers(), 3), (left_unital_two_dim(), 2),
+], ids=["gl2-Q", "gl2-dual", "gl2-left-unital"])
+def test_coinvariant_reduction_matches_the_reference(alg, max_degree):
+    cx = ce_complex(gl_n_of(alg, 2), max_degree)
+    actions = [gln_action_on_chains(alg, 2, k) for k in range(max_degree + 1)]
+    ref = reference_coinvariant_reduction(cx, actions)
+    assert coinvariant_reduction(cx, actions) == ref
+    # the complex that `homology gl` reads
+    assert gln_coinvariant_complex(alg, 2, max_degree)[0] == ref[0]
 
 
 def test_action_dim_mismatch_is_rejected():

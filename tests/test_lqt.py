@@ -26,8 +26,9 @@ from exacthom.assoc_homology import (
 )
 from exacthom.complexes import ChainComplex, betti_numbers, verify_complex
 from exacthom.exactlin import (ResourceGuardError, SparseMatrix, Subspace,
-                               inverse, quotient_structure, random_unimodular,
-                               rank, rref, solve_matrix, vec_clean)
+                               guard_ambient, inverse, quotient_structure,
+                               random_unimodular, rank, rref, solve_matrix,
+                               vec_clean)
 from exacthom.lie_homology import (ExteriorBasis, ce_complex, ce_complex_on,
                                    coinvariant_reduction, gl_index, gl_n_of,
                                    gln_action_on_chains, guard_exterior_powers,
@@ -669,6 +670,88 @@ def test_signed_coinvariants_rationals():
 
 def test_signed_coinvariants_dual_numbers():
     assert signed_group_tensor_coinvariants(dual_numbers(), 2).dim == 2
+
+
+def reference_signed_group_tensor_coinvariants(a, k):
+    """signed_group_tensor_coinvariants as it was before the signed-orbit
+    quotient: every two-term relation written out and eliminated."""
+    perms = _perms(k)
+    kfac = len(perms)
+    tdim = a.dim ** k
+    amb = kfac * tdim
+    guard_ambient("signed permutation-tensor space", amb)
+    pidx = _perm_index(k)
+    rels: List[Dict[int, Fraction]] = []
+    for i in range(k - 1):
+        s = Permutation.transposition(k, i, i + 1)
+        conj = [pidx[s.compose(t).compose(s)] for t in perms]
+        for ti in range(kfac):
+            ci = conj[ti]
+            for tens in range(tdim):
+                legs = tensor_unrank(a.dim, k, tens)
+                swapped = legs[:i] + (legs[i + 1], legs[i]) + legs[i + 2:]
+                v: Dict[int, Fraction] = {}
+                tgt = ci * tdim + tensor_rank(a.dim, swapped)
+                src = ti * tdim + tens
+                v[tgt] = v.get(tgt, 0) - 1
+                v[src] = v.get(src, 0) - 1
+                vec = vec_clean(v)
+                if vec:
+                    rels.append(vec)
+    return quotient_structure(Subspace.from_vectors(amb, rels))
+
+
+# the reference is compared at every k with k! * dim(A)^k this small
+COINVARIANT_REFERENCE_SIZE = 2000
+QUOTIENT_ALGEBRAS = {
+    "Q": field_q(), "dual": dual_numbers(), "x3": truncated_polynomials(3),
+    "M2": matrix_algebra(2), "zero1": zero_multiplication(1),
+    "zero3": zero_multiplication(3), "left-unital": left_unital_two_dim()}
+
+
+@pytest.mark.parametrize("name", sorted(QUOTIENT_ALGEBRAS))
+def test_signed_coinvariants_match_the_elimination_path(name):
+    a = QUOTIENT_ALGEBRAS[name]
+    for k in range(8):
+        if math.factorial(k) * a.dim ** k > COINVARIANT_REFERENCE_SIZE:
+            break
+        q = signed_group_tensor_coinvariants(a, k)
+        ref = reference_signed_group_tensor_coinvariants(a, k)
+        assert q == ref
+        assert q.subspace.pivots == ref.subspace.pivots
+
+
+def test_signed_quotients_call_no_elimination(monkeypatch):
+    from exacthom import exactlin
+
+    def eliminated(*args, **kwargs):
+        raise AssertionError("elimination was called")
+
+    builds = (lambda: connes_quotient_complex(matrix_algebra(2), 4),
+              lambda: signed_group_tensor_coinvariants(dual_numbers(), 4))
+    expected = [build() for build in builds]
+    monkeypatch.setattr(exactlin, "_eliminate", eliminated)
+    assert [build() for build in builds] == expected
+    with pytest.raises(AssertionError, match="elimination"):
+        rank(SparseMatrix.identity(1))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: signed_group_tensor_coinvariants(field_q(), 10),
+    lambda: specht_module((5, 5)),
+], ids=["signed-coinvariants", "specht"])
+def test_permutation_spaces_are_guarded_before_any_is_listed(build,
+                                                             monkeypatch):
+    from exacthom import lqt
+
+    def listed(*args):
+        raise AssertionError("permutations were listed")
+
+    monkeypatch.setattr(lqt, "_perms", listed)
+    monkeypatch.setattr(lqt, "iter_permutations", listed)
+    with pytest.raises(ResourceGuardError) as e:
+        build()
+    assert e.value.sizing["size"] == math.factorial(10)
 
 
 @pytest.mark.parametrize("alg,name", [(field_q(), "Q"),
