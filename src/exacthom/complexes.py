@@ -229,9 +229,31 @@ def induced_on_homology(f: ChainMap) -> Dict[int, SparseMatrix]:
 
 
 def quasi_iso_degrees(f: ChainMap) -> Dict[int, bool]:
-    """Degrees where H_n(f) is an isomorphism (square and full rank)."""
-    return {n: m.rows == m.cols and rank(m) == m.rows
-            for n, m in induced_on_homology(f).items()}
+    """Degrees where H_n(f) is an isomorphism, decided on ranks alone.
+
+    M_n = [[d_n, 0], [f_n, d'_{n+1}]] on C_n + C'_{n+1}, the mapping cone's
+    differential up to the sign of d_n, has as kernel the (x, y) with dx = 0
+    and f_n x = -d'y: fibres ker d'_{n+1} over {x in Z_n : f_n x in B'_n},
+    which has dimension dim Z_n - rank H_n(f). So rank H_n(f) = rank M_n -
+    rank d_n - rank d'_{n+1}, and H_n(f) is an isomorphism iff it equals
+    b_n(src) and b_n(tgt). Each d's rank is taken once; d'_{n+1} is zero at
+    the target's top, as in `homology`. H_n(f) needs a chain map, so a map
+    failing `verify_chain_map` raises ValueError."""
+    bad = verify_chain_map(f)["failures"]
+    if bad:
+        raise ValueError(f"not a chain map: the square in degree "
+                         f"{bad[0]['degree']} does not commute")
+    top = min(f.src.max_degree, f.tgt.max_degree)
+    rs, rt = ([0] + [rank(c.d(n)) for n in range(1, top + 2)]
+              for c in (f.src, f.tgt))
+    out: Dict[int, bool] = {}
+    for n in range(top + 1):
+        d, dt = f.src.d(n), f.tgt.d(n + 1)
+        on_h = rank(SparseMatrix.block([d.rows, dt.rows], [d.cols, dt.cols], {
+            (0, 0): d, (1, 0): f.component(n), (1, 1): dt})) - rs[n] - rt[n + 1]
+        out[n] = (f.src.dims[n] - rs[n] - rs[n + 1] == on_h
+                  == f.tgt.dims[n] - rt[n] - rt[n + 1])
+    return out
 
 
 # -- tensor products ----------------------------------------------------------

@@ -320,15 +320,14 @@ def specht_module(alpha: Sequence[int]) -> SpechtModule:
         raise AssertionError("standard polytabloids are not independent")
     full_rank = rank(polytabloids(fillings))
     perms = all_permutations(m)
-    basis_t = basis.transpose()
-    action = []
-    for p in perms:
-        img = polytabloids([tuple(p(e - 1) + 1 for e in f) for f in syt])
-        coords = solve_matrix(basis_t, img.transpose())
-        if coords is None:
-            raise AssertionError(
-                "permuted polytabloid left the standard span")
-        action.append(coords)
+    dim = len(syt)  # one solve; perms[i]'s matrix is column block i
+    images = polytabloids([tuple(p(e - 1) + 1 for e in f)
+                           for p in perms for f in syt])
+    coords = solve_matrix(basis.transpose(), images.transpose())
+    if coords is None:
+        raise AssertionError("permuted polytabloid left the standard span")
+    action = [coords.select(range(dim), range(i * dim, (i + 1) * dim))
+              for i in range(len(perms))]
     # The law A[p] A[q] == A[p o q] (A = action) is checked for p the
     # identity or an adjacent transposition s, and every q. That is the law
     # on all pairs: for p = s o p', A[p] A[q] = A[s] A[p'] A[q] =
@@ -367,12 +366,13 @@ def trace_coefficient(perm: Permutation,
 def trace_invariant_matrix(n: int, k: int) -> SparseMatrix:
     """Matrix (k! rows, n^(2k) columns) of the map sending a basis tensor of
     elementary matrices to the sum of its surviving cycle-trace permutations.
-    The last one built is kept for the checks that follow on one (n, k)."""
+    Its k! * n^(2k) entries are guarded before any permutation is listed;
+    the last one built is kept for the checks that follow on one (n, k)."""
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
     dim = n * n
     amb = dim ** k
-    guard_ambient("matrix tensor power", amb)
+    guard_ambient("trace pairing matrix", math.factorial(k) * amb)
     perms = _perms(k)
     entries: Dict[Tuple[int, int], Fraction] = {}
     for cidx in range(amb):
@@ -470,7 +470,10 @@ def equivariance_check(n: int, k: int) -> dict:
     """Exact check of phi(sigma . g) == sigma phi(g) sigma^{-1} for every
     sigma, on each basis tensor g: the column of phi at the place-permuted
     tensor must be the column at g with its group elements conjugated.
-    Read through those two index maps, so phi is the only matrix built."""
+    Read through those two index maps, so phi is the only matrix built;
+    its k! * (k! + n^(2k)) conjugations and column reads are guarded first."""
+    guard_ambient("phi equivariance conjugations and columns",
+                  math.factorial(k) * (math.factorial(k) + n ** (2 * k)))
     phi = trace_invariant_matrix(n, k)
     perms = _perms(k)
     pidx = _perm_index(k)
@@ -608,13 +611,14 @@ def signed_group_tensor_coinvariants(a: StructureConstantAlgebra,
     tdim = a.dim ** k
     amb = math.factorial(k) * tdim
     guard_ambient("signed permutation-tensor space", amb)
-    pidx = _perm_index(k)
+    pidx = {p.images: j for j, p in enumerate(_perms(k))}
     gens = []
     for i in range(k - 1):
-        s = Permutation.transposition(k, i, i + 1)
         swapped = [tensor_rank(a.dim, t[:i] + (t[i + 1], t[i]) + t[i + 2:])
                    for t in (tensor_unrank(a.dim, k, x) for x in range(tdim))]
-        conj = [pidx[s.compose(t).compose(s)] * tdim for t in pidx]
+        s = {i: i + 1, i + 1: i}  # s t s: swap two places, then two values
+        conj = [pidx[tuple(s.get(v, v) for v in t[:i] + (t[i + 1], t[i])
+                           + t[i + 2:])] * tdim for t in pidx]
         gens.append(SparseMatrix(amb, amb, {
             (conj[ti] + swapped[x], ti * tdim + x): -1
             for ti in range(len(conj)) for x in range(tdim)}))

@@ -38,6 +38,7 @@ from exacthom.exactlin import (
     Subspace,
     image_basis,
     quotient_structure,
+    rank,
 )
 
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -305,6 +306,78 @@ def test_local_exactness_failure_is_rejected():
     with pytest.raises(ValueError):
         coresolution_homology(p, [p, p], [identity_morphism(p)],
                               identity_morphism(p))
+
+
+def reference_local_exactness(p, terms, maps, augmentation):
+    """The local-exactness loop of coresolution_homology before it read
+    exactness off one complex per open, kept verbatim as a reference."""
+    u = p.cover_model
+    ground = u.ground_open
+    checked = []
+    for op in u.iterated_cover_intersections():
+        oid = u.open_index(op)
+        if oid == ground:
+            continue
+        checked.append(list(op))
+        aug = augmentation.components[oid]
+        if rank(aug) != p.dims[oid]:
+            raise ValueError(
+                f"augmentation is not surjective on open {op}")
+        prev = aug
+        for i, mor in enumerate(maps):
+            cur = mor.components[oid]
+            if not (prev @ cur).is_zero():
+                raise ValueError(
+                    f"composite at position {i} is nonzero on open {op}")
+            kernel_dim = cur.rows - rank(prev)
+            if rank(cur) != kernel_dim:
+                raise ValueError(
+                    f"local exactness fails at position {i} on open {op}")
+            prev = cur
+        if rank(prev) != prev.cols:
+            raise ValueError(
+                f"local exactness fails at the top term on open {op}")
+    return checked
+
+
+def broken_coresolution(kind):
+    """(p, terms, maps, augmentation, the reference's error, the degree
+    that fails) for one way a coresolution can fail to be locally exact."""
+    p = extension_by_zero_model(three_open_six_point())
+    zero = cokernel_precosheaf(identity_morphism(p))
+    ident, killed = identity_morphism(p), zero_morphism(p, p)
+    return {
+        "surjective": (p, [p], [], killed, "not surjective", 0),
+        "composite": (p, [p, p], [ident], ident, "composite at position 0", 1),
+        "middle": (zero, [p, p], [killed], zero_morphism(p, zero),
+                   "fails at position 0", 1),
+        "top": (p, [p, p], [killed], ident, "fails at the top term", 2),
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", ["surjective", "composite", "middle", "top"])
+def test_local_exactness_fails_where_the_reference_does(kind):
+    p, terms, maps, aug, reason, degree = broken_coresolution(kind)
+    with pytest.raises(ValueError, match=reason) as ref:
+        reference_local_exactness(p, terms, maps, aug)
+    op = str(ref.value).split("on open ")[1]
+    with pytest.raises(ValueError) as new:
+        coresolution_homology(p, terms, maps, aug)
+    assert str(new.value).startswith(
+        f"the augmented coresolution is not exact on open {op} "
+        f"in degree {degree}")
+
+
+@pytest.mark.parametrize("covers", [[[0, 1, 2, 3], [3, 4, 5, 0]],
+                                    [[0, 1, 2], [2, 3, 4], [4, 5, 0]]])
+def test_exact_coresolutions_pass_the_reference_too(covers):
+    u, p0, p1, d = circle_difference_model(6, covers)
+    z = cokernel_precosheaf(d)
+    quots = [quotient_structure(Subspace.from_matrix_rows(
+        image_basis(d.components[i]))) for i in range(len(u.opens))]
+    aug = CosheafMorphism(p1, z, tuple(q.projection for q in quots))
+    assert reference_local_exactness(z, [p1, p0], [d], aug)
+    assert coresolution_homology(z, [p1, p0], [d], aug).betti[:2] == (1, 1)
 
 
 # -- random flabby models ------------------------------------------------------------------

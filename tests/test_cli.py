@@ -363,9 +363,12 @@ def test_unwritable_json_path_exits_2_naming_it(tmp_path, capsys):
      "--max-degree", "1"],
     # loading a 200-dimensional Lie algebra walks C(200, 3) Jacobi triples
     ["homology", "ce", "--lie", "ABELIAN200", "--max-degree", "1"],
+    # k! * (k! + n^(2k)) conjugations and column reads of phi
+    ["verify", "phi", "--n", "1", "--k", "7"],
+    ["verify", "phi", "--n", "2", "--k", "6"],
 ], ids=["hochschild-2^20", "ce-abelian40", "lqt-gl8", "lqt-gl32",
         "lqt-gl13-jacobi", "theta-zero50", "ce-gl20-jacobi",
-        "gl-gl20-jacobi", "ce-lie200-jacobi"])
+        "gl-gl20-jacobi", "ce-lie200-jacobi", "phi-n1-k7", "phi-n2-k6"])
 def test_oversized_input_exits_4_within_seconds(argv, fixtures, tmp_path):
     abelian = tmp_path / "abelian40.json"
     abelian.write_text(json.dumps({"dim": 40, "bracket": []}))

@@ -356,6 +356,82 @@ def test_zero_map_not_quasi_iso():
     assert quasi_iso_degrees(z) == {0: False}
 
 
+def test_quasi_iso_degrees_rejects_a_map_that_is_not_a_chain_map():
+    a = interval()
+    b = ChainComplex((1, 1), {}, truncated=False)
+    f = ChainMap(a, b, {0: SparseMatrix.identity(1), 1: SparseMatrix.identity(1)})
+    with pytest.raises(ValueError, match="degree 1 does not commute"):
+        quasi_iso_degrees(f)
+
+
+def reference_quasi_iso_degrees(f: ChainMap) -> Dict[int, bool]:
+    """quasi_iso_degrees as it was before ranks decided it."""
+    return {n: m.rows == m.cols and rank(m) == m.rows
+            for n, m in induced_on_homology(f).items()}
+
+
+def _random_map(rng: random.Random, rows: int, cols: int) -> SparseMatrix:
+    return SparseMatrix(rows, cols, {
+        (r, c): rng.randint(-2, 2) for r in range(rows) for c in range(cols)
+        if rng.random() < 0.4})
+
+
+def homotopic_to_scalar(c: ChainComplex, a: int,
+                        rng: random.Random) -> Dict[int, SparseMatrix]:
+    """Components of a * id + dh + hd for a random h of degree +1."""
+    top = c.max_degree
+    h = {n: _random_map(rng, c.dims[n + 1], c.dims[n]) for n in range(top)}
+    out = {}
+    for n in range(top + 1):
+        m = SparseMatrix.identity(c.dims[n]).scale(a)
+        if n < top:
+            m = m + c.d(n + 1) @ h[n]
+        if n > 0:
+            m = m + h[n - 1] @ c.d(n)
+        out[n] = m
+    return out
+
+
+@given(seeds, st.integers(min_value=-2, max_value=2),
+       st.integers(min_value=0, max_value=5), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_quasi_iso_degrees_match_the_representative_path(seed, a, cut,
+                                                         conjugate):
+    """a * id + dh + hd on a random complex, into a truncation of it or
+    into a conjugate of it; the verdicts are those of H(f)'s matrices."""
+    c, _ = random_complex(seed)
+    rng = random.Random(seed)
+    tgt = truncate_complex(c, cut)
+    comps = {n: m for n, m in homotopic_to_scalar(c, a, rng).items()
+             if n <= tgt.max_degree}
+    if conjugate:
+        g = [random_unimodular(rng, d) for d in tgt.dims]
+        tgt = ChainComplex(tgt.dims, {
+            n: g[n - 1] @ tgt.d(n) @ inverse(g[n])
+            for n in range(1, tgt.max_degree + 1)}, truncated=tgt.truncated)
+        comps = {n: g[n] @ m for n, m in comps.items()}
+    f = ChainMap(c, tgt, comps)
+    assert verify_chain_map(f)["ok"]
+    assert quasi_iso_degrees(f) == reference_quasi_iso_degrees(f)
+
+
+def test_cyclic_comparison_builds_no_representatives(monkeypatch):
+    from exacthom import assoc_homology
+    from exacthom.assoc_homology import cyclic_comparison_report, matrix_algebra
+
+    monkeypatch.setattr(assoc_homology, "quasi_iso_degrees",
+                        reference_quasi_iso_degrees)
+    expected = cyclic_comparison_report(matrix_algebra(2), 3)
+    monkeypatch.undo()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("representatives were built")
+
+    for name in ("representatives", "kernel_basis", "solve_matrix"):
+        monkeypatch.setattr(complexes, name, forbidden)
+    assert cyclic_comparison_report(matrix_algebra(2), 3) == expected
+
+
 @given(seeds)
 @settings(max_examples=30, deadline=None)
 def test_random_double_complex_is_valid(seed):

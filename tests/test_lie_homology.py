@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exacthom.exactlin import (ResourceGuardError, SparseMatrix, Subspace,
-                               quotient_structure, random_unimodular)
+from exacthom.exactlin import (ResourceGuardError, SparseMatrix, Subspace, Vec,
+                               quotient_structure, random_unimodular,
+                               vec_clean)
 from exacthom.complexes import (
     ChainComplex,
     ChainMap,
@@ -30,15 +31,18 @@ from exacthom.lie_homology import (
     gl_n_of,
     gln_action_on_chains,
     gln_coinvariant_complex,
+    adjoint_generator_action,
     homotopy_identity_check,
     insert_with_sign,
     lie_algebra_from_json,
     lie_algebra_to_json,
     make_lie_algebra,
     sl2_q,
+    wedge_derivation_matrix,
 )
 
 import random
+from typing import Dict, Tuple
 
 
 GL2_BETTI = [1, 1, 0, 1, 1]
@@ -362,7 +366,6 @@ def test_action_dim_mismatch_is_rejected():
 def test_homotopy_identity_sl2_exhaustive():
     rep = homotopy_identity_check(sl2_q(), 3)
     assert rep["verdict"] == "pass"
-    assert rep["exhaustive"]
     # pairs: dim * (C(3,0)+C(3,1)+C(3,2)) = 3 * 7
     assert rep["pairs_checked"] == 21
 
@@ -370,17 +373,100 @@ def test_homotopy_identity_sl2_exhaustive():
 def test_homotopy_identity_gl2():
     rep = homotopy_identity_check(gl_n_of(field_q(), 2), 4)
     assert rep["verdict"] == "pass"
-    assert rep["exhaustive"]
     assert rep["pairs_checked"] == 4 * (1 + 4 + 6 + 4)
 
 
-def test_homotopy_identity_sampled_branch():
-    rep = homotopy_identity_check(gl_n_of(dual_numbers(), 2), 3,
-                                  seed=7, budget=25)
-    assert rep["verdict"] == "pass"
-    assert not rep["exhaustive"]
-    assert rep["pairs_checked"] == 25
-    assert rep["seed"] == 7
+def reference_homotopy_identity_check(g: StructureConstantLieAlgebra,
+                                      max_degree: int, seed: int = 0,
+                                      budget: int = 10_000) -> dict:
+    """homotopy_identity_check as it was before it compared whole
+    matrices: one generator/wedge pair at a time, sampled past a budget."""
+    cx = ce_complex(g, max_degree)
+    bases = [ExteriorBasis(g.dim, k) for k in range(max_degree + 1)]
+    pairs = [(x, k, ti)
+             for k in range(0, max_degree)
+             for ti in range(len(bases[k]))
+             for x in range(g.dim)]
+    exhaustive = len(pairs) <= budget
+    if not exhaustive:
+        rng = random.Random(seed)
+        pairs = [pairs[rng.randrange(len(pairs))] for _ in range(budget)]
+    derivations: Dict[Tuple[int, int], SparseMatrix] = {}
+    checked = 0
+    for x, k, ti in pairs:
+        t = bases[k].tuples[ti]
+        # ad_X extended as a derivation
+        if (x, k) not in derivations:
+            derivations[(x, k)] = wedge_derivation_matrix(
+                bases[k], adjoint_generator_action(g, x))
+        lhs = derivations[(x, k)].column(ti)
+        # d(X ^ c)
+        rhs: Vec = {}
+        ins = insert_with_sign(t, x)
+        if ins is not None:
+            s, wedge = ins
+            col = cx.d(k + 1).column(bases[k + 1].index[wedge])
+            rhs = {i: s * v for i, v in col.items()}
+        # + X ^ d(c)
+        if k >= 1:
+            for i, v in cx.d(k).column(ti).items():
+                ins2 = insert_with_sign(bases[k - 1].tuples[i], x)
+                if ins2 is None:
+                    continue
+                s2, wedge2 = ins2
+                key = bases[k].index[wedge2]
+                rhs[key] = rhs.get(key, 0) + s2 * v
+        if lhs != vec_clean(rhs):
+            return {"check": "wedge_homotopy_identity", "verdict": "fail",
+                    "witness": {"generator": x, "degree": k, "tuple": list(t)},
+                    "exhaustive": exhaustive, "seed": seed}
+        checked += 1
+    return {"check": "wedge_homotopy_identity", "verdict": "pass",
+            "pairs_checked": checked, "exhaustive": exhaustive, "seed": seed}
+
+
+def _without_sampling_keys(report: dict) -> dict:
+    assert report["exhaustive"]
+    return {k: v for k, v in report.items() if k not in ("exhaustive", "seed")}
+
+
+@pytest.mark.parametrize("build,max_degree", [
+    (sl2_q, 3), (lambda: gl_n_of(field_q(), 2), 4),
+    (lambda: gl_n_of(dual_numbers(), 2), 3),
+    (lambda: gl_n_of(left_unital_two_dim(), 2), 3),
+    (lambda: abelian_lie_algebra(3), 3), (sl2_q, 0),
+], ids=["sl2", "gl2", "gl2-dual", "gl2-left-unital", "abelian3",
+        "sl2-degree0"])
+def test_homotopy_identity_matches_the_pairwise_reference(build, max_degree):
+    assert homotopy_identity_check(build(), max_degree) == \
+        _without_sampling_keys(
+            reference_homotopy_identity_check(build(), max_degree))
+
+
+@pytest.mark.parametrize("degree,entry", [(2, (0, 0)), (2, (3, 5)),
+                                          (3, (1, 2)), (4, (0, 0))])
+def test_homotopy_identity_names_the_reference_witness(degree, entry,
+                                                       monkeypatch):
+    """One entry of d_degree is moved, so the formula fails in degree
+    degree - 1 or degree, and both checks name the same first pair."""
+    from exacthom import lie_homology
+    real = lie_homology.ce_complex
+
+    def moved(g, max_degree):
+        cx = real(g, max_degree)
+        d = cx.d(degree) + SparseMatrix(cx.d(degree).rows,
+                                        cx.d(degree).cols, {entry: 1})
+        return ChainComplex(cx.dims, {**cx.differentials, degree: d},
+                            truncated=cx.truncated)
+
+    monkeypatch.setattr(lie_homology, "ce_complex", moved)
+    monkeypatch.setitem(globals(), "ce_complex", moved)
+    g = gl_n_of(field_q(), 2)
+    rep = homotopy_identity_check(g, 4)
+    assert rep["verdict"] == "fail"
+    assert rep["witness"]["degree"] in (degree - 1, degree)
+    assert rep == _without_sampling_keys(
+        reference_homotopy_identity_check(g, 4))
 
 
 def test_homotopy_identity_abelian_trivial():

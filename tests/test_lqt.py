@@ -367,16 +367,16 @@ def test_specht_module_rejects_a_wrong_action_matrix(wrong, monkeypatch):
     calls = []
 
     def solve_one_wrong(a, b):
+        # one solve holds every action matrix, block i in columns i*dim on
         coords = solve_matrix(a, b)
         calls.append(1)
-        if len(calls) - 1 == _perm_index(5)[wrong]:
-            coords = coords + SparseMatrix(coords.rows, coords.cols,
-                                           {(0, 0): 1})
-        return coords
+        return coords + SparseMatrix(coords.rows, coords.cols, {
+            (0, _perm_index(5)[wrong] * coords.rows): 1})
 
     monkeypatch.setattr(lqt, "solve_matrix", solve_one_wrong)
     with pytest.raises(AssertionError, match="composition"):
         specht_module((4, 1))
+    assert len(calls) == 1
 
 
 # -- trace pairing ------------------------------------------------------------------
@@ -734,6 +734,37 @@ def test_signed_quotients_call_no_elimination(monkeypatch):
     assert [build() for build in builds] == expected
     with pytest.raises(AssertionError, match="elimination"):
         rank(SparseMatrix.identity(1))
+
+
+def test_signed_coinvariants_conjugate_without_composing(monkeypatch):
+    expected = [signed_group_tensor_coinvariants(a, k)
+                for a in (field_q(), dual_numbers()) for k in range(1, 6)]
+
+    def composed(*args):
+        raise AssertionError("permutations were composed")
+
+    monkeypatch.setattr(Permutation, "compose", composed)
+    assert [signed_group_tensor_coinvariants(a, k)
+            for a in (field_q(), dual_numbers())
+            for k in range(1, 6)] == expected
+
+
+@pytest.mark.parametrize("build,size", [
+    (lambda: equivariance_check(1, 7), 5040 * (5040 + 1)),
+    (lambda: equivariance_check(1, 6), 720 * (720 + 1)),
+    (lambda: trace_invariant_matrix(2, 6), 720 * 4 ** 6),
+], ids=["equivariance-n1-k7", "equivariance-n1-k6", "matrix-n2-k6"])
+def test_phi_checks_are_guarded_before_any_permutation_is_listed(
+        build, size, monkeypatch):
+    from exacthom import lqt
+
+    def listed(*args):
+        raise AssertionError("permutations were listed")
+
+    monkeypatch.setattr(lqt, "_perms", listed)
+    with pytest.raises(ResourceGuardError) as e:
+        build()
+    assert e.value.sizing["size"] == size
 
 
 @pytest.mark.parametrize("build", [
