@@ -225,6 +225,8 @@ def _verify_phi(ns: argparse.Namespace) -> dict:
 
 
 def _verify_psi(ns: argparse.Namespace) -> dict:
+    if 2 * ns.m > ns.n:
+        raise CliError(EXIT_PARSE, f"--m {ns.m} needs --n >= {2 * ns.m}")
     part = (1,) * ns.m
     return psi_restriction_check(load_algebra(ns), ns.n, ns.m,
                                  part, part, ns.max_degree)

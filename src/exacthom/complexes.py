@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -68,6 +69,11 @@ class ChainComplex:
         tgt = self.dims[n - 1] if 0 <= n - 1 <= self.max_degree else 0
         return SparseMatrix.zeros(tgt, src)
 
+    @cached_property
+    def ranks(self) -> List[int]:
+        """rank d_n for n = 0..max_degree+1, taken once per complex."""
+        return [0] + [rank(self.d(n)) for n in range(1, len(self.dims))] + [0]
+
 
 def verify_complex(c: ChainComplex) -> dict:
     """Check d_{n-1} @ d_n == 0 for all composable pairs.
@@ -75,14 +81,18 @@ def verify_complex(c: ChainComplex) -> dict:
     Returns {"ok": bool, "failures": [{"degree": n, "entry": [r, c, num, den]}]}
     where the entry is the first nonzero witness of d^2 in lexicographic order.
     """
+    return _witnesses((n, c.d(n - 1) @ c.d(n))
+                      for n in range(2, c.max_degree + 1))
+
+
+def _witnesses(defects) -> dict:
+    """verify_complex's result for (degree, defect matrix) pairs."""
     failures = []
-    for n in range(2, c.max_degree + 1):
-        prod = c.d(n - 1) @ c.d(n)
-        if not prod.is_zero():
-            r, col = min(prod.entries)
-            v = prod.entries[(r, col)]
+    for n, m in defects:
+        if not m.is_zero():
+            (r, c), v = min(m.entries.items())
             failures.append({"degree": n,
-                             "entry": [r, col, v.numerator, v.denominator]})
+                             "entry": [r, c, v.numerator, v.denominator]})
     return {"ok": not failures, "failures": failures}
 
 
@@ -101,10 +111,9 @@ class HomologyResult:
 
 
 def homology(c: ChainComplex) -> HomologyResult:
-    """Betti numbers from one rank per differential, shared by the two
-    degrees it touches; see HomologyResult for the formula and the flags."""
-    top = c.max_degree
-    ranks = [0] + [rank(c.d(n)) for n in range(1, top + 1)] + [0]
+    """Betti numbers from the complex's own rank list, `ChainComplex.ranks`;
+    see HomologyResult for the formula and the flags."""
+    top, ranks = c.max_degree, c.ranks
     betti = tuple(c.dims[n] - ranks[n] - ranks[n + 1] for n in range(top + 1))
     flags = tuple("upper_bound" if c.truncated and n == top else "exact"
                   for n in range(top + 1))
@@ -182,18 +191,10 @@ class ChainMap:
 
 def verify_chain_map(f: ChainMap) -> dict:
     """Check the squares d^tgt_n f_n == f_{n-1} d^src_n."""
-    failures = []
     top = min(f.src.max_degree, f.tgt.max_degree)
-    for n in range(1, top + 1):
-        lhs = f.tgt.d(n) @ f.component(n)
-        rhs = f.component(n - 1) @ f.src.d(n)
-        if lhs != rhs:
-            diff = lhs - rhs
-            r, c = min(diff.entries)
-            v = diff.entries[(r, c)]
-            failures.append({"degree": n,
-                             "entry": [r, c, v.numerator, v.denominator]})
-    return {"ok": not failures, "failures": failures}
+    return _witnesses((n, f.tgt.d(n) @ f.component(n)
+                       - f.component(n - 1) @ f.src.d(n))
+                      for n in range(1, top + 1))
 
 
 def _coordinates(reps: List[Vec], span: SparseMatrix,
@@ -236,16 +237,15 @@ def quasi_iso_degrees(f: ChainMap) -> Dict[int, bool]:
     and f_n x = -d'y: fibres ker d'_{n+1} over {x in Z_n : f_n x in B'_n},
     which has dimension dim Z_n - rank H_n(f). So rank H_n(f) = rank M_n -
     rank d_n - rank d'_{n+1}, and H_n(f) is an isomorphism iff it equals
-    b_n(src) and b_n(tgt). Each d's rank is taken once; d'_{n+1} is zero at
-    the target's top, as in `homology`. H_n(f) needs a chain map, so a map
-    failing `verify_chain_map` raises ValueError."""
+    b_n(src) and b_n(tgt). The d's ranks are the complexes' own, shared
+    with `homology`. H_n(f) needs a chain map, so a map failing
+    `verify_chain_map` raises ValueError."""
     bad = verify_chain_map(f)["failures"]
     if bad:
         raise ValueError(f"not a chain map: the square in degree "
                          f"{bad[0]['degree']} does not commute")
     top = min(f.src.max_degree, f.tgt.max_degree)
-    rs, rt = ([0] + [rank(c.d(n)) for n in range(1, top + 2)]
-              for c in (f.src, f.tgt))
+    rs, rt = f.src.ranks, f.tgt.ranks
     out: Dict[int, bool] = {}
     for n in range(top + 1):
         d, dt = f.src.d(n), f.tgt.d(n + 1)
@@ -429,9 +429,10 @@ class SpectralSequence:
                     / (Z(n, F_{p-1}, F_{p-r}) + d Z(n+1, F_{p+r-1}, F_p)).
 
     At r = 0 the denominator is F_{p-1}, since d preserves the filtration.
-    One per-instance memo holds each Z under ("Z", n, c, k), each
-    denominator under its two Z keys and each basis of representatives under
-    its three, so a subspace named by several (r, p, q) is built once.
+    The denominator lies in the numerator, so dim E^r is the difference of
+    their dimensions; only page maps need representatives. One memo holds
+    each Z under ("Z", n, c, k), each denominator under its two Z keys and
+    each representative basis under its three, so each is built once.
     """
 
     def __init__(self, dc: DoubleComplex):
@@ -487,7 +488,8 @@ class SpectralSequence:
             for q in range(self.dc.max_q + 1):
                 if self.dc.dim(p, q) == 0:
                     continue
-                dim = len(self._reps(self._term(r, p, q)))
+                num, z, b = self._term(r, p, q)
+                dim = self._z(*num).dim - self._denominator(z, b).dim
                 if dim:
                     out[(p, q)] = dim
         return out
@@ -495,20 +497,14 @@ class SpectralSequence:
     def _page_maps(self, r: int) -> Dict[Tuple[int, int], SparseMatrix]:
         out: Dict[Tuple[int, int], SparseMatrix] = {}
         dims = self.pages[r]
-        for (p, q), srcdim in dims.items():
-            tp, tq = p - r, q + r - 1
-            tgtdim = dims.get((tp, tq), 0)
-            if tgtdim == 0:
+        for (p, q) in dims:
+            if (p - r, q + r - 1) not in dims:
                 continue
             dmat = self.tot.complex.d(p + q)
-            tgt = self._term(r, tp, tq)
-            tgt_a = self._z(*tgt[0])
+            tgt = self._term(r, p - r, q + r - 1)
             images = dmat @ SparseMatrix.from_rows(
                 self._reps(self._term(r, p, q)), dmat.cols).transpose()
-            for j in range(srcdim):
-                if not tgt_a.contains(images.column(j)):
-                    raise AssertionError(
-                        f"page {r} differential leaves its target at {(p, q)}")
+            # an image outside the target's Z = reps + den has no coordinates
             m = _coordinates(self._reps(tgt),
                              self._denominator(*tgt[1:]).basis.transpose(),
                              images)

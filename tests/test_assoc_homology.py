@@ -7,20 +7,26 @@ oracle inline to guard against drift.
 """
 
 import json
+import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_oracle
+from exacthom import assoc_homology, complexes
 from exacthom.exactlin import (ResourceGuardError, SparseMatrix, Subspace,
-                               quotient_structure)
-from exacthom.complexes import (ChainComplex, betti_numbers, homology,
-                                total_complex, verify_double_complex)
+                               quotient_structure, random_unimodular)
+from exacthom.complexes import (ChainComplex, DoubleComplex, betti_numbers,
+                                homology, quasi_iso_degrees, total_complex,
+                                verify_chain_map, verify_double_complex)
+from exacthom.cli import EXIT_FAIL, main
 from exacthom.assoc_homology import (
     AlgebraAxiomError,
     MissingUnitError,
     StructureConstantAlgebra,
+    _column_zero_projection,
     _guard_tensor_power,
     algebra_from_json,
     algebra_to_json,
@@ -360,3 +366,152 @@ def test_connes_complex_matches_the_elimination_path(name):
     assert quots == ref_quots
     assert [q.subspace.pivots for q in quots] == \
         [q.subspace.pivots for q in ref_quots]
+
+
+# -- the cyclic comparison against its double-complex validation ----------------
+
+
+def reference_cyclic_comparison_report(a, bound=4):
+    """cyclic_comparison_report as it was before it checked its total
+    complexes: both double complexes validated cell by cell with
+    verify_double_complex, whatever cells the report reads."""
+    cc = cyclic_bicomplex(a, bound)
+    vr = verify_double_complex(cc)
+    if not vr["ok"]:
+        raise AssertionError(f"cyclic double complex invalid: {vr}")
+    tot = total_complex(cc, bound)
+    conn, quots = connes_quotient_complex(a, bound)
+    proj = _column_zero_projection(tot, conn, quots)
+    pv = verify_chain_map(proj)
+    if not pv["ok"]:
+        raise AssertionError(f"column-0 projection is not a chain map: {pv}")
+    qiso = quasi_iso_degrees(proj)
+    h = homology(tot.complex)
+    reliable = [n for n, flag in enumerate(h.flags) if flag == "exact"]
+    tot_betti = list(h.betti)
+    conn_betti = betti_numbers(conn)
+    report = {
+        "check": "cyclic_comparison",
+        "degrees_decided": reliable,
+        "total_cyclic_betti": tot_betti,
+        "quotient_betti": conn_betti,
+        "projection_quasi_iso": {str(n): bool(qiso.get(n, False))
+                                 for n in reliable},
+        "unital": a.is_unital,
+    }
+    agree = all(tot_betti[n] == conn_betti[n] for n in reliable)
+    quasi = all(qiso.get(n, False) for n in reliable)
+    if a.is_unital:
+        bb = bB_bicomplex(a, bound)
+        vb = verify_double_complex(bb)
+        if not vb["ok"]:
+            raise AssertionError(f"(b, B) double complex invalid: {vb}")
+        bb_betti = betti_numbers(total_complex(bb, bound).complex)
+        report["bB_betti"] = bb_betti
+        agree = agree and all(bb_betti[n] == conn_betti[n] for n in reliable)
+    report["verdict"] = "pass" if (agree and quasi) else "fail"
+    return report
+
+
+# the algebras of acceptance criterion 3
+COMPARISON_ALGEBRAS = {
+    "field_q": field_q(), "dual_numbers": dual_numbers(),
+    "q_times_q": direct_sum(field_q(), field_q()),
+    "left_unital_two_dim": left_unital_two_dim(),
+    "matrix_algebra_2": matrix_algebra(2)}
+
+
+@pytest.mark.parametrize("name", sorted(COMPARISON_ALGEBRAS))
+def test_cyclic_comparison_matches_the_reference(name):
+    a = COMPARISON_ALGEBRAS[name]
+    assert cyclic_comparison_report(a, 4) == \
+        reference_cyclic_comparison_report(a, 4)
+
+
+@pytest.mark.parametrize("name", sorted(set(COMPARISON_ALGEBRAS) - {"field_q"}))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cyclic_comparison_matches_the_reference_on_conjugates(name, seed):
+    a = COMPARISON_ALGEBRAS[name]
+    b = change_of_basis(a, random_unimodular(random.Random(seed), a.dim))
+    # M_2(Q) in a dense basis is ranked at bound 3 to keep the test quick
+    bound = 3 if a.dim > 2 else 4
+    assert cyclic_comparison_report(b, bound) == \
+        reference_cyclic_comparison_report(b, bound)
+
+
+@given(seeds, st.integers(min_value=2, max_value=4))
+@settings(max_examples=15, deadline=None)
+def test_cyclic_comparison_matches_the_reference_on_random_algebras(seed,
+                                                                   bound):
+    a = random_algebra(seed)
+    assert cyclic_comparison_report(a, bound) == \
+        reference_cyclic_comparison_report(a, bound)
+
+
+def test_cyclic_comparison_ranks_each_matrix_once(monkeypatch):
+    ranks, validations = [], []
+    real_rank = complexes.rank
+
+    def counted_rank(m):
+        ranks.append(m)
+        return real_rank(m)
+
+    def counted_validation(d):
+        validations.append(d)
+        return verify_double_complex(d)
+
+    monkeypatch.setattr(complexes, "rank", counted_rank)
+    for module in (complexes, assoc_homology):
+        monkeypatch.setattr(module, "verify_double_complex",
+                            counted_validation, raising=False)
+    assert cyclic_comparison_report(matrix_algebra(2), 4)["verdict"] == "pass"
+    # 4 differentials each for Tot(cyclic), C^lambda and Tot(b, B), and one
+    # mapping cone per degree 0..4
+    assert len(ranks) == 17
+    assert not validations
+
+
+def _flip_horizontal(build, cell):
+    """`build` with the sign of the horizontal block out of `cell` flipped."""
+    def flipped(a, bound):
+        dc = build(a, bound)
+        horiz = dict(dc.horiz)
+        horiz[cell] = -horiz[cell]
+        return DoubleComplex(dc.max_p, dc.max_q, dc.cells, dc.vert, horiz)
+    return flipped
+
+
+# cells inside the triangle p + q <= 3 whose square with the vertical
+# boundary is nonzero on M_2(Q), so a flipped sign breaks anticommutation
+@pytest.mark.parametrize("builder, cell, name", [
+    ("cyclic_bicomplex", (1, 1), "cyclic"),
+    ("bB_bicomplex", (1, 2), "(b, B)")])
+def test_a_flipped_horizontal_sign_fails_the_comparison(
+        builder, cell, name, monkeypatch, tmp_path, capsys):
+    a = matrix_algebra(2)
+    flipped = _flip_horizontal(getattr(assoc_homology, builder), cell)
+    monkeypatch.setattr(assoc_homology, builder, flipped)
+    monkeypatch.setitem(globals(), builder, flipped)
+    message = re.escape(f"{name} double complex invalid")
+    with pytest.raises(AssertionError, match=message):
+        cyclic_comparison_report(a, 3)
+    with pytest.raises(AssertionError, match=message):
+        reference_cyclic_comparison_report(a, 3)
+    path = tmp_path / "m2.json"
+    path.write_text(json.dumps(algebra_to_json(a)))
+    assert main(["verify", "quasi-iso", "--algebra", str(path),
+                 "--max-degree", "2"]) == EXIT_FAIL
+    assert f"{name} double complex invalid" in capsys.readouterr().err
+
+
+def test_cells_past_the_bound_are_not_read(monkeypatch):
+    # (3, 1) lies past p + q <= 3: the report neither reads nor checks it,
+    # while the cell-by-cell validation rejects it
+    a = matrix_algebra(2)
+    expected = cyclic_comparison_report(a, 3)
+    flipped = _flip_horizontal(cyclic_bicomplex, (3, 1))
+    monkeypatch.setattr(assoc_homology, "cyclic_bicomplex", flipped)
+    monkeypatch.setitem(globals(), "cyclic_bicomplex", flipped)
+    assert cyclic_comparison_report(a, 3) == expected
+    with pytest.raises(AssertionError, match="cyclic double complex invalid"):
+        reference_cyclic_comparison_report(a, 3)

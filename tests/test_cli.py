@@ -329,6 +329,15 @@ def test_bad_flag_value_exits_2(fixtures):
                  "--n", "0"]) == EXIT_PARSE
 
 
+def test_psi_with_too_few_rows_for_its_blocks_exits_2(fixtures, capsys):
+    # 2 * m <= n is checked before the algebra is read: this file would
+    # otherwise fail its associativity check and exit 3
+    assert main(["verify", "psi", "--algebra", fixtures["nonassoc"],
+                 "--m", "1", "--n", "1"]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "--m 1" in err and "--n >= 2" in err
+
+
 def test_unknown_kind_exits_2(capsys):
     assert main(["homology", "nonsense"]) == 2
 

@@ -170,6 +170,9 @@ def test_homology_takes_one_rank_per_differential(monkeypatch):
     monkeypatch.setattr(complexes, "kernel_basis", forbidden)
     monkeypatch.setattr(complexes, "Subspace", forbidden)
     assert list(homology(c).betti) == betti
+    # the complex keeps its ranks: later readers take none
+    assert betti_numbers(c) == betti
+    assert c.ranks[0] == c.ranks[-1] == 0
     assert calls == [(c.dims[n - 1], c.dims[n])
                      for n in range(1, c.max_degree + 1)]
 
@@ -748,3 +751,25 @@ def test_each_page_subspace_is_built_once(dc, monkeypatch):
     # one kernel per memoised Z, and the Z keys are prefix sizes
     assert len(calls) == sum(1 for key in ss._memo if key[0] == "Z")
     assert len(calls) <= len(_prefix_keys(ss))
+
+
+@pytest.mark.parametrize("dc", [random_double_complex(s) for s in range(8)]
+                         + [_staircase(n) for n in (1, 2, 3, 4)])
+def test_representatives_are_reduced_only_at_page_map_ends(dc, monkeypatch):
+    calls = []
+    real = complexes._reduced_basis
+
+    def counted(vectors, modulo):
+        calls.append(vectors)
+        return real(vectors, modulo)
+
+    monkeypatch.setattr(complexes, "_reduced_basis", counted)
+    ss = spectral_sequence(dc)
+    ends = set()
+    for r, dims in enumerate(ss.pages):
+        for p, q in dims:
+            if (p - r, q + r - 1) in dims:
+                ends.add(("reps", *ss._term(r, p, q)))
+                ends.add(("reps", *ss._term(r, p - r, q + r - 1)))
+    assert {key for key in ss._memo if key[0] == "reps"} == ends
+    assert len(calls) == len(ends)
