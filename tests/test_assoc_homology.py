@@ -54,6 +54,7 @@ from exacthom.assoc_homology import (
     tensor_rank,
     tensor_unrank,
     truncated_polynomials,
+    unit_insertion,
     zero_multiplication,
 )
 
@@ -177,6 +178,135 @@ def test_boundary_and_rotation_identities(seed):
                               - cyclic_operator(d, n - 1))
             assert b_n @ one_minus == one_minus_prev @ bp_n
             assert norm_operator(d, n - 1) @ b_n == bp_n @ n_n
+
+
+# -- the index-arithmetic builders against the tuple builders they replaced ---
+
+
+def reference_boundary(a, n, wrap):
+    """_boundary as it was before index arithmetic: every tensor unranked
+    and every term reranked."""
+    d = a.dim
+    rows, cols = d ** n, d ** (n + 1)
+    acc = {}
+    # both b and b' are zero out of degree 0: no face and no wrap term
+    for idx in range(cols):
+        t = tensor_unrank(d, n + 1, idx)
+        for i in range(n):
+            sign = -1 if i % 2 else 1
+            for k, coef in a.mult.get((t[i], t[i + 1]), {}).items():
+                key = (tensor_rank(d, t[:i] + (k,) + t[i + 2:]), idx)
+                acc[key] = acc.get(key, 0) + sign * coef
+        if wrap and n >= 1:
+            sign = -1 if n % 2 else 1
+            for k, coef in a.mult.get((t[n], t[0]), {}).items():
+                key = (tensor_rank(d, (k,) + t[1:n]), idx)
+                acc[key] = acc.get(key, 0) + sign * coef
+    return SparseMatrix(rows, cols, acc)
+
+
+def reference_cyclic_operator(dim, n):
+    """Signed rotation t on (n+1)-fold tensors: last factor to the front,
+    sign (-1)^n."""
+    size = dim ** (n + 1)
+    sign = -1 if n % 2 else 1
+    entries = {}
+    for idx in range(size):
+        t = tensor_unrank(dim, n + 1, idx)
+        entries[(tensor_rank(dim, (t[n],) + t[:n]), idx)] = sign
+    return SparseMatrix(size, size, entries)
+
+
+def reference_norm_operator(dim, n):
+    """N = 1 + t + ... + t^n on (n+1)-fold tensors."""
+    size = dim ** (n + 1)
+    sign_t = -1 if n % 2 else 1
+    acc = {}
+    for idx in range(size):
+        t = tensor_unrank(dim, n + 1, idx)
+        for j in range(n + 1):
+            rot = t[n + 1 - j:] + t[:n + 1 - j]
+            key = (tensor_rank(dim, rot), idx)
+            acc[key] = acc.get(key, 0) + sign_t ** j
+    return SparseMatrix(size, size, acc)
+
+
+def reference_unit_insertion(a, n):
+    """s: A^(x)(n+1) -> A^(x)(n+2), x -> 1 (x) x. Needs a two-sided unit."""
+    if a.unit is None:
+        raise MissingUnitError("unit insertion needs a unital algebra")
+    d = a.dim
+    rows, cols = d ** (n + 2), d ** (n + 1)
+    entries = {}
+    for idx in range(cols):
+        t = tensor_unrank(d, n + 1, idx)
+        for k, coef in a.unit.items():
+            entries[(tensor_rank(d, (k,) + t), idx)] = coef
+    return SparseMatrix(rows, cols, entries)
+
+
+# the builders are compared at every degree whose largest space is this small
+OPERATOR_REFERENCE_SIZE = 4096
+OPERATOR_ZOO = [field_q(), dual_numbers(), truncated_polynomials(3),
+                matrix_algebra(2), cyclic_group_algebra(3),
+                direct_sum(field_q(), dual_numbers()), zero_multiplication(3),
+                left_unital_two_dim()]
+
+
+@given(st.one_of(seeds.map(random_algebra), st.sampled_from(OPERATOR_ZOO)))
+@settings(max_examples=10, deadline=None)
+def test_operators_match_the_tuple_builders(zoo_or_seeded):
+    # a fresh instance, so that every operator is built here
+    a = StructureConstantAlgebra(zoo_or_seeded.dim, zoo_or_seeded.mult,
+                                 zoo_or_seeded.unit, zoo_or_seeded.names)
+    d = a.dim
+    for n in range(20):
+        if d ** (n + 1) > OPERATOR_REFERENCE_SIZE:
+            break
+        for wrap, build in ((True, hochschild_boundary),
+                            (False, bar_boundary)):
+            assert build(a, n) == reference_boundary(a, n, wrap), (n, wrap)
+        assert cyclic_operator(d, n) == reference_cyclic_operator(d, n)
+        assert norm_operator(d, n) == reference_norm_operator(d, n)
+        if a.is_unital and d ** (n + 2) <= OPERATOR_REFERENCE_SIZE:
+            assert unit_insertion(a, n) == reference_unit_insertion(a, n)
+
+
+def test_cyclic_comparison_builds_each_operator_once(monkeypatch):
+    calls = {"_boundary": 0, "cyclic_operator": 0}
+
+    def counted(name):
+        real = getattr(assoc_homology, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(assoc_homology, name, counted(name))
+    assert cyclic_comparison_report(matrix_algebra(2), 4)["verdict"] == "pass"
+    # b and b' in degrees 1..4; t in degrees 0..4, shared by 1 - t, the
+    # Connes quotient and B
+    assert calls == {"_boundary": 8, "cyclic_operator": 5}
+
+
+def test_operators_are_not_shared_between_algebras():
+    # same dimension, different products, built in turn
+    for first, second in [(dual_numbers(), cyclic_group_algebra(2)),
+                          (cyclic_group_algebra(2), dual_numbers()),
+                          (zero_multiplication(2), left_unital_two_dim())]:
+        for a in (first, second):
+            for n in range(4):
+                assert hochschild_boundary(a, n) == \
+                    reference_boundary(a, n, True)
+                assert bar_boundary(a, n) == reference_boundary(a, n, False)
+        assert all(hochschild_boundary(first, n)
+                   is not hochschild_boundary(second, n) for n in range(4))
+    # the memo is not part of the algebra's value
+    a = dual_numbers()
+    hochschild_boundary(a, 2)
+    assert a == dual_numbers() and repr(a) == repr(dual_numbers())
 
 
 @pytest.mark.parametrize("alg", [dual_numbers(), truncated_polynomials(3),

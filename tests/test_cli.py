@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exacthom import assoc_homology
 from exacthom.assoc_homology import (algebra_to_json, dual_numbers, field_q,
                                      matrix_algebra, zero_multiplication)
 from exacthom.cech_cosheaf import (cover_model_from_cover,
@@ -21,6 +22,7 @@ from exacthom.cech_cosheaf import (cover_model_from_cover,
 from exacthom.cli import (EXIT_FAIL, EXIT_INVARIANT, EXIT_PARSE, EXIT_PASS,
                           EXIT_RESOURCE, KINDS, build_parser, canonical_json,
                           main, render_table, verdict_ok)
+from exacthom.complexes import ChainMap
 from exacthom.lie_homology import lie_algebra_to_json, sl2_q
 
 
@@ -322,6 +324,22 @@ def test_non_utf8_document_exits_2_naming_the_file(flag, fixtures, tmp_path,
 def test_bb_total_without_unit_exits_3(fixtures):
     code = main(["homology", "bB-total", "--algebra", fixtures["zero"]])
     assert code == EXIT_INVARIANT
+
+
+def test_a_projection_that_is_not_a_chain_map_exits_1(fixtures, monkeypatch,
+                                                      capsys):
+    real = assoc_homology._column_zero_projection
+
+    def doubled_in_degree_1(tot, conn, quots):
+        f = real(tot, conn, quots)
+        return ChainMap(f.src, f.tgt, {n: c.scale(2) if n == 1 else c
+                                       for n, c in f.components.items()})
+
+    monkeypatch.setattr(assoc_homology, "_column_zero_projection",
+                        doubled_in_degree_1)
+    assert main(["verify", "quasi-iso", "--algebra", fixtures["dual"],
+                 "--max-degree", "2"]) == EXIT_FAIL
+    assert "column-0 projection is not a chain map" in capsys.readouterr().err
 
 
 def test_bad_flag_value_exits_2(fixtures):
