@@ -117,6 +117,10 @@ class StructureConstantAlgebra:
                             f"associativity fails on basis triple ({i},{j},{k})")
         if self.unit is not None:
             u = vec_clean(self.unit)
+            for k in u:
+                if not 0 <= k < self.dim:
+                    raise AlgebraAxiomError(
+                        f"unit coordinate {k} out of range")
             for i in range(self.dim):
                 e = {i: 1}
                 if self.product(u, e) != e or self.product(e, u) != e:

@@ -2,9 +2,11 @@
 
 The pieces, bottom up:
 
-* ``Permutation`` / ``partitions`` / ``weight_vector``: a small combinatorial
-  kit (symmetric group elements with cached cycle data and sign, integer
-  partitions in reverse-lexicographic order, padded weight tuples).
+* ``all_permutations`` / ``partitions`` / ``weight_vector``: a small
+  combinatorial kit (symmetric group elements as image tuples in
+  lexicographic order, integer partitions in reverse-lexicographic order,
+  padded weight tuples). The one sign a permutation needs, in a Specht
+  column group, is the exterior sign of ``_koszul_sort``.
 * ``specht_module``: the irreducible symmetric-group module attached to a
   partition, built from polytabloids over tabloids through one column group
   of the shape, with its dimension computed three independent ways
@@ -13,7 +15,9 @@ The pieces, bottom up:
   through the identity and the adjacent transpositions.
 * ``trace_invariant_map``: the cycle-wise trace pairing from the k-fold
   tensor power of n x n matrices to the group algebra of the symmetric
-  group. It kills the conjugation-action relation span (checked exactly),
+  group, built from its nonzero entries alone: sigma pairs with the tensors
+  whose leg t is E_{r_t, r_sigma(t)}, one per row tuple r. It kills the
+  conjugation-action relation span (checked exactly, as one product),
   commutes with the two symmetric-group actions (place permutation on
   tensor legs, conjugation on the group algebra; checked column by column
   through their index maps), and is a bijection on
@@ -47,7 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 from itertools import permutations as iter_permutations
 from itertools import product as iter_product
@@ -71,90 +75,21 @@ from .lie_homology import (ExteriorBasis, LieModuleAction, ce_complex,
 # -- permutations --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """Element of the symmetric group on {0, ..., k-1}, stored by its image
-    tuple. Cycle decomposition (fixed points included) and sign are cached."""
-
-    images: Tuple[int, ...]
-
-    def __post_init__(self):
-        if sorted(self.images) != list(range(len(self.images))):
-            raise ValueError("images are not a bijection of 0..k-1")
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    @staticmethod
-    def identity(k: int) -> "Permutation":
-        return Permutation(tuple(range(k)))
-
-    @staticmethod
-    def transposition(k: int, i: int, j: int) -> "Permutation":
-        im = list(range(k))
-        im[i], im[j] = im[j], im[i]
-        return Permutation(tuple(im))
-
-    @staticmethod
-    def from_cycle(k: int, cycle: Sequence[int]) -> "Permutation":
-        im = list(range(k))
-        for pos, x in enumerate(cycle):
-            im[x] = cycle[(pos + 1) % len(cycle)]
-        return Permutation(tuple(im))
-
-    def __call__(self, i: int) -> int:
-        return self.images[i]
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other."""
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch in composition")
-        return Permutation(tuple(self.images[other.images[i]]
-                                 for i in range(self.degree)))
-
-    def inverse(self) -> "Permutation":
-        im = [0] * self.degree
-        for i, x in enumerate(self.images):
-            im[x] = i
-        return Permutation(tuple(im))
-
-    @cached_property
-    def cycles(self) -> Tuple[Tuple[int, ...], ...]:
-        """Cycles in orbit order, each starting at its smallest element,
-        sorted by that element; fixed points appear as 1-cycles."""
-        seen = [False] * self.degree
-        out = []
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            cyc = [start]
-            seen[start] = True
-            x = self.images[start]
-            while x != start:
-                cyc.append(x)
-                seen[x] = True
-                x = self.images[x]
-            out.append(tuple(cyc))
-        return tuple(out)
-
-    @cached_property
-    def sign(self) -> int:
-        return -1 if (self.degree - len(self.cycles)) % 2 else 1
+# A permutation of {0, ..., k-1} is its image tuple: p[i] is the image of i.
 
 
 @lru_cache(maxsize=None)
-def _perms(k: int) -> Tuple[Permutation, ...]:
-    return tuple(Permutation(p) for p in iter_permutations(range(k)))
+def _perms(k: int) -> Tuple[Tuple[int, ...], ...]:
+    return tuple(iter_permutations(range(k)))
 
 
 @lru_cache(maxsize=None)
-def _perm_index(k: int) -> Dict[Permutation, int]:
+def _perm_index(k: int) -> Dict[Tuple[int, ...], int]:
     """Position of each permutation in `_perms(k)`."""
     return {p: i for i, p in enumerate(_perms(k))}
 
 
-def all_permutations(k: int) -> List[Permutation]:
+def all_permutations(k: int) -> List[Tuple[int, ...]]:
     """The symmetric group on k letters, lexicographic by image tuple."""
     return list(_perms(k))
 
@@ -230,7 +165,8 @@ def _column_group(alpha: Tuple[int, ...]) -> List[Tuple[int, Tuple[int, ...]]]:
     per_col = []
     for j in range(alpha[0]):
         col = [s + j for s, r in zip(starts, alpha) if r > j]
-        per_col.append([(Permutation(q).sign,
+        # a column permutation's sign is its image tuple's exterior sign
+        per_col.append([(_koszul_sort([(1, x) for x in q])[0],
                          {c: col[q[i]] for i, c in enumerate(col)})
                         for q in iter_permutations(range(len(col)))])
     out = []
@@ -321,7 +257,7 @@ def specht_module(alpha: Sequence[int]) -> SpechtModule:
     full_rank = rank(polytabloids(fillings))
     perms = all_permutations(m)
     dim = len(syt)  # one solve; perms[i]'s matrix is column block i
-    images = polytabloids([tuple(p(e - 1) + 1 for e in f)
+    images = polytabloids([tuple(p[e - 1] + 1 for e in f)
                            for p in perms for f in syt])
     coords = solve_matrix(basis.transpose(), images.transpose())
     if coords is None:
@@ -334,12 +270,13 @@ def specht_module(alpha: Sequence[int]) -> SpechtModule:
     # A[s] A[p' o q] = A[p o q] by induction on word length from the
     # identity; the converse is trivial.
     pidx = _perm_index(m)
-    gens = [Permutation.identity(m)] + [
-        Permutation.transposition(m, i, i + 1) for i in range(m - 1)]
+    ident = tuple(range(m))
+    gens = [ident] + [ident[:i] + (i + 1, i) + ident[i + 2:]
+                      for i in range(m - 1)]
     for p in gens:
         i = pidx[p]
         for j, q in enumerate(perms):
-            if action[i] @ action[j] != action[pidx[p.compose(q)]]:
+            if action[i] @ action[j] != action[pidx[tuple(p[x] for x in q)]]:
                 raise AssertionError(
                     f"action matrices break composition at pair ({i},{j})")
     return SpechtModule(alpha, tuple(tabloids),
@@ -351,22 +288,13 @@ def specht_module(alpha: Sequence[int]) -> SpechtModule:
 # -- the trace pairing on matrix tensor powers ---------------------------------
 
 
-def trace_coefficient(perm: Permutation,
-                      legs: Sequence[Tuple[int, int]]) -> int:
-    """Product over the cycles of perm of the trace of the cycle-ordered
-    product of elementary matrices; on elementary legs this is 0 or 1."""
-    for cyc in perm.cycles:
-        for pos in range(len(cyc)):
-            if legs[cyc[pos]][1] != legs[cyc[(pos + 1) % len(cyc)]][0]:
-                return 0
-    return 1
-
-
 @lru_cache(maxsize=1)
 def trace_invariant_matrix(n: int, k: int) -> SparseMatrix:
     """Matrix (k! rows, n^(2k) columns) of the map sending a basis tensor of
-    elementary matrices to the sum of its surviving cycle-trace permutations.
-    Its k! * n^(2k) entries are guarded before any permutation is listed;
+    elementary matrices to the sum of the permutations sigma whose cycle
+    traces survive on it: those with leg t equal to E_{r_t, r_sigma(t)} for
+    some rows r in [n]^k, so each of the k! * n^k entries is listed once.
+    Its k! * n^(2k) cells are guarded before any permutation is listed;
     the last one built is kept for the checks that follow on one (n, k)."""
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
@@ -375,11 +303,12 @@ def trace_invariant_matrix(n: int, k: int) -> SparseMatrix:
     guard_ambient("trace pairing matrix", math.factorial(k) * amb)
     perms = _perms(k)
     entries: Dict[Tuple[int, int], Fraction] = {}
-    for cidx in range(amb):
-        legs = tuple(divmod(x, n) for x in tensor_unrank(dim, k, cidx))
-        for pi, p in enumerate(perms):
-            if trace_coefficient(p, legs):
-                entries[(pi, cidx)] = 1
+    for pi, p in enumerate(perms):
+        for r in iter_product(range(n), repeat=k):
+            cidx = 0
+            for t in range(k):
+                cidx = cidx * dim + r[t] * n + r[p[t]]
+            entries[(pi, cidx)] = 1
     return SparseMatrix(len(perms), amb, entries)
 
 
@@ -416,7 +345,7 @@ def _trace_relation_span(n: int, k: int) -> Tuple[SparseMatrix, Subspace, bool]:
     rows = [r for _, r in merged]
     sub = Subspace(amb, SparseMatrix.from_rows(rows, amb),
                    tuple(p for p, _ in merged))
-    return phi, sub, not any(phi.apply(r) for r in rows)
+    return phi, sub, (phi @ sub.basis.transpose()).is_zero()
 
 
 def trace_invariant_map(
@@ -481,13 +410,13 @@ def equivariance_check(n: int, k: int) -> dict:
     tensors = [tensor_unrank(dim, k, cidx) for cidx in range(dim ** k)]
     failures = []
     for s in perms:
-        s_inv = s.inverse()
-        conj = [pidx[s.compose(t).compose(s_inv)] for t in perms]
+        s_inv = [s.index(x) for x in range(k)]
+        conj = [pidx[tuple(s[t[x]] for x in s_inv)] for t in perms]
         for cidx, legs in enumerate(tensors):
-            moved = [legs[t] for t in s_inv.images]
+            moved = [legs[t] for t in s_inv]
             if phi.column(tensor_rank(dim, moved)) != {
                     conj[r]: v for r, v in phi.column(cidx).items()}:
-                failures.append(list(s.images))
+                failures.append(list(s))
                 break
     return {"check": "phi_equivariance",
             "params": {"n": n, "k": k},
@@ -611,7 +540,7 @@ def signed_group_tensor_coinvariants(a: StructureConstantAlgebra,
     tdim = a.dim ** k
     amb = math.factorial(k) * tdim
     guard_ambient("signed permutation-tensor space", amb)
-    pidx = {p.images: j for j, p in enumerate(_perms(k))}
+    pidx = _perm_index(k)
     gens = []
     for i in range(k - 1):
         swapped = [tensor_rank(a.dim, t[:i] + (t[i + 1], t[i]) + t[i + 2:])
@@ -641,7 +570,7 @@ def _theta_section(a_dim: int, k: int, f: int) -> List[Tuple[int, int, int]]:
     """s(tau, legs) for the coordinate f: the wedge of the (row, column, leg)
     generators E_{i,tau(i)} (x) legs[i], i = 0..k-1, in this order."""
     pi, tens = divmod(f, a_dim ** k)
-    return list(zip(range(k), _perms(k)[pi].images,
+    return list(zip(range(k), _perms(k)[pi],
                     tensor_unrank(a_dim, k, tens)))
 
 
@@ -651,7 +580,7 @@ def _theta_identification(a_dim: int,
     distinct and are its columns: the coordinate (sigma, legs), where sigma
     sends a position to the one whose row is its column."""
     where = {row: p for p, (row, _, _) in enumerate(xs)}
-    sigma = Permutation(tuple(where[col] for _, col, _ in xs))
+    sigma = tuple(where[col] for _, col, _ in xs)
     return (_perm_index(len(xs))[sigma] * a_dim ** len(xs)
             + tensor_rank(a_dim, tuple(leg for _, _, leg in xs)))
 
@@ -700,7 +629,7 @@ def theta_codomain_model(a: StructureConstantAlgebra,
 
 
 def _block_cycle_permutation(mono: Tuple[Tuple[int, int], ...],
-                             degree: int) -> Permutation:
+                             degree: int) -> Tuple[int, ...]:
     """Product of disjoint full cycles, one per monomial block, on
     consecutive leg positions."""
     images = list(range(degree))
@@ -710,7 +639,7 @@ def _block_cycle_permutation(mono: Tuple[Tuple[int, int], ...],
             images[p] = p + 1
         images[pos + j - 1] = pos
         pos += j
-    return Permutation(tuple(images))
+    return tuple(images)
 
 
 def _theta_pipeline(a: StructureConstantAlgebra, max_degree: int):

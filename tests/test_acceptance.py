@@ -336,7 +336,7 @@ def crit11(threads: int) -> dict:
         dims_ok = (sm.dim == len(sm.standard_tableaux) == sm.hook_length_dim
                    == sm.full_polytabloid_rank)
         perms = all_permutations(m)
-        index = {p.images: i for i, p in enumerate(perms)}
+        index = {p: i for i, p in enumerate(perms)}
 
         def gen(i):
             images = list(range(m))

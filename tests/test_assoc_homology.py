@@ -90,6 +90,15 @@ def test_one_sided_unit_rejected():
         StructureConstantAlgebra(2, mult, unit={0: Fraction(1)})
 
 
+def test_unit_coordinate_past_dim_rejected():
+    # a unit coordinate outside the basis never meets the product table
+    with pytest.raises(AlgebraAxiomError, match="unit coordinate 1"):
+        StructureConstantAlgebra(1, {(0, 0): {0: 1}}, unit={0: 1, 1: 3})
+    # a zero coordinate is no coordinate at all
+    assert StructureConstantAlgebra(1, {(0, 0): {0: 1}},
+                                    unit={0: 1, 1: 0}).is_unital
+
+
 def test_json_roundtrip_and_families():
     a = dual_numbers()
     blob = algebra_to_json(a)

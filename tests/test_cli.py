@@ -321,6 +321,20 @@ def test_non_utf8_document_exits_2_naming_the_file(flag, fixtures, tmp_path,
     assert str(path) in err and "UTF-8" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "hunital"],
+    ["verify", "lqt", "--n", "2", "--max-r", "1"],
+    ["homology", "connes"],
+    ["verify", "quasi-iso"],
+], ids=["hunital", "lqt", "connes", "quasi-iso"])
+def test_unit_coordinate_past_dim_exits_3(argv, tmp_path, capsys):
+    path = tmp_path / "unit.json"
+    path.write_text(json.dumps(
+        {"dim": 1, "mult": [[0, 0, 0, 1, 1]], "unit": [[1, 1], [3, 1]]}))
+    assert main(argv + ["--algebra", str(path)]) == EXIT_INVARIANT
+    assert "unit coordinate 1 out of range" in capsys.readouterr().err
+
+
 def test_bb_total_without_unit_exits_3(fixtures):
     code = main(["homology", "bB-total", "--algebra", fixtures["zero"]])
     assert code == EXIT_INVARIANT

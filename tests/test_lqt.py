@@ -1,17 +1,21 @@
 """Stable matrix-Lie / cyclic comparison: trace pairing, theta, weights, psi."""
 
+import json
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from itertools import permutations as iter_permutations
 from itertools import product as iter_product
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from exacthom.assoc_homology import (
+    algebra_to_json,
     change_of_basis,
     connes_quotient_complex,
     dual_numbers,
@@ -35,7 +39,6 @@ from exacthom.lie_homology import (ExteriorBasis, ce_complex, ce_complex_on,
                                    scalar_matrix_generator_action)
 from exacthom.lqt import (
     GroupTensorModel,
-    Permutation,
     SpechtModule,
     _check_partition,
     _hook_length_dim,
@@ -61,7 +64,6 @@ from exacthom.lqt import (
     theta_codomain_model,
     theta_map,
     theta_tilde,
-    trace_coefficient,
     trace_invariant_check,
     trace_invariant_map,
     trace_invariant_matrix,
@@ -92,17 +94,100 @@ def test_koszul_sort_of_degree_one_tags_is_the_exterior_sign(legs):
 perm_seeds = st.integers(min_value=0, max_value=10_000)
 
 
-def perm_from_seed(k: int, seed: int) -> Permutation:
-    group = all_permutations(k)
-    return group[seed % len(group)]
-
-
 # -- permutations ----------------------------------------------------------------
 
 
-def test_permutation_rejects_non_bijection():
-    with pytest.raises(ValueError):
-        Permutation((0, 0, 2))
+@dataclass(frozen=True)
+class Permutation:
+    """Element of the symmetric group on {0, ..., k-1}, stored by its image
+    tuple. Cycle decomposition (fixed points included) and sign are cached."""
+
+    images: Tuple[int, ...]
+
+    def __post_init__(self):
+        if sorted(self.images) != list(range(len(self.images))):
+            raise ValueError("images are not a bijection of 0..k-1")
+
+    @property
+    def degree(self) -> int:
+        return len(self.images)
+
+    @staticmethod
+    def identity(k: int) -> "Permutation":
+        return Permutation(tuple(range(k)))
+
+    @staticmethod
+    def transposition(k: int, i: int, j: int) -> "Permutation":
+        im = list(range(k))
+        im[i], im[j] = im[j], im[i]
+        return Permutation(tuple(im))
+
+    @staticmethod
+    def from_cycle(k: int, cycle: Sequence[int]) -> "Permutation":
+        im = list(range(k))
+        for pos, x in enumerate(cycle):
+            im[x] = cycle[(pos + 1) % len(cycle)]
+        return Permutation(tuple(im))
+
+    def __call__(self, i: int) -> int:
+        return self.images[i]
+
+    def compose(self, other: "Permutation") -> "Permutation":
+        """self after other."""
+        if self.degree != other.degree:
+            raise ValueError("degree mismatch in composition")
+        return Permutation(tuple(self.images[other.images[i]]
+                                 for i in range(self.degree)))
+
+    def inverse(self) -> "Permutation":
+        im = [0] * self.degree
+        for i, x in enumerate(self.images):
+            im[x] = i
+        return Permutation(tuple(im))
+
+    @cached_property
+    def cycles(self) -> Tuple[Tuple[int, ...], ...]:
+        """Cycles in orbit order, each starting at its smallest element,
+        sorted by that element; fixed points appear as 1-cycles."""
+        seen = [False] * self.degree
+        out = []
+        for start in range(self.degree):
+            if seen[start]:
+                continue
+            cyc = [start]
+            seen[start] = True
+            x = self.images[start]
+            while x != start:
+                cyc.append(x)
+                seen[x] = True
+                x = self.images[x]
+            out.append(tuple(cyc))
+        return tuple(out)
+
+    @cached_property
+    def sign(self) -> int:
+        return -1 if (self.degree - len(self.cycles)) % 2 else 1
+
+
+def trace_coefficient(perm: Permutation,
+                      legs: Sequence[Tuple[int, int]]) -> int:
+    """Product over the cycles of perm of the trace of the cycle-ordered
+    product of elementary matrices; on elementary legs this is 0 or 1."""
+    for cyc in perm.cycles:
+        for pos in range(len(cyc)):
+            if legs[cyc[pos]][1] != legs[cyc[(pos + 1) % len(cyc)]][0]:
+                return 0
+    return 1
+
+
+def reference_perms(k: int) -> List[Permutation]:
+    """`_perms(k)` in its order, each image tuple wrapped in the class."""
+    return [Permutation(p) for p in _perms(k)]
+
+
+def perm_from_seed(k: int, seed: int) -> Permutation:
+    group = reference_perms(k)
+    return group[seed % len(group)]
 
 
 def test_cycle_decomposition_and_sign():
@@ -117,17 +202,21 @@ def test_cycle_decomposition_and_sign():
 def test_all_permutations_is_lexicographic():
     group = all_permutations(3)
     assert len(group) == 6
-    assert group[0].images == (0, 1, 2)
-    assert group[-1].images == (2, 1, 0)
-    images = [g.images for g in group]
-    assert images == sorted(images)
+    assert group[0] == (0, 1, 2)
+    assert group[-1] == (2, 1, 0)
+    assert group == sorted(group)
 
 
 def test_zero_letters_group_is_trivial():
-    group = all_permutations(0)
-    assert len(group) == 1
-    assert group[0].sign == 1
-    assert group[0].cycles == ()
+    assert all_permutations(0) == [()]
+    assert _koszul_sort([]) == (1, ())
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_exterior_sign_is_the_cycle_count_sign(k):
+    # the sign the Specht column group reads, against the reference's
+    for p in _perms(k):
+        assert _koszul_sort([(1, x) for x in p])[0] == Permutation(p).sign
 
 
 @given(small_perm_degrees, perm_seeds, perm_seeds)
@@ -226,7 +315,7 @@ def test_specht_row_partition_is_trivial_module():
 
 def test_specht_column_partition_is_sign_module():
     s = specht_module((1, 1, 1))
-    group = all_permutations(3)
+    group = reference_perms(3)
     for p, mat in zip(group, s.action):
         assert mat.entries == {(0, 0): Fraction(p.sign)}
 
@@ -312,7 +401,7 @@ def reference_specht_module(alpha) -> SpechtModule:
     all_rows = [reference_polytabloid(_rows_from_filling(alpha, f), t_index)
                 for f in fillings]
     full_rank = rank(SparseMatrix.from_rows(all_rows, len(tabloids)))
-    perms = all_permutations(m)
+    perms = reference_perms(m)
     basis_t = basis.transpose()
     action = []
     for p in perms:
@@ -328,7 +417,7 @@ def reference_specht_module(alpha) -> SpechtModule:
     pidx = _perm_index(m)
     for i, p in enumerate(perms):
         for j, q in enumerate(perms):
-            k = pidx[p.compose(q)]
+            k = pidx[p.compose(q).images]
             if action[i] @ action[j] != action[k]:
                 raise AssertionError(
                     f"action matrices break composition at pair ({i},{j})")
@@ -360,7 +449,7 @@ def test_specht_module_forms_m_times_m_factorial_products(monkeypatch):
     Permutation.identity(5),
     Permutation.transposition(5, 0, 1),
     Permutation.from_cycle(5, (0, 1, 2, 3, 4)),
-    _perms(5)[-1],
+    Permutation(_perms(5)[-1]),
 ])
 def test_specht_module_rejects_a_wrong_action_matrix(wrong, monkeypatch):
     from exacthom import lqt
@@ -371,7 +460,7 @@ def test_specht_module_rejects_a_wrong_action_matrix(wrong, monkeypatch):
         coords = solve_matrix(a, b)
         calls.append(1)
         return coords + SparseMatrix(coords.rows, coords.cols, {
-            (0, _perm_index(5)[wrong] * coords.rows): 1})
+            (0, _perm_index(5)[wrong.images] * coords.rows): 1})
 
     monkeypatch.setattr(lqt, "solve_matrix", solve_one_wrong)
     with pytest.raises(AssertionError, match="composition"):
@@ -463,7 +552,7 @@ def reference_equivariance_check(n: int, k: int) -> dict:
     sigma: place permutation on tensor legs against conjugation on the group
     algebra."""
     phi = trace_invariant_matrix(n, k)
-    perms = _perms(k)
+    perms = reference_perms(k)
     pidx = _perm_index(k)
     dim = n * n
     amb = dim ** k
@@ -479,7 +568,7 @@ def reference_equivariance_check(n: int, k: int) -> dict:
         conj: Dict[Tuple[int, int], Fraction] = {}
         s_inv = s.inverse()
         for ti, t in enumerate(perms):
-            conj[(pidx[s.compose(t).compose(s_inv)], ti)] = 1
+            conj[(pidx[s.compose(t).compose(s_inv).images], ti)] = 1
         lhs = phi @ SparseMatrix(amb, amb, place)
         rhs = SparseMatrix(len(perms), len(perms), conj) @ phi
         if lhs != rhs:
@@ -529,21 +618,56 @@ def test_equivariance_builds_no_matrix_besides_phi(monkeypatch):
     assert equivariance_check(3, 3)["verdict"]
 
 
-def test_verify_phi_builds_the_trace_pairing_once(monkeypatch, capsys):
+def test_verify_phi_builds_the_trace_pairing_once(capsys):
     from exacthom import cli, lqt
-    calls = []
-    real = lqt.trace_coefficient
-
-    def counted(perm, legs):
-        calls.append(1)
-        return real(perm, legs)
-
     lqt.trace_invariant_matrix.cache_clear()
-    monkeypatch.setattr(lqt, "trace_coefficient", counted)
     cli.main(["verify", "phi", "--n", "2", "--k", "2"])
     capsys.readouterr()
+    misses = lqt.trace_invariant_matrix.cache_info().misses
     lqt.trace_invariant_matrix.cache_clear()
-    assert len(calls) == math.factorial(2) * 2 ** 4
+    assert misses == 1
+
+
+def reference_trace_invariant_matrix(n, k):
+    """phi with every (permutation, tensor) pair tested by the cycle-trace
+    reference: k! * n^(2k) calls to `trace_coefficient`."""
+    dim = n * n
+    amb = dim ** k
+    perms = reference_perms(k)
+    entries = {}
+    for cidx in range(amb):
+        legs = tuple(divmod(x, n) for x in tensor_unrank(dim, k, cidx))
+        for pi, p in enumerate(perms):
+            if trace_coefficient(p, legs):
+                entries[(pi, cidx)] = 1
+    return SparseMatrix(len(perms), amb, entries)
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in (1, 2, 3)
+                                 for k in (1, 2, 3, 4)] + [(4, 3)])
+def test_trace_matrix_lists_the_entries_the_reference_tests(n, k):
+    assert trace_invariant_matrix(n, k) == \
+        reference_trace_invariant_matrix(n, k)
+
+
+def test_a_phi_that_misses_a_relation_fails_every_kill_check(monkeypatch,
+                                                            tmp_path):
+    from exacthom import cli, lqt
+    # an entry at E_01 (x) E_00, of weight e_0 - e_1: that tensor is a
+    # relation, which phi must kill
+    phi = trace_invariant_matrix(2, 2)
+    col = tensor_rank(4, (1, 0))
+    assert not phi.column(col)
+    bad = phi + SparseMatrix(phi.rows, phi.cols, {(0, col): 1})
+    monkeypatch.setattr(lqt, "trace_invariant_matrix", lambda n, k: bad)
+    report = trace_invariant_check(2, 2)
+    assert report["well_defined"] is False
+    assert report["verdict"] is False
+    with pytest.raises(AssertionError, match="fails to kill"):
+        trace_invariant_map(2, 2)
+    out = tmp_path / "phi.json"
+    assert cli.main(["verify", "phi", "--n", "2", "--k", "2",
+                     "--json", str(out)]) == cli.EXIT_FAIL
 
 
 def reference_conjugation_relation_buckets(n, k):
@@ -675,7 +799,7 @@ def test_signed_coinvariants_dual_numbers():
 def reference_signed_group_tensor_coinvariants(a, k):
     """signed_group_tensor_coinvariants as it was before the signed-orbit
     quotient: every two-term relation written out and eliminated."""
-    perms = _perms(k)
+    perms = reference_perms(k)
     kfac = len(perms)
     tdim = a.dim ** k
     amb = kfac * tdim
@@ -684,7 +808,7 @@ def reference_signed_group_tensor_coinvariants(a, k):
     rels: List[Dict[int, Fraction]] = []
     for i in range(k - 1):
         s = Permutation.transposition(k, i, i + 1)
-        conj = [pidx[s.compose(t).compose(s)] for t in perms]
+        conj = [pidx[s.compose(t).compose(s).images] for t in perms]
         for ti in range(kfac):
             ci = conj[ti]
             for tens in range(tdim):
@@ -734,19 +858,6 @@ def test_signed_quotients_call_no_elimination(monkeypatch):
     assert [build() for build in builds] == expected
     with pytest.raises(AssertionError, match="elimination"):
         rank(SparseMatrix.identity(1))
-
-
-def test_signed_coinvariants_conjugate_without_composing(monkeypatch):
-    expected = [signed_group_tensor_coinvariants(a, k)
-                for a in (field_q(), dual_numbers()) for k in range(1, 6)]
-
-    def composed(*args):
-        raise AssertionError("permutations were composed")
-
-    monkeypatch.setattr(Permutation, "compose", composed)
-    assert [signed_group_tensor_coinvariants(a, k)
-            for a in (field_q(), dual_numbers())
-            for k in range(1, 6)] == expected
 
 
 @pytest.mark.parametrize("build,size", [
@@ -860,7 +971,7 @@ def reference_wedge_identification(a, n, k):
     """The identification J on every wedge basis tuple of gl_n(A)
     generators: the sum, over the permutations whose cycle traces survive on
     the matrix legs, of (permutation, coefficient legs)."""
-    perms = all_permutations(k)
+    perms = reference_perms(k)
     wedge = ExteriorBasis(n * n * a.dim, k)
     tdim = a.dim ** k
     entries = {}
@@ -1283,6 +1394,38 @@ def test_weight_zero_betti_equal_the_full_ones(alg, n, max_r):
     full = betti_numbers(ce_complex(gl_n_of(alg, n), max_r + 1))
     block = betti_numbers(weight_zero_complex(alg, n, max_r + 1))
     assert block[:max_r + 1] == full[:max_r + 1]
+
+
+def gl_poincare_coefficients(n):
+    """Coefficients of prod_{i <= n} (1 + t^(2i-1)), the Poincare polynomial
+    of H_*(gl_n(Q)) (Hopf; Koszul 1950), in degrees 0..n^2."""
+    coeffs = [1] + [0] * (n * n)
+    for i in range(1, n + 1):
+        for d in range(n * n, 2 * i - 2, -1):
+            coeffs[d] += coeffs[d - 2 * i + 1]
+    return coeffs
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_full_ce_homology_of_gl_n_is_the_hopf_polynomial(n, tmp_path,
+                                                        capsys):
+    from exacthom import cli
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(algebra_to_json(field_q())))
+    out = tmp_path / "ce.json"
+    assert cli.main(["homology", "ce", "--algebra", str(path), "--gl", str(n),
+                     "--max-degree", str(n * n), "--json", str(out)]) == 0
+    capsys.readouterr()
+    betti = json.loads(out.read_text())["report"]["betti"]
+    assert betti == gl_poincare_coefficients(n)
+
+
+def test_weight_zero_homology_of_gl_4_is_the_hopf_polynomial():
+    # every degree of gl_4(Q), far outside the stable range r + 1 <= 4:
+    # the weight-0 block alone carries all of H_*(gl_4(Q))
+    betti = betti_numbers(weight_zero_complex(field_q(), 4, 16))
+    assert betti == gl_poincare_coefficients(4)
+    assert betti == [1, 1, 0, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 1, 0, 1, 1]
 
 
 def weight_blocks(a, n):
