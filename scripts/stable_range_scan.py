@@ -8,7 +8,7 @@ algebras) is visible directly in the data.
 
 For a unital algebra only the weight-0 block of the Lie chains is built,
 which stays small: on a 2-vCPU host n = 5 with r <= 4 over Q takes 0.14 s,
-and n = 6 with r <= 5 takes 70 s. The non-unital route (left-unital)
+and n = 6 with r <= 5 takes 63 s. The non-unital route (left-unital)
 builds whole exterior powers of the n*n*dim-dimensional Lie algebra, so
 keep its bounds small there: n = 4 already means a 32-dimensional one.
 

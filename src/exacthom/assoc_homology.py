@@ -55,6 +55,7 @@ from .exactlin import (
     decode_entries,
     guard_ambient,
     inverse,
+    json_basis,
     json_int,
     random_unimodular,
     signed_orbit_quotient,
@@ -181,8 +182,7 @@ def algebra_from_json(obj: Mapping) -> StructureConstantAlgebra:
     if obj.get("unit") is not None:
         unit = {i: v for (i,), v in decode_entries(
             [[i, *pair] for i, pair in enumerate(obj["unit"])], 3).items()}
-    names = tuple(obj.get("basis", ())) or tuple(f"b{i}" for i in range(dim))
-    return StructureConstantAlgebra(dim, mult, unit, names)
+    return StructureConstantAlgebra(dim, mult, unit, json_basis(obj, dim, "b"))
 
 
 # -- built-in families --------------------------------------------------------

@@ -92,6 +92,15 @@ def json_int(value, field: str) -> int:
     return value
 
 
+def json_basis(obj: Mapping, dim: int, prefix: str) -> Tuple[str, ...]:
+    """The names in `obj["basis"]`, a JSON list of strings (TypeError else),
+    or prefix0, prefix1, ... when it is missing or empty."""
+    names = obj.get("basis", [])
+    if type(names) is not list or any(type(x) is not str for x in names):
+        raise TypeError(f"basis must be a JSON list of strings, got {names!r}")
+    return tuple(names) or tuple(f"{prefix}{i}" for i in range(dim))
+
+
 def decode_entries(items: Iterable[Sequence], width: int
                    ) -> Dict[Tuple[int, ...], Fraction]:
     """Decode JSON rows `[k_1, ..., k_m, num, den]` of `width` integers into

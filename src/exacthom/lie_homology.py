@@ -6,6 +6,9 @@ X is a homotopy for the adjoint action of X), derivation actions on wedges,
 and the coinvariant quotient under the scalar-matrix subalgebra action used by
 the stable-range comparisons.
 
+Every wedge term, here and in `lqt`, takes the sign of the permutation that
+sorts its generators (`wedge_sort`); the boundary visits only bracketed pairs.
+
 For matrix Lie algebras gl_n with entries in a finite-dimensional associative
 algebra A (not necessarily unital), basis elements are e_ij (x) b_c with index
 (i*n + j)*dim(A) + c and bracket
@@ -33,6 +36,7 @@ from .exactlin import (
     decode_entries,
     guard_ambient,
     inverse,
+    json_basis,
     json_int,
     quotient_structure,
     vec_clean,
@@ -132,8 +136,7 @@ def lie_algebra_from_json(obj: Mapping) -> StructureConstantLieAlgebra:
     for (i, j) in list(bracket):
         if (j, i) not in bracket:
             bracket[(j, i)] = {k: -v for k, v in bracket[(i, j)].items()}
-    names = tuple(obj.get("basis", ())) or tuple(f"g{i}" for i in range(dim))
-    return StructureConstantLieAlgebra(dim, bracket, names)
+    return StructureConstantLieAlgebra(dim, bracket, json_basis(obj, dim, "g"))
 
 
 def abelian_lie_algebra(d: int) -> StructureConstantLieAlgebra:
@@ -255,17 +258,23 @@ class ExteriorBasis:
         return len(self.tuples)
 
 
-def insert_with_sign(t: Tuple[int, ...], x: int) -> Optional[Tuple[int, Tuple[int, ...]]]:
-    """Sorted insertion of x into the increasing tuple t with the sign of the
-    shuffle (None when x already occurs)."""
-    pos = 0
-    for y in t:
-        if y == x:
+def wedge_sort(seq: Sequence) -> Optional[Tuple[int, Tuple]]:
+    """The wedge of the generators `seq`, in order, as (sign of the sorting
+    permutation, increasing tuple), or None when a generator repeats. An
+    insertion sort, so nearly sorted input is cheap."""
+    out = list(seq)
+    sign = 1
+    for i in range(1, len(out)):
+        x = out[i]
+        j = i
+        while j > 0 and out[j - 1] > x:
+            out[j] = out[j - 1]
+            j -= 1
+            sign = -sign
+        if j > 0 and out[j - 1] == x:
             return None
-        if y < x:
-            pos += 1
-    sign = -1 if pos % 2 else 1
-    return sign, t[:pos] + (x,) + t[pos:]
+        out[j] = x
+    return sign, tuple(out)
 
 
 def ce_complex(g: StructureConstantLieAlgebra,
@@ -292,20 +301,20 @@ def ce_complex_on(g: StructureConstantLieAlgebra,
         src, tgt = bases[k], bases[k - 1]
         entries: Dict[Tuple[int, int], Fraction] = {}
         for ci, t in enumerate(src.tuples):
-            for ii in range(k):
-                for jj in range(ii + 1, k):
-                    # 1-based sign (-1)^(i+j-1): + for the first pair (1,2)
-                    pair_sign = 1 if (ii + jj) % 2 else -1
-                    rest = tuple(x for p, x in enumerate(t)
-                                 if p != ii and p != jj)
-                    for x, coef in g.basis_bracket(t[ii], t[jj]).items():
-                        ins = insert_with_sign(rest, x)
-                        if ins is None:
-                            continue
-                        s, newt = ins
-                        key = (tgt.index[newt], ci)
-                        entries[key] = (entries.get(key, 0)
-                                        + pair_sign * s * coef)
+            for ii, jj in combinations(range(k), 2):
+                bracket = g.bracket.get((t[ii], t[jj]))
+                if not bracket:
+                    continue
+                # 1-based sign (-1)^(i+j-1): + for the first pair (1,2)
+                pair_sign = 1 if (ii + jj) % 2 else -1
+                rest = t[:ii] + t[ii + 1:jj] + t[jj + 1:]
+                for x, coef in bracket.items():
+                    res = wedge_sort((x,) + rest)
+                    if res is None:
+                        continue
+                    s, newt = res
+                    key = (tgt.index[newt], ci)
+                    entries[key] = entries.get(key, 0) + pair_sign * s * coef
         diffs[k] = SparseMatrix(len(tgt), len(src), entries)
     if max_degree >= 1:
         diffs[1] = SparseMatrix.zeros(dims[0], dims[1])
@@ -315,27 +324,20 @@ def ce_complex_on(g: StructureConstantLieAlgebra,
 def wedge_derivation_matrix(k_basis: ExteriorBasis,
                             act: Callable[[int], Vec]) -> SparseMatrix:
     """Extend a linear action on generators (index -> image Vec) to the
-    exterior power as a derivation."""
+    exterior power as a derivation: each image replaces its generator in
+    place, and the wedge is sorted."""
     size = len(k_basis)
     entries: Dict[Tuple[int, int], Fraction] = {}
     for ci, t in enumerate(k_basis.tuples):
         for pos in range(len(t)):
-            rest = t[:pos] + t[pos + 1:]
             for y, coef in act(t[pos]).items():
-                ins = insert_with_sign(rest, y)
-                if ins is None:
+                res = wedge_sort(t[:pos] + (y,) + t[pos + 1:])
+                if res is None:
                     continue
-                s, newt = ins
-                # moving the image from slot pos to the front costs (-1)^pos
+                s, newt = res
                 key = (k_basis.index[newt], ci)
-                entries[key] = (entries.get(key, 0)
-                                + coef * (-1 if pos % 2 else 1) * s)
+                entries[key] = entries.get(key, 0) + coef * s
     return SparseMatrix(size, size, entries)
-
-
-def adjoint_generator_action(g: StructureConstantLieAlgebra,
-                             x: int) -> Callable[[int], Vec]:
-    return lambda i: g.basis_bracket(x, i)
 
 
 def scalar_matrix_generator_action(n: int, a_dim: int, r: int,
@@ -360,14 +362,15 @@ def homotopy_identity_check(g: StructureConstantLieAlgebra,
     """Check the Cartan formula ad_X = d W(X) + W(X) d in each degree
     k < max_degree, for every generator X, as one matrix identity:
     wedge_derivation_matrix(bases[k], ad_X) == d_{k+1} W_k + W_{k-1} d_k,
-    where W_k: c |-> X ^ c comes from `insert_with_sign` and W_{-1} = 0.
+    where W_k: c |-> X ^ c comes from `wedge_sort` and W_{-1} = 0.
     Every generator/wedge pair is covered; a failure names the least
     (degree, tuple, generator) whose column differs."""
-    cx = ce_complex(g, max_degree)
+    guard_exterior_powers(g.dim, range(max_degree + 1))
     bases = [ExteriorBasis(g.dim, k) for k in range(max_degree + 1)]
+    cx = ce_complex_on(g, bases)
     w = [[SparseMatrix(len(bases[k + 1]), len(bases[k]), {  # W_k(x)
-        (bases[k + 1].index[ins[1]], ti): ins[0] for ti, ins in enumerate(
-            insert_with_sign(t, x) for t in bases[k].tuples) if ins})
+        (bases[k + 1].index[ws[1]], ti): ws[0] for ti, ws in enumerate(
+            wedge_sort((x,) + t) for t in bases[k].tuples) if ws})
         for x in range(g.dim)] for k in range(max_degree)]
     for k in range(max_degree):
         bad = []
@@ -376,7 +379,7 @@ def homotopy_identity_check(g: StructureConstantLieAlgebra,
             if k >= 1:
                 rhs = rhs + w[k - 1][x] @ cx.d(k)
             diff = wedge_derivation_matrix(
-                bases[k], adjoint_generator_action(g, x)) - rhs
+                bases[k], lambda i: g.basis_bracket(x, i)) - rhs
             bad.extend((ti, x) for _r, ti in diff.entries)
         if bad:
             ti, x = min(bad)

@@ -5,8 +5,9 @@ The pieces, bottom up:
 * ``all_permutations`` / ``partitions`` / ``weight_vector``: a small
   combinatorial kit (symmetric group elements as image tuples in
   lexicographic order, integer partitions in reverse-lexicographic order,
-  padded weight tuples). The one sign a permutation needs, in a Specht
-  column group, is the exterior sign of ``_koszul_sort``.
+  padded weight tuples). Every permutation and wedge sign, in a Specht
+  column group, in psi's wedge of tensor legs and in ``_koszul_sort`` of
+  the cyclic wedge, is ``lie_homology.wedge_sort``'s.
 * ``specht_module``: the irreducible symmetric-group module attached to a
   partition, built from polytabloids over tabloids through one column group
   of the shape, with its dimension computed three independent ways
@@ -69,7 +70,7 @@ from .exactlin import (QuotientStructure, SparseMatrix, Subspace, Vec,
 from .lie_homology import (ExteriorBasis, LieModuleAction, ce_complex,
                            ce_complex_on, gl_index, gl_n_of,
                            gln_action_on_chains, guard_exterior_powers,
-                           scalar_matrix_generator_action)
+                           scalar_matrix_generator_action, wedge_sort)
 
 
 # -- permutations --------------------------------------------------------------
@@ -165,18 +166,13 @@ def _column_group(alpha: Tuple[int, ...]) -> List[Tuple[int, Tuple[int, ...]]]:
     per_col = []
     for j in range(alpha[0]):
         col = [s + j for s, r in zip(starts, alpha) if r > j]
-        # a column permutation's sign is its image tuple's exterior sign
-        per_col.append([(_koszul_sort([(1, x) for x in q])[0],
-                         {c: col[q[i]] for i, c in enumerate(col)})
-                        for q in iter_permutations(range(len(col)))])
+        per_col.append([tuple(zip(col, q)) for q in iter_permutations(col)])
     out = []
     for combo in iter_product(*per_col):
-        sign = 1
-        cells: Dict[int, int] = {}
-        for s, mp in combo:
-            sign *= s
-            cells.update(mp)
-        out.append((sign, tuple(cells[c] for c in range(len(cells)))))
+        cells = dict(pair for pairs in combo for pair in pairs)
+        moved = tuple(cells[c] for c in range(len(cells)))
+        # a permutation's sign is its image tuple's exterior sign
+        out.append((wedge_sort(moved)[0], moved))
     return out
 
 
@@ -452,20 +448,11 @@ class CyclicWedgeModel:
 def _koszul_sort(
         seq: Sequence[Tuple[int, int]]
 ) -> Optional[Tuple[int, Tuple[Tuple[int, int], ...]]]:
-    """Sort generators with the graded sign rule (adjacent swap of two odd
-    generators flips the sign); None when an odd generator repeats."""
-    lst = list(seq)
-    sign = 1
-    for i in range(1, len(lst)):
-        j = i
-        while j > 0 and lst[j - 1] > lst[j]:
-            if lst[j - 1][0] % 2 and lst[j][0] % 2:
-                sign = -sign
-            lst[j - 1], lst[j] = lst[j], lst[j - 1]
-            j -= 1
-        if j > 0 and lst[j - 1] == lst[j] and lst[j][0] % 2:
-            return None
-    return sign, tuple(lst)
+    """Sort (degree, index) generators with the graded sign rule: even
+    generators commute with everything, so the sign is the `wedge_sort`
+    sign of the odd generators alone; None when an odd generator repeats."""
+    odd = wedge_sort([x for x in seq if x[0] % 2])
+    return None if odd is None else (odd[0], tuple(sorted(seq)))
 
 
 def cyclic_wedge_complex(a: StructureConstantAlgebra,
@@ -1002,12 +989,11 @@ def psi_restriction_check(a: StructureConstantAlgebra, n: int, m: int,
         entries: Dict[Tuple[int, int], Fraction] = {}
         for ci, term in enumerate(terms):
             for legs, v in term.items():
-                # every leg is a degree-1 generator of the exterior algebra
-                res = _koszul_sort(tuple((1, leg) for leg in legs))
+                res = wedge_sort(legs)
                 if res is None:
                     continue
                 sg, stup = res
-                key = (wedge.index[tuple(leg for _, leg in stup)], ci)
+                key = (wedge.index[stup], ci)
                 entries[key] = entries.get(key, 0) + sg * v
         psi = SparseMatrix(len(wedge), len(terms), entries)
         act = gln_action_on_chains(a, n, deg)

@@ -310,6 +310,43 @@ def test_malformed_unit_pair_exits_2(pair, tmp_path, capsys):
     assert str(path) in capsys.readouterr().err
 
 
+def _basis_document(flag):
+    """(argv, two-dimensional document) for `homology ce` on --lie or on
+    gl_1 of an --algebra."""
+    if flag == "--lie":
+        return ["homology", "ce"], {"dim": 2, "bracket": [[0, 1, 1, 1, 1]]}
+    return (["homology", "ce", "--gl", "1"],
+            algebra_to_json(dual_numbers()))
+
+
+@pytest.mark.parametrize("flag", ["--lie", "--algebra"])
+@pytest.mark.parametrize("basis", ["xy", [7, None], ["x", 7], {"x": "y"},
+                                   None, 2])
+def test_basis_not_a_list_of_strings_exits_2_naming_the_file(
+        flag, basis, tmp_path, capsys):
+    argv, obj = _basis_document(flag)
+    obj["basis"] = basis
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps(obj))
+    assert main(argv + [flag, str(path)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert str(path) in err and "list of strings" in err
+
+
+@pytest.mark.parametrize("flag", ["--lie", "--algebra"])
+@pytest.mark.parametrize("basis,code", [
+    (["x", "y"], EXIT_PASS), ([], EXIT_PASS), (["x"], EXIT_INVARIANT),
+    (["x", "y", "z"], EXIT_INVARIANT)])
+def test_basis_list_of_strings_is_checked_against_dim(flag, basis, code,
+                                                      tmp_path, capsys):
+    argv, obj = _basis_document(flag)
+    obj["basis"] = basis
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps(obj))
+    assert main(argv + [flag, str(path), "--max-degree", "2"]) == code
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("flag", ["--lie", "--algebra", "--cover"])
 def test_non_utf8_document_exits_2_naming_the_file(flag, fixtures, tmp_path,
                                                    capsys):

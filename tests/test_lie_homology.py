@@ -17,7 +17,11 @@ from exacthom.complexes import (
     verify_complex,
     quasi_iso_degrees,
 )
-from exacthom.assoc_homology import dual_numbers, field_q, left_unital_two_dim
+from exacthom.assoc_homology import (cyclic_group_algebra, direct_sum,
+                                     dual_numbers, field_q,
+                                     left_unital_two_dim, matrix_algebra,
+                                     truncated_polynomials,
+                                     zero_multiplication)
 from exacthom.lie_homology import (
     ExteriorBasis,
     LieAxiomError,
@@ -25,24 +29,26 @@ from exacthom.lie_homology import (
     StructureConstantLieAlgebra,
     abelian_lie_algebra,
     ce_complex,
+    ce_complex_on,
     change_of_basis_lie,
     coinvariant_reduction,
     gl_index,
     gl_n_of,
     gln_action_on_chains,
     gln_coinvariant_complex,
-    adjoint_generator_action,
+    guard_exterior_powers,
     homotopy_identity_check,
-    insert_with_sign,
     lie_algebra_from_json,
     lie_algebra_to_json,
     make_lie_algebra,
     sl2_q,
     wedge_derivation_matrix,
+    wedge_sort,
 )
+from exacthom.lqt import weight_zero_tuples
 
 import random
-from typing import Dict, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 
 GL2_BETTI = [1, 1, 0, 1, 1]
@@ -160,10 +166,173 @@ def test_exterior_basis_and_insertion_signs():
     assert len(b) == 6
     assert b.tuples[0] == (0, 1)
     assert b.index[(2, 3)] == 5
-    assert insert_with_sign((1, 3), 2) == (-1, (1, 2, 3))
-    assert insert_with_sign((1, 3), 0) == (1, (0, 1, 3))
-    assert insert_with_sign((1, 3), 4) == (1, (1, 3, 4))
-    assert insert_with_sign((1, 3), 3) is None
+    assert wedge_sort((2, 1, 3)) == (-1, (1, 2, 3))
+    assert wedge_sort((0, 1, 3)) == (1, (0, 1, 3))
+    assert wedge_sort((4, 1, 3)) == (1, (1, 3, 4))
+    assert wedge_sort((3, 1, 3)) is None
+    assert wedge_sort(()) == (1, ())
+
+
+@given(st.lists(st.integers(min_value=0, max_value=6), max_size=8))
+@settings(max_examples=200)
+def test_wedge_sort_is_the_inversion_sign(legs):
+    res = wedge_sort(legs)
+    if len(set(legs)) < len(legs):
+        assert res is None
+        return
+    inversions = sum(1 for i in range(len(legs))
+                     for j in range(i + 1, len(legs)) if legs[i] > legs[j])
+    assert res == ((-1) ** inversions, tuple(sorted(legs)))
+
+
+# -- the parent's sign rule and builders, kept as references -------------------
+
+
+def reference_insert_with_sign(t: Tuple[int, ...], x: int) -> Optional[Tuple[int, Tuple[int, ...]]]:
+    """Sorted insertion of x into the increasing tuple t with the sign of the
+    shuffle (None when x already occurs)."""
+    pos = 0
+    for y in t:
+        if y == x:
+            return None
+        if y < x:
+            pos += 1
+    sign = -1 if pos % 2 else 1
+    return sign, t[:pos] + (x,) + t[pos:]
+
+
+def reference_ce_complex_on(g: StructureConstantLieAlgebra,
+                            bases: Sequence[ExteriorBasis]) -> ChainComplex:
+    """The boundary of `ce_complex` on bases[k] in degree k, for bases that
+    span a subcomplex (each boundary of a bases[k] tuple lies in the span of
+    bases[k - 1]), such as one Cartan weight of gl_n(A). Truncated when the
+    top degree is below dim(g)."""
+    max_degree = len(bases) - 1
+    dims = tuple(len(b) for b in bases)
+    diffs: Dict[int, SparseMatrix] = {}
+    for k in range(2, max_degree + 1):
+        src, tgt = bases[k], bases[k - 1]
+        entries: Dict[Tuple[int, int], Fraction] = {}
+        for ci, t in enumerate(src.tuples):
+            for ii in range(k):
+                for jj in range(ii + 1, k):
+                    # 1-based sign (-1)^(i+j-1): + for the first pair (1,2)
+                    pair_sign = 1 if (ii + jj) % 2 else -1
+                    rest = tuple(x for p, x in enumerate(t)
+                                 if p != ii and p != jj)
+                    for x, coef in g.basis_bracket(t[ii], t[jj]).items():
+                        ins = reference_insert_with_sign(rest, x)
+                        if ins is None:
+                            continue
+                        s, newt = ins
+                        key = (tgt.index[newt], ci)
+                        entries[key] = (entries.get(key, 0)
+                                        + pair_sign * s * coef)
+        diffs[k] = SparseMatrix(len(tgt), len(src), entries)
+    if max_degree >= 1:
+        diffs[1] = SparseMatrix.zeros(dims[0], dims[1])
+    return ChainComplex(dims, diffs, truncated=max_degree < g.dim)
+
+
+def reference_ce_complex(g: StructureConstantLieAlgebra,
+                         max_degree: int) -> ChainComplex:
+    guard_exterior_powers(g.dim, range(max_degree + 1))
+    return reference_ce_complex_on(g, [ExteriorBasis(g.dim, k)
+                                       for k in range(max_degree + 1)])
+
+
+def reference_wedge_derivation_matrix(k_basis: ExteriorBasis,
+                                      act: Callable[[int], Vec]
+                                      ) -> SparseMatrix:
+    """Extend a linear action on generators (index -> image Vec) to the
+    exterior power as a derivation."""
+    size = len(k_basis)
+    entries: Dict[Tuple[int, int], Fraction] = {}
+    for ci, t in enumerate(k_basis.tuples):
+        for pos in range(len(t)):
+            rest = t[:pos] + t[pos + 1:]
+            for y, coef in act(t[pos]).items():
+                ins = reference_insert_with_sign(rest, y)
+                if ins is None:
+                    continue
+                s, newt = ins
+                # moving the image from slot pos to the front costs (-1)^pos
+                key = (k_basis.index[newt], ci)
+                entries[key] = (entries.get(key, 0)
+                                + coef * (-1 if pos % 2 else 1) * s)
+    return SparseMatrix(size, size, entries)
+
+
+def reference_adjoint_generator_action(g: StructureConstantLieAlgebra,
+                                       x: int) -> Callable[[int], Vec]:
+    return lambda i: g.basis_bracket(x, i)
+
+
+@given(st.lists(st.integers(min_value=0, max_value=9), unique=True,
+                max_size=7).map(sorted), st.integers(min_value=0, max_value=9))
+@settings(max_examples=200)
+def test_wedge_sort_of_a_front_generator_is_the_insertion_sign(t, x):
+    assert wedge_sort((x,) + tuple(t)) == \
+        reference_insert_with_sign(tuple(t), x)
+
+
+# gl_2(A) of every algebra here, dim(gl_2(A)) <= 16, keeps its reference CE
+# complexes through LIE_REFERENCE_DEGREE small
+LIE_REFERENCE_DEGREE = 3
+LIE_ZOO = [
+    field_q(), dual_numbers(), truncated_polynomials(3), matrix_algebra(2),
+    cyclic_group_algebra(3), direct_sum(field_q(), dual_numbers()),
+    zero_multiplication(3), left_unital_two_dim()]
+lie_zoo = st.sampled_from(LIE_ZOO).map(lambda a: gl_n_of(a, 2))
+lie_algebras = st.one_of(st.just(sl2_q()), lie_zoo)
+
+
+def conjugated(g: StructureConstantLieAlgebra, seed: int
+               ) -> StructureConstantLieAlgebra:
+    return change_of_basis_lie(g, random_unimodular(random.Random(seed),
+                                                    g.dim))
+
+
+def assert_builders_match_the_references(g, bases):
+    assert ce_complex_on(g, bases) == reference_ce_complex_on(g, bases)
+    for b in bases:
+        for x in range(g.dim):
+            act = reference_adjoint_generator_action(g, x)
+            assert wedge_derivation_matrix(b, act) == \
+                reference_wedge_derivation_matrix(b, act)
+
+
+@given(lie_algebras)
+@settings(max_examples=12, deadline=None)
+def test_builders_match_the_references(g):
+    top = min(g.dim, LIE_REFERENCE_DEGREE)
+    assert_builders_match_the_references(
+        g, [ExteriorBasis(g.dim, k) for k in range(top + 1)])
+    assert ce_complex(g, top) == reference_ce_complex(g, top)
+
+
+@given(lie_algebras, seeds)
+@settings(max_examples=12, deadline=None)
+def test_builders_match_the_references_after_a_change_of_basis(g, seed):
+    g = conjugated(g, seed)
+    top = min(g.dim, LIE_REFERENCE_DEGREE)
+    assert_builders_match_the_references(
+        g, [ExteriorBasis(g.dim, k) for k in range(top + 1)])
+
+
+@given(st.sampled_from(LIE_ZOO), st.integers(min_value=2, max_value=3))
+@settings(max_examples=12, deadline=None)
+def test_builders_match_the_references_on_weight_zero_tuples(a, n):
+    g = gl_n_of(a, n)
+    bases = [ExteriorBasis(g.dim, k, weight_zero_tuples(n, a.dim, k))
+             for k in range(min(4 if a.dim == 1 else 3, g.dim) + 1)]
+    assert ce_complex_on(g, bases) == reference_ce_complex_on(g, bases)
+    # ad of a weight-0 generator keeps the weight-0 block
+    for b in bases:
+        for (x,) in weight_zero_tuples(n, a.dim, 1):
+            act = reference_adjoint_generator_action(g, x)
+            assert wedge_derivation_matrix(b, act) == \
+                reference_wedge_derivation_matrix(b, act)
 
 
 # -- the exterior complex --------------------------------------------------------
@@ -381,7 +550,7 @@ def reference_homotopy_identity_check(g: StructureConstantLieAlgebra,
                                       budget: int = 10_000) -> dict:
     """homotopy_identity_check as it was before it compared whole
     matrices: one generator/wedge pair at a time, sampled past a budget."""
-    cx = ce_complex(g, max_degree)
+    cx = reference_ce_complex(g, max_degree)
     bases = [ExteriorBasis(g.dim, k) for k in range(max_degree + 1)]
     pairs = [(x, k, ti)
              for k in range(0, max_degree)
@@ -397,12 +566,12 @@ def reference_homotopy_identity_check(g: StructureConstantLieAlgebra,
         t = bases[k].tuples[ti]
         # ad_X extended as a derivation
         if (x, k) not in derivations:
-            derivations[(x, k)] = wedge_derivation_matrix(
-                bases[k], adjoint_generator_action(g, x))
+            derivations[(x, k)] = reference_wedge_derivation_matrix(
+                bases[k], reference_adjoint_generator_action(g, x))
         lhs = derivations[(x, k)].column(ti)
         # d(X ^ c)
         rhs: Vec = {}
-        ins = insert_with_sign(t, x)
+        ins = reference_insert_with_sign(t, x)
         if ins is not None:
             s, wedge = ins
             col = cx.d(k + 1).column(bases[k + 1].index[wedge])
@@ -410,7 +579,7 @@ def reference_homotopy_identity_check(g: StructureConstantLieAlgebra,
         # + X ^ d(c)
         if k >= 1:
             for i, v in cx.d(k).column(ti).items():
-                ins2 = insert_with_sign(bases[k - 1].tuples[i], x)
+                ins2 = reference_insert_with_sign(bases[k - 1].tuples[i], x)
                 if ins2 is None:
                     continue
                 s2, wedge2 = ins2
@@ -450,23 +619,39 @@ def test_homotopy_identity_names_the_reference_witness(degree, entry,
     """One entry of d_degree is moved, so the formula fails in degree
     degree - 1 or degree, and both checks name the same first pair."""
     from exacthom import lie_homology
-    real = lie_homology.ce_complex
 
-    def moved(g, max_degree):
-        cx = real(g, max_degree)
-        d = cx.d(degree) + SparseMatrix(cx.d(degree).rows,
-                                        cx.d(degree).cols, {entry: 1})
-        return ChainComplex(cx.dims, {**cx.differentials, degree: d},
-                            truncated=cx.truncated)
+    def moved(build):
+        def build_moved(g, bases):
+            cx = build(g, bases)
+            d = cx.d(degree) + SparseMatrix(cx.d(degree).rows,
+                                            cx.d(degree).cols, {entry: 1})
+            return ChainComplex(cx.dims, {**cx.differentials, degree: d},
+                                truncated=cx.truncated)
+        return build_moved
 
-    monkeypatch.setattr(lie_homology, "ce_complex", moved)
-    monkeypatch.setitem(globals(), "ce_complex", moved)
+    monkeypatch.setattr(lie_homology, "ce_complex_on",
+                        moved(lie_homology.ce_complex_on))
+    monkeypatch.setitem(globals(), "reference_ce_complex_on",
+                        moved(reference_ce_complex_on))
     g = gl_n_of(field_q(), 2)
     rep = homotopy_identity_check(g, 4)
     assert rep["verdict"] == "fail"
     assert rep["witness"]["degree"] in (degree - 1, degree)
     assert rep == _without_sampling_keys(
         reference_homotopy_identity_check(g, 4))
+
+
+def test_homotopy_identity_guards_every_degree_before_enumerating(
+        monkeypatch):
+    from exacthom import lie_homology
+
+    def enumerated(*args):
+        raise AssertionError("an exterior power was enumerated")
+
+    monkeypatch.setattr(lie_homology, "combinations", enumerated)
+    with pytest.raises(ResourceGuardError) as e:
+        homotopy_identity_check(abelian_lie_algebra(40), 6)
+    assert e.value.sizing["size"] == 658008
 
 
 def test_homotopy_identity_abelian_trivial():

@@ -36,7 +36,7 @@ from exacthom.exactlin import (ResourceGuardError, SparseMatrix, Subspace,
 from exacthom.lie_homology import (ExteriorBasis, ce_complex, ce_complex_on,
                                    coinvariant_reduction, gl_index, gl_n_of,
                                    gln_action_on_chains, guard_exterior_powers,
-                                   scalar_matrix_generator_action)
+                                   scalar_matrix_generator_action, wedge_sort)
 from exacthom.lqt import (
     GroupTensorModel,
     SpechtModule,
@@ -81,16 +81,44 @@ from exacthom.lqt import (
 small_perm_degrees = st.integers(min_value=1, max_value=5)
 
 
-@given(st.lists(st.integers(min_value=0, max_value=6), max_size=7))
-@settings(max_examples=100)
-def test_koszul_sort_of_degree_one_tags_is_the_exterior_sign(legs):
-    res = _koszul_sort([(1, x) for x in legs])
-    if len(set(legs)) < len(legs):
+def reference_koszul_sort(seq):
+    """Sort generators with the graded sign rule (adjacent swap of two odd
+    generators flips the sign); None when an odd generator repeats."""
+    lst = list(seq)
+    sign = 1
+    for i in range(1, len(lst)):
+        j = i
+        while j > 0 and lst[j - 1] > lst[j]:
+            if lst[j - 1][0] % 2 and lst[j][0] % 2:
+                sign = -sign
+            lst[j - 1], lst[j] = lst[j], lst[j - 1]
+            j -= 1
+        if j > 0 and lst[j - 1] == lst[j] and lst[j][0] % 2:
+            return None
+    return sign, tuple(lst)
+
+
+graded_generators = st.lists(st.tuples(st.integers(min_value=1, max_value=4),
+                                       st.integers(min_value=0, max_value=3)),
+                             max_size=8)
+
+
+@given(st.one_of(graded_generators,
+                 st.lists(st.integers(min_value=0, max_value=6), max_size=7)
+                 .map(lambda legs: [(1, x) for x in legs])))
+@settings(max_examples=200)
+def test_koszul_sort_of_degree_one_tags_is_the_exterior_sign(gens):
+    # the sign counts inversions among odd generators only: even ones
+    # commute with everything and may repeat
+    res = _koszul_sort(gens)
+    assert res == reference_koszul_sort(gens)
+    odd = [g for g in gens if g[0] % 2]
+    if len(set(odd)) < len(odd):
         assert res is None
         return
-    inversions = sum(1 for i in range(len(legs))
-                     for j in range(i + 1, len(legs)) if legs[i] > legs[j])
-    assert res == ((-1) ** inversions, tuple((1, x) for x in sorted(legs)))
+    inversions = sum(1 for i in range(len(odd))
+                     for j in range(i + 1, len(odd)) if odd[i] > odd[j])
+    assert res == ((-1) ** inversions, tuple(sorted(gens)))
 perm_seeds = st.integers(min_value=0, max_value=10_000)
 
 
@@ -216,6 +244,7 @@ def test_zero_letters_group_is_trivial():
 def test_exterior_sign_is_the_cycle_count_sign(k):
     # the sign the Specht column group reads, against the reference's
     for p in _perms(k):
+        assert wedge_sort(p)[0] == Permutation(p).sign
         assert _koszul_sort([(1, x) for x in p])[0] == Permutation(p).sign
 
 
