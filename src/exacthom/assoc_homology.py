@@ -108,6 +108,8 @@ class StructureConstantAlgebra:
             for k in v:
                 if not 0 <= k < self.dim:
                     raise AlgebraAxiomError(f"mult target {k} out of range")
+        guard_ambient(f"associativity triples of a {self.dim}-dimensional "
+                      f"algebra", self.dim ** 3)
         for i in range(self.dim):
             for j in range(self.dim):
                 for k in range(self.dim):
@@ -271,34 +273,6 @@ def direct_sum(a: StructureConstantAlgebra,
     names = tuple([f"l.{a.name_of(i)}" for i in range(a.dim)]
                   + [f"r.{b.name_of(i)}" for i in range(b.dim)])
     return StructureConstantAlgebra(dim, mult, unit, names)
-
-
-_FAMILIES = {
-    "rationals": lambda params: field_q(),
-    "dual_numbers": lambda params: dual_numbers(),
-    "truncated_polynomials": lambda params: truncated_polynomials(
-        json_int(params["m"], "m")),
-    "matrix_algebra": lambda params: matrix_algebra(
-        json_int(params["m"], "m")),
-    "cyclic_group_algebra": lambda params: cyclic_group_algebra(
-        json_int(params["m"], "m")),
-    "zero_multiplication": lambda params: zero_multiplication(
-        json_int(params["d"], "d")),
-    "left_unital": lambda params: left_unital_two_dim(),
-    "product_of_fields": lambda params: direct_sum(field_q(), field_q()),
-}
-
-
-def make_algebra(spec: Mapping) -> StructureConstantAlgebra:
-    """Build from {"family": ..., "params": {...}} or a full structure-constant
-    JSON object (the presence of a "family" key decides)."""
-    if "family" in spec:
-        fam = spec["family"]
-        if fam not in _FAMILIES:
-            raise ValueError(
-                f"unknown algebra family {fam!r}; known: {sorted(_FAMILIES)}")
-        return _FAMILIES[fam](spec.get("params", {}))
-    return algebra_from_json(spec)
 
 
 def change_of_basis(a: StructureConstantAlgebra,

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactlin import (
     QuotientStructure,
@@ -23,7 +23,6 @@ from .exactlin import (
     Subspace,
     Vec,
     inverse,
-    json_int,
     kernel_basis,
     random_unimodular,
     rank,
@@ -533,32 +532,6 @@ class SpectralSequence:
 
 def spectral_sequence(dc: DoubleComplex) -> SpectralSequence:
     return SpectralSequence(dc)
-
-
-# -- serialization ------------------------------------------------------------
-
-
-def complex_to_json(c: ChainComplex) -> dict:
-    return {
-        "dims": {str(n): c.dims[n] for n in range(c.max_degree + 1)},
-        "differentials": {str(n): c.d(n).to_entry_list()
-                          for n in range(1, c.max_degree + 1)},
-    }
-
-
-def complex_from_json(obj: Mapping) -> ChainComplex:
-    dims_raw = obj["dims"]
-    degrees = sorted(int(k) for k in dims_raw)
-    if degrees != list(range(len(degrees))):
-        raise ValueError("dims keys must be contiguous 0..max_degree")
-    dims = tuple(json_int(dims_raw[str(n)], "dims value") for n in degrees)
-    diffs: Dict[int, SparseMatrix] = {}
-    for k, items in obj.get("differentials", {}).items():
-        n = int(k)
-        if not 1 <= n < len(dims):
-            raise ValueError(f"differential key {n} out of range")
-        diffs[n] = SparseMatrix.from_entry_list(dims[n - 1], dims[n], items)
-    return ChainComplex(dims, diffs)
 
 
 # -- seeded random families ---------------------------------------------------

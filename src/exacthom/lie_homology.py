@@ -205,28 +205,6 @@ def change_of_basis_lie(g: StructureConstantLieAlgebra,
     return StructureConstantLieAlgebra(g.dim, bracket)
 
 
-_LIE_FAMILIES = {
-    "abelian": lambda params, coeff: abelian_lie_algebra(
-        json_int(params["d"], "d")),
-    "sl2": lambda params, coeff: sl2_q(),
-    "gl": lambda params, coeff: gl_n_of(coeff, json_int(params["n"], "n")),
-}
-
-
-def make_lie_algebra(spec: Mapping,
-                     coefficients: Optional[StructureConstantAlgebra] = None
-                     ) -> StructureConstantLieAlgebra:
-    if "family" in spec:
-        fam = spec["family"]
-        if fam not in _LIE_FAMILIES:
-            raise ValueError(
-                f"unknown Lie family {fam!r}; known: {sorted(_LIE_FAMILIES)}")
-        if fam == "gl" and coefficients is None:
-            raise ValueError("gl family needs a coefficient algebra")
-        return _LIE_FAMILIES[fam](spec.get("params", {}), coefficients)
-    return lie_algebra_from_json(spec)
-
-
 # -- exterior powers ----------------------------------------------------------
 
 

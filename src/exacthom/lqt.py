@@ -35,9 +35,11 @@ The pieces, bottom up:
   boundary is the matrix Lie boundary moved there per section column, with
   no gl_n(A) built; the chain-map verification ties the two sides together.
 * weight machinery: Cartan eigenspace decomposition of wedge powers of
-  gl_n(A), highest-weight subspaces, generated submodules, and the
-  row-chain embedding ``zeta_map`` with its highest-weight restriction
-  check.
+  gl_n(A), highest-weight subspaces, generated submodules, and psi, the
+  row-chain embedding into a highest-weight space, with its restriction
+  check. A psi term is a tuple of gl_n(A) legs, one row chain
+  E_{r_t, r_(t+1)} (x) leg_t per block (``_row_chains``), with
+  coefficient 1.
 * ``lqt_stable_check``: the dimension comparison between the Lie homology
   of gl_n(A) and the free graded-commutative closure of cyclic homology,
   in the stable range r+1 <= n (unital) or 2r+1 <= n (bar-acyclic
@@ -773,23 +775,15 @@ def weight_zero_tuples(n: int, a_dim: int, k: int) -> List[Tuple[int, ...]]:
     return out
 
 
-def weight_components(a: StructureConstantAlgebra, n: int,
-                      k: int) -> Dict[Tuple[int, ...], List[int]]:
-    """Wedge basis indices grouped by Cartan weight."""
-    basis = ExteriorBasis(n * n * a.dim, k)
-    out: Dict[Tuple[int, ...], List[int]] = {}
-    for ci, tup in enumerate(basis.tuples):
-        out.setdefault(wedge_weight(a, n, tup), []).append(ci)
-    return out
-
-
 def highest_weight_space(a: StructureConstantAlgebra, n: int, k: int,
                          mu: Sequence[int],
                          action: Optional[LieModuleAction] = None) -> Subspace:
     """Vectors of weight mu killed by every raising operator e_ij (i < j),
     inside the k-th wedge power of gl_n(A)."""
     act = action if action is not None else gln_action_on_chains(a, n, k)
-    cols = weight_components(a, n, k).get(tuple(mu), [])
+    mu = tuple(mu)
+    cols = [ci for ci, tup in enumerate(combinations(range(n * n * a.dim), k))
+            if wedge_weight(a, n, tup) == mu]
     amb = act.module_dim
     if not cols:
         return Subspace.zero(amb)
@@ -825,45 +819,31 @@ def generated_submodule(action: LieModuleAction, seed: Subspace) -> Subspace:
         cur = nxt
 
 
-def _generated_components(a: StructureConstantAlgebra, n: int, k: int):
-    """Yield (m, alpha, beta, mu, highest-weight space, generated submodule)
-    for every weight mu of `weight_decomposition`, in its order."""
-    act = gln_action_on_chains(a, n, k)
-    for m in range(k + 1):
-        for alpha in partitions(m):
-            for beta in partitions(m):
-                if len(alpha) + len(beta) > n:
-                    continue
-                mu = weight_vector(alpha, beta, n)
-                hw = highest_weight_space(a, n, k, mu, act)
-                yield m, alpha, beta, mu, hw, generated_submodule(act, hw)
-
-
-def weight_decomposition(
-        a: StructureConstantAlgebra, n: int,
-        k: int) -> Dict[Tuple[int, ...], Subspace]:
-    """For every padded weight built from a pair of partitions of the same
-    m <= k (combined lengths at most n): the submodule generated by its
-    highest-weight space inside the k-th wedge power of gl_n(A)."""
-    return {mu: gen for *_, mu, _hw, gen in _generated_components(a, n, k)}
-
-
 def weight_decomposition_report(a: StructureConstantAlgebra, n: int,
                                 k: int) -> dict:
-    """Report: the generated components over the canonical weights fill the
-    whole wedge power (their dimensions add up to it and their joint span
-    has full dimension)."""
+    """Report: for every padded weight mu built from a pair of partitions of
+    the same m <= k (combined lengths at most n), the submodule generated by
+    its highest-weight space inside the k-th wedge power of gl_n(A); these
+    components fill the whole wedge power (their dimensions add up to it and
+    their joint span has full dimension)."""
     total = math.comb(n * n * a.dim, k)
     components = []
     dim_sum = 0
     span = Subspace.zero(total)
-    for m, alpha, beta, mu, hw, gen in _generated_components(a, n, k):
-        dim_sum += gen.dim
-        span = span.sum(gen)
-        components.append({"weight": list(mu), "m": m,
-                           "alpha": list(alpha), "beta": list(beta),
-                           "highest_dim": hw.dim,
-                           "generated_dim": gen.dim})
+    act = gln_action_on_chains(a, n, k)
+    for m in range(k + 1):
+        for alpha, beta in iter_product(partitions(m), repeat=2):
+            if len(alpha) + len(beta) > n:
+                continue
+            mu = weight_vector(alpha, beta, n)
+            hw = highest_weight_space(a, n, k, mu, act)
+            gen = generated_submodule(act, hw)
+            dim_sum += gen.dim
+            span = span.sum(gen)
+            components.append({"weight": list(mu), "m": m,
+                               "alpha": list(alpha), "beta": list(beta),
+                               "highest_dim": hw.dim,
+                               "generated_dim": gen.dim})
     verdict = dim_sum == total and span.dim == total
     return {"check": "weight_decomposition",
             "params": {"n": n, "k": k, "algebra_dim": a.dim},
@@ -877,70 +857,49 @@ def weight_decomposition_report(a: StructureConstantAlgebra, n: int,
 # -- row-chain embedding and its highest-weight restriction ---------------------
 
 
-def zeta_map(a: StructureConstantAlgebra, c: Mapping[int, Fraction], p: int,
-             r: int, s: int, n: int) -> Vec:
-    """Row-chain embedding of a p-fold tensor over A into the p-fold tensor
-    power of gl_n(A): sum over all internal index chains from row r to
-    column s (both 1-based)."""
-    if not (1 <= r <= n and 1 <= s <= n):
-        raise ValueError("row and column indices must be in 1..n")
-    if p < 1:
-        raise ValueError("need p >= 1 tensor legs")
-    gdim = n * n * a.dim
-    out: Dict[int, Fraction] = {}
-    for idx, v in c.items():
-        if not v:
-            continue
-        legs = tensor_unrank(a.dim, p, idx)
-        for chain in iter_product(range(n), repeat=p - 1):
-            rows = (r - 1,) + chain
-            cols = chain + (s - 1,)
-            glegs = tuple(gl_index(n, a.dim, rows[t], cols[t], legs[t])
-                          for t in range(p))
-            key = tensor_rank(gdim, glegs)
-            out[key] = out.get(key, 0) + v
-    return vec_clean(out)
+def _row_chains(n: int, a_dim: int, legs: Sequence[int], first: int,
+                last: int) -> List[Tuple[int, ...]]:
+    """The gl_n(A) leg tuples of the row chains of one tensor: leg t is
+    E_{r_t, r_(t+1)} (x) legs[t], with r_0 = first and r_len = last fixed
+    and the inner rows running over [n] in lexicographic order."""
+    out = []
+    for inner in iter_product(range(n), repeat=len(legs) - 1):
+        rows = (first,) + inner + (last,)
+        out.append(tuple(gl_index(n, a_dim, rows[t], rows[t + 1], leg)
+                         for t, leg in enumerate(legs)))
+    return out
 
 
-def theta_tilde(a: StructureConstantAlgebra, c: Mapping[int, Fraction],
-                p: int, n: int) -> Vec:
-    """Sum of the diagonal row-chain embeddings, one per matrix index."""
-    out: Dict[int, Fraction] = {}
-    for kk in range(1, n + 1):
-        for key, v in zeta_map(a, c, p, kk, kk, n).items():
-            out[key] = out.get(key, 0) + v
-    return vec_clean(out)
-
-
-def _outer_legs(acc: Dict[Tuple[int, ...], Fraction],
-                block: Mapping[int, Fraction], gdim: int,
-                j: int) -> Dict[Tuple[int, ...], Fraction]:
-    out: Dict[Tuple[int, ...], Fraction] = {}
-    for legs, v in acc.items():
-        for bid, bv in block.items():
-            key = legs + tensor_unrank(gdim, j, bid)
-            out[key] = out.get(key, 0) + v * bv
-    return vec_clean(out)
-
-
-def _psi_term_tensor(a: StructureConstantAlgebra, n: int,
-                     dom: CyclicWedgeModel,
-                     mono: Tuple[Tuple[int, int], ...],
-                     marked: Optional[Tuple[int, int]]
-                     ) -> Dict[Tuple[int, ...], Fraction]:
-    """Tensor-leg expansion of one domain basis element: diagonal row chains
-    on each monomial block's canonical representative, then (optionally) a
-    corner row chain on a marked bar-type block."""
-    gdim = n * n * a.dim
-    acc: Dict[Tuple[int, ...], Fraction] = {(): 1}
-    for (j, t) in mono:
-        rep = dom.cyclic_quots[j - 1].section.column(t)
-        acc = _outer_legs(acc, theta_tilde(a, rep, j, n), gdim, j)
-    if marked is not None:
-        p, tens = marked
-        acc = _outer_legs(acc, zeta_map(a, {tens: 1}, p, 1, n, n),
-                          gdim, p)
-    return acc
+def _psi_matrix(a: StructureConstantAlgebra, n: int, m: int,
+                dom: CyclicWedgeModel, deg: int) -> SparseMatrix:
+    """Psi in degree deg, from the domain basis to the wedge basis of
+    gl_n(A). A term concatenates one leg tuple per block: a diagonal row
+    chain (r_0 = r_len) on each monomial block's representative, which is
+    one unit section column, and for m = 1 a corner chain (0 to n-1) on a
+    marked tensor of the remaining degree. Every such tuple is a term with
+    coefficient 1, and its wedge adds its sign."""
+    reps = [{t: f for f, t in q.section.entries} for q in dom.cyclic_quots]
+    diagonal = {
+        (j, t): [c for r in range(n)
+                 for c in _row_chains(n, a.dim, tensor_unrank(a.dim, j, f),
+                                      r, r)]
+        for j in range(1, deg + 1) for t, f in reps[j - 1].items()}
+    if m == 0:
+        terms = [[diagonal[g] for g in mono] for mono in dom.monomials[deg]]
+    else:
+        terms = [[diagonal[g] for g in mono]
+                 + [_row_chains(n, a.dim, legs, 0, n - 1)]
+                 for d1 in range(deg) for mono in dom.monomials[d1]
+                 for legs in iter_product(range(a.dim), repeat=deg - d1)]
+    wedge = ExteriorBasis(n * n * a.dim, deg)
+    entries: Dict[Tuple[int, int], int] = {}
+    for ci, blocks in enumerate(terms):
+        for parts in iter_product(*blocks):
+            res = wedge_sort(sum(parts, ()))
+            if res is not None:
+                key = (wedge.index[res[1]], ci)
+                entries[key] = entries.get(key, 0) + res[0]
+    return SparseMatrix(len(wedge), len(terms), entries)
 
 
 def psi_restriction_check(a: StructureConstantAlgebra, n: int, m: int,
@@ -965,8 +924,7 @@ def psi_restriction_check(a: StructureConstantAlgebra, n: int, m: int,
         raise ValueError("combined partition lengths exceed n")
     if m > 1:
         raise ValueError("marked-block count m >= 2 is not supported")
-    gdim = n * n * a.dim
-    guard_exterior_powers(gdim, range(max_degree + 1))
+    guard_exterior_powers(n * n * a.dim, range(max_degree + 1))
     mu = weight_vector(alpha, beta, n)
     dom = cyclic_wedge_complex(a, max_degree)
     lhs_dims: List[int] = []
@@ -974,36 +932,15 @@ def psi_restriction_check(a: StructureConstantAlgebra, n: int, m: int,
     image_ok: List[bool] = []
     bijective: List[bool] = []
     for deg in range(max_degree + 1):
-        terms: List[Dict[Tuple[int, ...], Fraction]] = []
-        if m == 0:
-            for mono in dom.monomials[deg]:
-                terms.append(_psi_term_tensor(a, n, dom, mono, None))
-        else:
-            for d1 in range(deg):
-                p = deg - d1
-                for mono in dom.monomials[d1]:
-                    for tens in range(a.dim ** p):
-                        terms.append(
-                            _psi_term_tensor(a, n, dom, mono, (p, tens)))
-        wedge = ExteriorBasis(gdim, deg)
-        entries: Dict[Tuple[int, int], Fraction] = {}
-        for ci, term in enumerate(terms):
-            for legs, v in term.items():
-                res = wedge_sort(legs)
-                if res is None:
-                    continue
-                sg, stup = res
-                key = (wedge.index[stup], ci)
-                entries[key] = entries.get(key, 0) + sg * v
-        psi = SparseMatrix(len(wedge), len(terms), entries)
+        psi = _psi_matrix(a, n, m, dom, deg)
         act = gln_action_on_chains(a, n, deg)
         hw = highest_weight_space(a, n, deg, mu, act)
         image_ok.append(bool(all(hw.contains(psi.column(c))
                                  for c in range(psi.cols))))
-        lhs_dims.append(len(terms))
+        lhs_dims.append(psi.cols)
         rhs_dims.append(hw.dim)
         if deg <= n // 2:
-            bijective.append(bool(len(terms) == hw.dim == rank(psi)))
+            bijective.append(bool(psi.cols == hw.dim == rank(psi)))
     verdict = all(image_ok) and all(bijective)
     return {"check": "psi_restriction",
             "params": {"n": n, "m": m, "alpha": list(alpha),

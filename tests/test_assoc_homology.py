@@ -46,7 +46,6 @@ from exacthom.assoc_homology import (
     hochschild_boundary,
     hochschild_complex,
     left_unital_two_dim,
-    make_algebra,
     matrix_algebra,
     norm_operator,
     random_algebra,
@@ -90,6 +89,24 @@ def test_one_sided_unit_rejected():
         StructureConstantAlgebra(2, mult, unit={0: Fraction(1)})
 
 
+def test_associativity_walk_is_guarded_before_any_product(monkeypatch):
+    # dim^3 associativity triples: 79^3 = 493,039 is walked, 80^3 = 512,000
+    # is refused before the first product is formed
+    def product(self, u, v):
+        raise RuntimeError("associativity walk started")
+
+    monkeypatch.setattr(StructureConstantAlgebra, "product", product)
+    with pytest.raises(ResourceGuardError) as e:
+        StructureConstantAlgebra(80, {})
+    assert e.value.sizing["size"] == 80 ** 3
+    assert "associativity triples" in str(e.value)
+    with pytest.raises(RuntimeError, match="walk started"):
+        StructureConstantAlgebra(79, {})
+    # the index checks still come first
+    with pytest.raises(AlgebraAxiomError, match="out of range"):
+        StructureConstantAlgebra(80, {(0, 80): {0: 1}})
+
+
 def test_unit_coordinate_past_dim_rejected():
     # a unit coordinate outside the basis never meets the product table
     with pytest.raises(AlgebraAxiomError, match="unit coordinate 1"):
@@ -106,22 +123,6 @@ def test_json_roundtrip_and_families():
     assert b.mult == a.mult and b.unit == a.unit and b.names == a.names
     assert json.dumps(algebra_to_json(b), sort_keys=True) == \
         json.dumps(blob, sort_keys=True)
-    m = make_algebra({"family": "truncated_polynomials", "params": {"m": 3}})
-    assert m.dim == 3 and m.is_unital
-    with pytest.raises(ValueError, match="unknown algebra family"):
-        make_algebra({"family": "nope"})
-    # full structure-constant objects are accepted directly
-    again = make_algebra(blob)
-    assert again.mult == a.mult
-
-
-@pytest.mark.parametrize("family, key", [
-    ("truncated_polynomials", "m"), ("matrix_algebra", "m"),
-    ("cyclic_group_algebra", "m"), ("zero_multiplication", "d")])
-@pytest.mark.parametrize("bad", [2.7, 2.0, True, "2"])
-def test_family_sizes_must_be_json_integers(family, key, bad):
-    with pytest.raises(TypeError, match=key):
-        make_algebra({"family": family, "params": {key: bad}})
 
 
 def test_json_stores_int_constants_and_drops_zeros():

@@ -441,12 +441,15 @@ def test_unwritable_json_path_exits_2_naming_it(tmp_path, capsys):
      "--max-degree", "1"],
     # loading a 200-dimensional Lie algebra walks C(200, 3) Jacobi triples
     ["homology", "ce", "--lie", "ABELIAN200", "--max-degree", "1"],
+    # loading a 1000-dimensional algebra walks 1000^3 associativity triples
+    ["homology", "hochschild", "--algebra", "ZERO1000", "--max-degree", "1"],
     # k! * (k! + n^(2k)) conjugations and column reads of phi
     ["verify", "phi", "--n", "1", "--k", "7"],
     ["verify", "phi", "--n", "2", "--k", "6"],
 ], ids=["hochschild-2^20", "ce-abelian40", "lqt-gl8", "lqt-gl32",
         "lqt-gl13-jacobi", "theta-zero50", "ce-gl20-jacobi",
-        "gl-gl20-jacobi", "ce-lie200-jacobi", "phi-n1-k7", "phi-n2-k6"])
+        "gl-gl20-jacobi", "ce-lie200-jacobi", "hochschild-assoc1000",
+        "phi-n1-k7", "phi-n2-k6"])
 def test_oversized_input_exits_4_within_seconds(argv, fixtures, tmp_path):
     abelian = tmp_path / "abelian40.json"
     abelian.write_text(json.dumps({"dim": 40, "bracket": []}))
@@ -454,8 +457,11 @@ def test_oversized_input_exits_4_within_seconds(argv, fixtures, tmp_path):
     abelian200.write_text(json.dumps({"dim": 200, "bracket": []}))
     zero50 = tmp_path / "zero50.json"
     zero50.write_text(json.dumps(algebra_to_json(zero_multiplication(50))))
+    zero1000 = tmp_path / "zero1000.json"
+    zero1000.write_text(json.dumps({"dim": 1000, "mult": []}))
     paths = dict(fixtures, abelian40=str(abelian),
-                 abelian200=str(abelian200), zero50=str(zero50))
+                 abelian200=str(abelian200), zero50=str(zero50),
+                 zero1000=str(zero1000))
     argv = [paths[a.lower()] if a.isupper() else a for a in argv]
     # In a subprocess, so that a missing guard fails on the timeout
     # instead of hanging the suite.

@@ -1,6 +1,5 @@
 """Chain complexes, tensor products, double complexes, spectral sequences."""
 
-import json
 import random
 from fractions import Fraction
 from typing import Dict, List, Tuple
@@ -20,8 +19,6 @@ from exacthom.complexes import (
     _coordinates,
     _reduced_basis,
     betti_numbers,
-    complex_from_json,
-    complex_to_json,
     homology,
     induced_on_homology,
     kunneth_check,
@@ -202,28 +199,6 @@ def test_random_complex_has_predicted_betti(seed):
     c, predicted = random_complex(seed)
     assert verify_complex(c)["ok"]
     assert betti_numbers(c) == predicted
-
-
-def test_json_roundtrip_bit_exact():
-    c, _ = random_complex(7)
-    blob = complex_to_json(c)
-    again = complex_to_json(complex_from_json(blob))
-    assert json.dumps(blob, sort_keys=True) == json.dumps(again, sort_keys=True)
-    c2 = complex_from_json(blob)
-    assert c2.dims == c.dims
-    for n in range(1, c.max_degree + 1):
-        assert c2.d(n) == c.d(n)
-
-
-@pytest.mark.parametrize("value", [2.7, "x", True])
-def test_json_dims_must_be_integers(value):
-    with pytest.raises(TypeError, match="dims value must be a JSON integer"):
-        complex_from_json({"dims": {"0": value}})
-
-
-def test_json_rejects_gappy_dims():
-    with pytest.raises(ValueError):
-        complex_from_json({"dims": {"0": 1, "2": 1}, "differentials": {}})
 
 
 @given(seeds, seeds)

@@ -40,7 +40,6 @@ from exacthom.lie_homology import (
     homotopy_identity_check,
     lie_algebra_from_json,
     lie_algebra_to_json,
-    make_lie_algebra,
     sl2_q,
     wedge_derivation_matrix,
     wedge_sort,
@@ -138,24 +137,6 @@ def test_lie_json_mirrors_rows_without_their_mirror():
     with pytest.raises(LieAxiomError, match="antisymmetry"):
         lie_algebra_from_json({"dim": 2, "bracket": [[0, 1, 1, 1, 1],
                                                       [1, 0, 1, 1, 1]]})
-
-
-def test_make_lie_algebra_families():
-    assert make_lie_algebra({"family": "abelian", "params": {"d": 3}}).dim == 3
-    assert make_lie_algebra({"family": "sl2"}).basis_bracket(1, 2) == {0: frac(1)}
-    g = make_lie_algebra({"family": "gl", "params": {"n": 2}}, field_q())
-    assert g.dim == 4
-    with pytest.raises(ValueError, match="unknown Lie family"):
-        make_lie_algebra({"family": "nope"})
-    with pytest.raises(ValueError, match="coefficient algebra"):
-        make_lie_algebra({"family": "gl", "params": {"n": 2}})
-
-
-@pytest.mark.parametrize("family, key", [("abelian", "d"), ("gl", "n")])
-@pytest.mark.parametrize("bad", [2.7, 2.0, True, "2"])
-def test_lie_family_sizes_must_be_json_integers(family, key, bad):
-    with pytest.raises(TypeError, match=key):
-        make_lie_algebra({"family": family, "params": {key: bad}}, field_q())
 
 
 # -- exterior basis -------------------------------------------------------------

@@ -9,15 +9,17 @@ from functools import cached_property
 from itertools import combinations
 from itertools import permutations as iter_permutations
 from itertools import product as iter_product
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from exacthom.assoc_homology import (
     algebra_to_json,
     change_of_basis,
     connes_quotient_complex,
+    cyclic_group_algebra,
+    direct_sum,
     dual_numbers,
     field_q,
     h_unitality_report,
@@ -30,9 +32,9 @@ from exacthom.assoc_homology import (
 )
 from exacthom.complexes import ChainComplex, betti_numbers, verify_complex
 from exacthom.exactlin import (ResourceGuardError, SparseMatrix, Subspace,
-                               guard_ambient, inverse, quotient_structure,
-                               random_unimodular, rank, rref, solve_matrix,
-                               vec_clean)
+                               guard_ambient, inverse, kernel_basis,
+                               quotient_structure, random_unimodular, rank,
+                               rref, solve_matrix, vec_clean)
 from exacthom.lie_homology import (ExteriorBasis, ce_complex, ce_complex_on,
                                    coinvariant_reduction, gl_index, gl_n_of,
                                    gln_action_on_chains, guard_exterior_powers,
@@ -45,6 +47,8 @@ from exacthom.lqt import (
     _koszul_sort,
     _perm_index,
     _perms,
+    _psi_matrix,
+    _row_chains,
     _rows_from_filling,
     _tabloid_key,
     _theta_identification,
@@ -53,6 +57,7 @@ from exacthom.lqt import (
     all_permutations,
     cyclic_wedge_complex,
     equivariance_check,
+    generated_submodule,
     graded_free_commutative_dims,
     highest_weight_space,
     lqt_stable_check,
@@ -63,11 +68,9 @@ from exacthom.lqt import (
     theta_check,
     theta_codomain_model,
     theta_map,
-    theta_tilde,
     trace_invariant_check,
     trace_invariant_map,
     trace_invariant_matrix,
-    weight_decomposition,
     weight_decomposition_report,
     weight_vector,
     weight_zero_count,
@@ -75,7 +78,6 @@ from exacthom.lqt import (
     wedge_weight,
     xi,
     xi_sequence,
-    zeta_map,
 )
 
 small_perm_degrees = st.integers(min_value=1, max_value=5)
@@ -1086,16 +1088,102 @@ def test_identification_inverts_the_section(alg, k):
 # -- weight decomposition ------------------------------------------------------------
 
 
+def reference_weight_components(a, n: int,
+                                k: int) -> Dict[Tuple[int, ...], List[int]]:
+    """Wedge basis indices grouped by Cartan weight."""
+    basis = ExteriorBasis(n * n * a.dim, k)
+    out: Dict[Tuple[int, ...], List[int]] = {}
+    for ci, tup in enumerate(basis.tuples):
+        out.setdefault(wedge_weight(a, n, tup), []).append(ci)
+    return out
+
+
+def reference_highest_weight_space(a, n: int, k: int, mu: Sequence[int],
+                                   action=None) -> Subspace:
+    """Vectors of weight mu killed by every raising operator e_ij (i < j),
+    inside the k-th wedge power of gl_n(A)."""
+    act = action if action is not None else gln_action_on_chains(a, n, k)
+    cols = reference_weight_components(a, n, k).get(tuple(mu), [])
+    amb = act.module_dim
+    if not cols:
+        return Subspace.zero(amb)
+    blocks = [act.matrices[i * n + j].select(range(amb), cols)
+              for i in range(n) for j in range(i + 1, n)]
+    if blocks:
+        stacked = SparseMatrix.vstack(blocks)
+    else:
+        stacked = SparseMatrix.zeros(0, len(cols))
+    kern = kernel_basis(stacked)
+    vecs = [{cols[c]: v for c, v in kern.row(i).items()}
+            for i in range(kern.rows)]
+    return Subspace.from_vectors(amb, vecs)
+
+
+def reference_generated_components(a, n: int, k: int):
+    """Yield (m, alpha, beta, mu, highest-weight space, generated submodule)
+    for every weight mu of `weight_decomposition`, in its order."""
+    act = gln_action_on_chains(a, n, k)
+    for m in range(k + 1):
+        for alpha in partitions(m):
+            for beta in partitions(m):
+                if len(alpha) + len(beta) > n:
+                    continue
+                mu = weight_vector(alpha, beta, n)
+                hw = reference_highest_weight_space(a, n, k, mu, act)
+                yield m, alpha, beta, mu, hw, generated_submodule(act, hw)
+
+
+def reference_weight_decomposition(
+        a, n: int, k: int) -> Dict[Tuple[int, ...], Subspace]:
+    """For every padded weight built from a pair of partitions of the same
+    m <= k (combined lengths at most n): the submodule generated by its
+    highest-weight space inside the k-th wedge power of gl_n(A)."""
+    return {mu: gen for *_, mu, _hw, gen in
+            reference_generated_components(a, n, k)}
+
+
+def reference_weight_decomposition_report(a, n: int, k: int) -> dict:
+    """Report: the generated components over the canonical weights fill the
+    whole wedge power (their dimensions add up to it and their joint span
+    has full dimension)."""
+    total = math.comb(n * n * a.dim, k)
+    components = []
+    dim_sum = 0
+    span = Subspace.zero(total)
+    for m, alpha, beta, mu, hw, gen in reference_generated_components(a, n,
+                                                                      k):
+        dim_sum += gen.dim
+        span = span.sum(gen)
+        components.append({"weight": list(mu), "m": m,
+                           "alpha": list(alpha), "beta": list(beta),
+                           "highest_dim": hw.dim,
+                           "generated_dim": gen.dim})
+    verdict = dim_sum == total and span.dim == total
+    return {"check": "weight_decomposition",
+            "params": {"n": n, "k": k, "algebra_dim": a.dim},
+            "lhs_dims": [dim_sum, span.dim],
+            "rhs_dims": [total, total],
+            "components": components,
+            "verdict": bool(verdict),
+            "seed": 0}
+
+
+def generated_dims(a, n, k):
+    return {tuple(c["weight"]): c["generated_dim"]
+            for c in weight_decomposition_report(a, n, k)["components"]}
+
+
 def test_weight_components_of_matrix_generators():
-    wd = weight_decomposition(field_q(), 2, 1)
-    dims = {mu: s.dim for mu, s in wd.items()}
     # gl_2 splits into the scalars (weight 0) and the adjoint-irreducible
     # generated from e_12 (weight (1,-1))
-    assert dims == {(0, 0): 1, (1, -1): 3}
+    assert generated_dims(field_q(), 2, 1) == {(0, 0): 1, (1, -1): 3}
+    wd = reference_weight_decomposition(field_q(), 2, 1)
+    assert {mu: s.dim for mu, s in wd.items()} == {(0, 0): 1, (1, -1): 3}
 
 
 def test_weight_decomposition_zero_degree():
-    wd = weight_decomposition(field_q(), 2, 0)
+    assert generated_dims(field_q(), 2, 0) == {(0, 0): 1}
+    wd = reference_weight_decomposition(field_q(), 2, 0)
     assert {mu: s.dim for mu, s in wd.items()} == {(0, 0): 1}
 
 
@@ -1113,6 +1201,27 @@ def test_weight_decomposition_fills_the_wedge(alg, n, k):
     assert report["verdict"]
 
 
+@pytest.mark.parametrize("name,n,k", [
+    ("Q", 2, 1), ("Q", 2, 2), ("Q", 2, 3), ("Q", 3, 1), ("Q", 3, 2),
+    ("Q", 3, 3), ("dual", 2, 1), ("dual", 2, 2), ("dual", 3, 1),
+    ("dual", 3, 2)])
+def test_weight_report_matches_the_reference_components(name, n, k):
+    alg = QUOTIENT_ALGEBRAS[name]
+    assert weight_decomposition_report(alg, n, k) == \
+        reference_weight_decomposition_report(alg, n, k)
+
+
+@pytest.mark.parametrize("name,n,k", [("Q", 2, 2), ("Q", 3, 2),
+                                      ("dual", 2, 2)])
+def test_highest_weight_space_matches_the_reference(name, n, k):
+    alg = QUOTIENT_ALGEBRAS[name]
+    act = gln_action_on_chains(alg, n, k)
+    for mu in {wedge_weight(alg, n, t)
+               for t in combinations(range(n * n * alg.dim), k)}:
+        assert highest_weight_space(alg, n, k, mu, act) == \
+            reference_highest_weight_space(alg, n, k, mu, act)
+
+
 def test_highest_weight_space_of_adjoint():
     # weight (1,-1) in gl_2: highest vector is e_12, one-dimensional
     hw = highest_weight_space(field_q(), 2, 1, (1, -1))
@@ -1122,32 +1231,173 @@ def test_highest_weight_space_of_adjoint():
 # -- row-chain embedding and psi -----------------------------------------------------
 
 
+def reference_zeta_map(a, c: Mapping[int, Fraction], p: int, r: int, s: int,
+                       n: int) -> Dict[int, Fraction]:
+    """Row-chain embedding of a p-fold tensor over A into the p-fold tensor
+    power of gl_n(A): sum over all internal index chains from row r to
+    column s (both 1-based)."""
+    if not (1 <= r <= n and 1 <= s <= n):
+        raise ValueError("row and column indices must be in 1..n")
+    if p < 1:
+        raise ValueError("need p >= 1 tensor legs")
+    gdim = n * n * a.dim
+    out: Dict[int, Fraction] = {}
+    for idx, v in c.items():
+        if not v:
+            continue
+        legs = tensor_unrank(a.dim, p, idx)
+        for chain in iter_product(range(n), repeat=p - 1):
+            rows = (r - 1,) + chain
+            cols = chain + (s - 1,)
+            glegs = tuple(gl_index(n, a.dim, rows[t], cols[t], legs[t])
+                          for t in range(p))
+            key = tensor_rank(gdim, glegs)
+            out[key] = out.get(key, 0) + v
+    return vec_clean(out)
+
+
+def reference_theta_tilde(a, c: Mapping[int, Fraction], p: int,
+                          n: int) -> Dict[int, Fraction]:
+    """Sum of the diagonal row-chain embeddings, one per matrix index."""
+    out: Dict[int, Fraction] = {}
+    for kk in range(1, n + 1):
+        for key, v in reference_zeta_map(a, c, p, kk, kk, n).items():
+            out[key] = out.get(key, 0) + v
+    return vec_clean(out)
+
+
+def reference_outer_legs(acc: Dict[Tuple[int, ...], Fraction],
+                         block: Mapping[int, Fraction], gdim: int,
+                         j: int) -> Dict[Tuple[int, ...], Fraction]:
+    out: Dict[Tuple[int, ...], Fraction] = {}
+    for legs, v in acc.items():
+        for bid, bv in block.items():
+            key = legs + tensor_unrank(gdim, j, bid)
+            out[key] = out.get(key, 0) + v * bv
+    return vec_clean(out)
+
+
+def reference_psi_term_tensor(a, n: int, dom,
+                              mono: Tuple[Tuple[int, int], ...],
+                              marked: Optional[Tuple[int, int]]
+                              ) -> Dict[Tuple[int, ...], Fraction]:
+    """Tensor-leg expansion of one domain basis element: diagonal row chains
+    on each monomial block's canonical representative, then (optionally) a
+    corner row chain on a marked bar-type block."""
+    gdim = n * n * a.dim
+    acc: Dict[Tuple[int, ...], Fraction] = {(): 1}
+    for (j, t) in mono:
+        rep = dom.cyclic_quots[j - 1].section.column(t)
+        acc = reference_outer_legs(acc, reference_theta_tilde(a, rep, j, n),
+                                   gdim, j)
+    if marked is not None:
+        p, tens = marked
+        acc = reference_outer_legs(
+            acc, reference_zeta_map(a, {tens: 1}, p, 1, n, n), gdim, p)
+    return acc
+
+
+def reference_psi_matrix(a, n: int, m: int, dom, deg: int) -> SparseMatrix:
+    """The per-degree psi matrix of `psi_restriction_check` as it was built
+    from `reference_psi_term_tensor`."""
+    gdim = n * n * a.dim
+    terms: List[Dict[Tuple[int, ...], Fraction]] = []
+    if m == 0:
+        for mono in dom.monomials[deg]:
+            terms.append(reference_psi_term_tensor(a, n, dom, mono, None))
+    else:
+        for d1 in range(deg):
+            p = deg - d1
+            for mono in dom.monomials[d1]:
+                for tens in range(a.dim ** p):
+                    terms.append(reference_psi_term_tensor(a, n, dom, mono,
+                                                           (p, tens)))
+    wedge = ExteriorBasis(gdim, deg)
+    entries: Dict[Tuple[int, int], Fraction] = {}
+    for ci, term in enumerate(terms):
+        for legs, v in term.items():
+            res = wedge_sort(legs)
+            if res is None:
+                continue
+            sg, stup = res
+            key = (wedge.index[stup], ci)
+            entries[key] = entries.get(key, 0) + sg * v
+    return SparseMatrix(len(wedge), len(terms), entries)
+
+
 def test_zeta_single_leg():
     # one tensor leg lands on e_rs tensor a with no internal sum
-    out = zeta_map(field_q(), {0: Fraction(1)}, 1, 1, 2, 2)
+    out = reference_zeta_map(field_q(), {0: Fraction(1)}, 1, 1, 2, 2)
     assert out == {1: Fraction(1)}  # gl index of (row 0, col 1, coeff 0)
+    assert _row_chains(2, 1, (0,), 0, 1) == [(1,)]
 
 
 def test_zeta_two_legs_n2():
     # two legs, r = s = 1, n = 2: e11(x)e11 + e12(x)e21 on the matrix parts
-    out = zeta_map(field_q(), {0: Fraction(1)}, 2, 1, 1, 2)
+    out = reference_zeta_map(field_q(), {0: Fraction(1)}, 2, 1, 1, 2)
     assert out == {0: Fraction(1), 6: Fraction(1)}
+    assert _row_chains(2, 1, (0, 0), 0, 0) == [(0, 0), (1, 2)]
 
 
 def test_zeta_rejects_bad_indices():
     with pytest.raises(ValueError):
-        zeta_map(field_q(), {0: Fraction(1)}, 1, 0, 1, 2)
+        reference_zeta_map(field_q(), {0: Fraction(1)}, 1, 0, 1, 2)
     with pytest.raises(ValueError):
-        zeta_map(field_q(), {0: Fraction(1)}, 1, 1, 3, 2)
+        reference_zeta_map(field_q(), {0: Fraction(1)}, 1, 1, 3, 2)
 
 
 def test_theta_tilde_is_diagonal_sum():
     direct = {}
     for kk in (1, 2):
-        for key, v in zeta_map(field_q(), {0: Fraction(1)}, 2, kk, kk,
-                               2).items():
+        for key, v in reference_zeta_map(field_q(), {0: Fraction(1)}, 2, kk,
+                                         kk, 2).items():
             direct[key] = direct.get(key, Fraction(0)) + v
-    assert theta_tilde(field_q(), {0: Fraction(1)}, 2, 2) == direct
+    assert reference_theta_tilde(field_q(), {0: Fraction(1)}, 2, 2) == direct
+
+
+@given(st.sampled_from(sorted(QUOTIENT_ALGEBRAS)),
+       st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=3),
+       st.lists(st.integers(min_value=0, max_value=3), min_size=3,
+                max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_row_chains_are_the_reference_zeta_terms(name, n, p, legs):
+    # a chain from row r to row s is one term of zeta(e_legs) with
+    # coefficient 1, in its order
+    a = QUOTIENT_ALGEBRAS[name]
+    legs = tuple(x % a.dim for x in legs[:p])
+    gdim = n * n * a.dim
+    for r in range(n):
+        for s_ in range(n):
+            zeta = reference_zeta_map(a, {tensor_rank(a.dim, legs): 1}, p,
+                                      r + 1, s_ + 1, n)
+            chains = _row_chains(n, a.dim, legs, r, s_)
+            assert [tensor_rank(gdim, c) for c in chains] == list(zeta)
+            assert set(zeta.values()) == {1}
+
+
+# the reference psi builds the whole wedge basis of gl_n(A), so it is
+# compared where C(n^2 dim A, degree) is this small
+PSI_REFERENCE_SIZE = 50_000
+PSI_ZOO = dict(QUOTIENT_ALGEBRAS, QxQ=direct_sum(field_q(), field_q()),
+               C3=cyclic_group_algebra(3))
+
+
+@given(st.sampled_from(sorted(PSI_ZOO)),
+       st.integers(min_value=1, max_value=4), st.sampled_from([0, 1]),
+       st.integers(min_value=0, max_value=3))
+@example("M2", 4, 1, 3)
+@example("x3", 4, 1, 3)
+@example("dual", 4, 0, 3)
+@example("QxQ", 3, 1, 3)
+@settings(max_examples=60, deadline=None)
+def test_psi_matrix_matches_the_reference_term_path(name, n, m, max_degree):
+    a = PSI_ZOO[name]
+    assume(math.comb(n * n * a.dim, max_degree) <= PSI_REFERENCE_SIZE)
+    dom = cyclic_wedge_complex(a, max_degree)
+    for deg in range(max_degree + 1):
+        assert _psi_matrix(a, n, m, dom, deg) == \
+            reference_psi_matrix(a, n, m, dom, deg)
 
 
 PSI_CASES = [(2, 1), (3, 1)]
