@@ -6,7 +6,7 @@ prints its Cech Betti numbers together with the cosheaf-axiom verdict and the
 coresolution cross-check. The degree-1 class of the circle should show up as
 Betti (1, 1, 0, ...) no matter how the arcs are drawn, as long as they cover.
 
-Usage: python3 scripts/circle_cover_experiment.py [--points N]
+Usage: python3 scripts/circle_cover_experiment.py [--points N]  (N >= 6)
 """
 
 import argparse
@@ -36,8 +36,12 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--points", type=int, default=6)
     args = ap.parse_args()
-    if args.points < 4:
-        ap.error("--points must be at least 4")
+    if args.points < 6:
+        # below 6 points the three-arc cover has two-point arcs, which the
+        # finite model checks against their two endpoint singletons as if
+        # those covered them, and the cokernel fails that axiom check
+        ap.error("--points must be at least 6, so that each of the three "
+                 "arcs has at least three points")
 
     for label, arcs in covers_for(args.points):
         u, p0, p1, d = circle_difference_model(args.points, arcs)

@@ -18,10 +18,11 @@ Determinism contract: for a fixed input matrix, every function returns a unique
 canonical answer. Reduced row echelon form is unique per se; bases of kernels,
 images and quotient complements are canonicalized by re-echelonizing, so none of
 them depend on pivot choices. The pivot rule (leftmost eligible column, then
-smallest bit-size entry, ties broken by row index) only affects speed, not
-results. Elimination runs on rows rescaled to coprime integers, which keeps
-arithmetic in `int` and avoids Fraction normalization churn; the bit-size rule
-is applied to those rescaled entries.
+the shortest candidate row, then the smallest bit-size entry, ties broken by
+row index) only affects speed, not results: the shortest row limits fill-in,
+the bit size limits coefficient growth. Elimination runs on rows rescaled to
+coprime integers, which keeps arithmetic in `int` and avoids Fraction
+normalization churn; the bit-size rule is applied to those rescaled entries.
 
 The elimination core is column-indexed: a column -> set-of-rows index, built
 once from the rescaled rows and kept exact under fill-in and cancellation,
@@ -380,10 +381,14 @@ def _eliminate(rows: List[Dict[int, int]], full: bool) -> List[Tuple[int, int]]:
     """Integer row elimination, in place: a left-to-right column sweep.
 
     Returns [(pivot_col, row_index), ...] in increasing pivot-column order.
-    Within a column the pivot is the candidate with the smallest bit size,
-    ties broken by row index. With full=True the pivot column is cleared from
-    every other row (RREF up to row scaling); otherwise only from rows not yet
-    chosen as pivots (enough for rank).
+    Within a column the pivot is the candidate row with the fewest entries,
+    then the smallest bit size at the column, then the lowest index: the
+    row choice of Markowitz's rule, which cuts fill-in because clearing the
+    column adds at most the pivot row's entries to each other row. The
+    sweep order is fixed, so the pivot columns do not depend on this choice.
+    With full=True the pivot column is cleared from every other row (RREF up
+    to row scaling); otherwise only from rows not yet chosen as pivots
+    (enough for rank).
 
     A column -> set-of-rows index, built once from the scaled rows, names the
     rows that hold each column, so a column's pivot search and clearing visit
@@ -400,16 +405,17 @@ def _eliminate(rows: List[Dict[int, int]], full: bool) -> List[Tuple[int, int]]:
     pivots: List[Tuple[int, int]] = []
     for col in sorted(holders):
         held = holders.pop(col)
-        best: Optional[Tuple[int, int]] = None  # (bits, row)
+        best: Optional[Tuple[int, int, int]] = None  # (length, bits, row)
         for i in held:
             if not is_pivot[i]:
-                v = rows[i][col]
-                key = ((-v if v < 0 else v).bit_length(), i)
+                row = rows[i]
+                v = row[col]
+                key = (len(row), (-v if v < 0 else v).bit_length(), i)
                 if best is None or key < best:
                     best = key
         if best is None:
             continue
-        pi = best[1]
+        pi = best[2]
         is_pivot[pi] = True
         prow = rows[pi]
         pval = prow[col]

@@ -18,12 +18,14 @@ The pieces, bottom up:
   tensor power of n x n matrices to the group algebra of the symmetric
   group, built from its nonzero entries alone: sigma pairs with the tensors
   whose leg t is E_{r_t, r_sigma(t)}, one per row tuple r. It kills the
-  conjugation-action relation span (checked exactly, as one product),
+  conjugation-action relations (checked exactly, as one product),
   commutes with the two symmetric-group actions (place permutation on
-  tensor legs, conjugation on the group algebra; checked column by column
-  through their index maps), and is a bijection on
+  tensor legs, conjugation on the group algebra; checked by moving phi's
+  nonzero entries through their index maps), and is a bijection on
   coinvariants exactly when n >= k. Each tensor of nonzero Cartan weight is
-  a relation, so only the weight-0 relations e_rs . x are eliminated.
+  a relation, so only the weight-0 relations e_rs . x are ranked; the
+  check reads the coinvariant dimension off that rank, and only the
+  inverse map echelonizes the relation span for its quotient section.
 * ``cyclic_wedge_complex``: the free graded-commutative algebra on the
   cyclic quotient complex shifted up by one (a class in cyclic degree j-1
   becomes a generator of wedge degree j; odd generators square to zero,
@@ -310,23 +312,21 @@ def trace_invariant_matrix(n: int, k: int) -> SparseMatrix:
     return SparseMatrix(len(perms), amb, entries)
 
 
-def _trace_relation_span(n: int, k: int) -> Tuple[SparseMatrix, Subspace, bool]:
-    """The trace pairing phi, the RREF span of the conjugation relations
-    e_rs . x, and whether phi kills it (iff it kills its RREF rows). e_rr
-    scales a basis tensor x by its weight at r, so each x of nonzero weight
-    is a unit row; a weight-0 relation is e_rs . x with wt(x) = e_s - e_r,
-    and those alone are eliminated, then merged with the unit rows by pivot."""
-    phi = trace_invariant_matrix(n, k)
+def _trace_relations(n: int, k: int) -> Tuple[List[int], List[Vec]]:
+    """The conjugation relations e_rs . x on the k-fold tensor power of
+    n x n matrices: the basis tensors x of nonzero Cartan weight, each a
+    relation by itself (e_rr scales x by its weight at r), and one row
+    e_rs . x per x with wt(x) = e_s - e_r, which has weight 0. Every other
+    e_rs . x has nonzero weight, so these span all relations."""
     dim = n * n
-    amb = dim ** k
     ground = field_q()
-    merged: List[Tuple[int, Vec]] = []
+    units: List[int] = []
     weight_zero: List[Vec] = []
-    for cidx in range(amb):
+    for cidx in range(dim ** k):
         legs = tensor_unrank(dim, k, cidx)
         wt = wedge_weight(ground, n, legs)
         if any(wt):
-            merged.append((cidx, {cidx: 1}))
+            units.append(cidx)
         if sum(map(abs, wt)) == 2:
             on_leg = scalar_matrix_generator_action(n, 1, wt.index(-1),
                                                     wt.index(1))
@@ -336,7 +336,19 @@ def _trace_relation_span(n: int, k: int) -> Tuple[SparseMatrix, Subspace, bool]:
                     key = tensor_rank(dim, legs[:t] + (y,) + legs[t + 1:])
                     acc[key] = acc.get(key, 0) + coef
             weight_zero.append(acc)
+    return units, weight_zero
+
+
+def _trace_relation_span(n: int, k: int) -> Tuple[SparseMatrix, Subspace, bool]:
+    """The trace pairing phi, the RREF span of the conjugation relations,
+    and whether phi kills it (iff it kills its RREF rows). Only the weight-0
+    relations are eliminated; their RREF rows are merged by pivot with the
+    unit rows of the tensors of nonzero weight."""
+    phi = trace_invariant_matrix(n, k)
+    amb = (n * n) ** k
+    units, weight_zero = _trace_relations(n, k)
     reduced = Subspace.from_vectors(amb, weight_zero)
+    merged: List[Tuple[int, Vec]] = [(c, {c: 1}) for c in units]
     merged.extend((p, reduced.basis.row(i))
                   for i, p in enumerate(reduced.pivots))
     merged.sort(key=lambda t: t[0])
@@ -373,9 +385,19 @@ def trace_invariant_check(n: int, k: int) -> dict:
     """Exact verification that the trace pairing kills the conjugation
     relations, with the coinvariant dimension, the pairing's rank, and
     whether bijectivity on coinvariants matches the stable-range prediction
-    n >= k."""
-    phi, sub, well_defined = _trace_relation_span(n, k)
-    coinvariant_dim = sub.ambient_dim - sub.dim
+    n >= k.
+
+    Read from ranks, with no relation span built: the coinvariant dimension
+    is n^(2k) minus the tensors of nonzero weight minus the rank of the
+    weight-0 relations, and phi kills the relations iff it has no entry on
+    a column of nonzero weight and phi @ relations^T is zero."""
+    phi = trace_invariant_matrix(n, k)
+    amb = (n * n) ** k
+    units, weight_zero = _trace_relations(n, k)
+    relations = SparseMatrix.from_rows(weight_zero, amb)
+    coinvariant_dim = amb - len(units) - rank(relations)
+    well_defined = (set(units).isdisjoint(c for _, c in phi.entries)
+                    and (phi @ relations.transpose()).is_zero())
     kfac = math.factorial(k)
     phi_rank = rank(phi)
     bijective = (well_defined and coinvariant_dim == kfac
@@ -395,27 +417,28 @@ def trace_invariant_check(n: int, k: int) -> dict:
 
 def equivariance_check(n: int, k: int) -> dict:
     """Exact check of phi(sigma . g) == sigma phi(g) sigma^{-1} for every
-    sigma, on each basis tensor g: the column of phi at the place-permuted
-    tensor must be the column at g with its group elements conjugated.
-    Read through those two index maps, so phi is the only matrix built;
-    its k! * (k! + n^(2k)) conjugations and column reads are guarded first."""
+    sigma and basis tensor g. Conjugation on the group algebra and place
+    permutation on tensor legs are bijections, so this holds iff moving
+    each of phi's k! * n^k entries (r, c) to (conj_sigma(r), place_sigma(c))
+    gives back phi's entries. phi is the only matrix built. The guard still
+    counts k! * (k! + n^(2k)) conjugations and columns, the size of a
+    column-by-column comparison, and is checked first."""
     guard_ambient("phi equivariance conjugations and columns",
                   math.factorial(k) * (math.factorial(k) + n ** (2 * k)))
     phi = trace_invariant_matrix(n, k)
     perms = _perms(k)
     pidx = _perm_index(k)
     dim = n * n
-    tensors = [tensor_unrank(dim, k, cidx) for cidx in range(dim ** k)]
+    legs = {c: tensor_unrank(dim, k, c) for _, c in phi.entries}
     failures = []
     for s in perms:
         s_inv = [s.index(x) for x in range(k)]
         conj = [pidx[tuple(s[t[x]] for x in s_inv)] for t in perms]
-        for cidx, legs in enumerate(tensors):
-            moved = [legs[t] for t in s_inv]
-            if phi.column(tensor_rank(dim, moved)) != {
-                    conj[r]: v for r, v in phi.column(cidx).items()}:
-                failures.append(list(s))
-                break
+        place = {c: tensor_rank(dim, [ls[t] for t in s_inv])
+                 for c, ls in legs.items()}
+        if {(conj[r], place[c]): v
+                for (r, c), v in phi.entries.items()} != phi.entries:
+            failures.append(list(s))
     return {"check": "phi_equivariance",
             "params": {"n": n, "k": k},
             "lhs_dims": [len(perms)],

@@ -337,23 +337,24 @@ def test_inverse_matches_the_dense_oracle(data):
 
 def reference_eliminate(rows, full):
     """The elimination core before the column index: every column scans every
-    active row for a pivot and clears it from every row (full=True) or from
+    active row for a pivot, the shortest row, then the smallest bit size,
+    then the lowest index, and clears it from every row (full=True) or from
     every active row, rebuilding each updated row over both supports."""
     n = len(rows)
     active = set(range(n))
     pivots = []
     sweep = sorted({c for r in rows for c in r})
     for col in sweep:
-        best = None  # (bits, row)
+        best = None  # (length, bits, row)
         for i in active:
             v = rows[i].get(col)
             if v:
-                key = ((-v if v < 0 else v).bit_length(), i)
+                key = (len(rows[i]), (-v if v < 0 else v).bit_length(), i)
                 if best is None or key < best:
                     best = key
         if best is None:
             continue
-        pi = best[1]
+        pi = best[2]
         active.discard(pi)
         prow = rows[pi]
         pval = prow[col]
@@ -435,6 +436,10 @@ def test_rank_and_rref_match_the_dense_oracle_on_larger_rows(data):
     # clearing column 0 from row 1 cancels its entry in column 1; row 1 must
     # not be offered as column 1's pivot, and column 2 is pivoted on row 1
     ([{0: 1, 1: 1}, {0: 1, 1: 1, 2: 1}], 3, [(0, 0), (2, 1)]),
+    # column 0: row 0 has the 1-bit entry but three entries, row 1 the 2-bit
+    # entry alone; the shortest row is the pivot, and clearing column 0 from
+    # row 0 adds no entry to it
+    ([{0: 1, 1: 1, 2: 1}, {0: 3}], 3, [(0, 1), (1, 0)]),
 ])
 def test_eliminate_pinned_edge_cases(rows, cols, pivots):
     for full in (True, False):

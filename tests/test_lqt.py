@@ -31,10 +31,11 @@ from exacthom.assoc_homology import (
     zero_multiplication,
 )
 from exacthom.complexes import ChainComplex, betti_numbers, verify_complex
-from exacthom.exactlin import (ResourceGuardError, SparseMatrix, Subspace,
-                               guard_ambient, inverse, kernel_basis,
-                               quotient_structure, random_unimodular, rank,
-                               rref, solve_matrix, vec_clean)
+from exacthom.exactlin import (AMBIENT_LIMIT, ResourceGuardError,
+                               SparseMatrix, Subspace, guard_ambient, inverse,
+                               kernel_basis, quotient_structure,
+                               random_unimodular, rank, rref, solve_matrix,
+                               vec_clean)
 from exacthom.lie_homology import (ExteriorBasis, ce_complex, ce_complex_on,
                                    coinvariant_reduction, gl_index, gl_n_of,
                                    gln_action_on_chains, guard_exterior_powers,
@@ -54,6 +55,7 @@ from exacthom.lqt import (
     _theta_identification,
     _theta_section,
     _trace_relation_span,
+    _trace_relations,
     all_permutations,
     cyclic_wedge_complex,
     equivariance_check,
@@ -774,6 +776,94 @@ def test_trace_map_matches_the_one_built_on_the_reference_span(n, k):
         assert inv == q.section @ inverse(on_quotient)
     else:
         assert inv is None
+
+
+def reference_trace_invariant_check(n: int, k: int) -> dict:
+    """Exact verification that the trace pairing kills the conjugation
+    relations, with the coinvariant dimension, the pairing's rank, and
+    whether bijectivity on coinvariants matches the stable-range prediction
+    n >= k."""
+    phi, sub, well_defined = _trace_relation_span(n, k)
+    coinvariant_dim = sub.ambient_dim - sub.dim
+    kfac = math.factorial(k)
+    phi_rank = rank(phi)
+    bijective = (well_defined and coinvariant_dim == kfac
+                 and phi_rank == kfac)
+    expected = n >= k
+    return {"check": "trace_invariant_map",
+            "params": {"n": n, "k": k},
+            "lhs_dims": [coinvariant_dim],
+            "rhs_dims": [kfac],
+            "well_defined": well_defined,
+            "phi_rank": phi_rank,
+            "bijective": bijective,
+            "expected_bijective": expected,
+            "verdict": bool(well_defined and bijective == expected),
+            "seed": 0}
+
+
+# every (n, k) with n^(2k) <= 4096 that passes the pairing's guard; n = 1
+# stops at k = 8, where the k! rows of phi, not n, set the size
+RANKED_TRACE_CASES = [(1, k) for k in range(1, 9)] + [
+    (n, k) for n in range(2, 65) for k in range(1, 7)
+    if n ** (2 * k) <= 4096
+    and math.factorial(k) * n ** (2 * k) <= AMBIENT_LIMIT]
+
+
+@pytest.mark.parametrize("n,k", RANKED_TRACE_CASES)
+def test_invariant_check_from_ranks_matches_the_span_reference(n, k):
+    assert trace_invariant_check(n, k) == reference_trace_invariant_check(n, k)
+
+
+def mutated_phi(n: int, k: int, kind: str) -> SparseMatrix:
+    """phi with its fourth entry moved one row down, dropped or doubled, or
+    with an extra entry on E_01 (x) E_00 (x) ..., a tensor of weight
+    e_0 - e_1 and so a relation."""
+    phi = trace_invariant_matrix(n, k)
+    entries = dict(phi.entries)
+    key = sorted(entries)[3]
+    if kind == "moved":
+        entries[((key[0] + 1) % phi.rows, key[1])] = entries.pop(key)
+    elif kind == "dropped":
+        del entries[key]
+    elif kind == "scaled":
+        entries[key] = 2
+    else:
+        entries[(key[0], tensor_rank(n * n, (1,) + (0,) * (k - 1)))] = 1
+    return SparseMatrix(phi.rows, phi.cols, entries)
+
+
+@pytest.mark.parametrize("kind", ["moved", "dropped", "scaled",
+                                  "nonzero-weight"])
+@pytest.mark.parametrize("n,k", [(2, 2), (3, 2), (2, 3), (3, 3)])
+def test_phi_checks_match_the_references_on_a_mutated_phi(n, k, kind,
+                                                          monkeypatch):
+    from exacthom import lqt
+    bad = mutated_phi(n, k, kind)
+    monkeypatch.setattr(lqt, "trace_invariant_matrix", lambda n, k: bad)
+    monkeypatch.setitem(globals(), "trace_invariant_matrix",
+                        lambda n, k: bad)
+    invariant = trace_invariant_check(n, k)
+    equivariance = equivariance_check(n, k)
+    assert not (invariant["verdict"] and equivariance["verdict"])
+    assert invariant == reference_trace_invariant_check(n, k)
+    assert equivariance == reference_equivariance_check(n, k)
+
+
+def test_phi_checks_reach_n3_k4():
+    # 6,561 tensors: 5,922 of nonzero weight and 2,736 weight-0 relations,
+    # of rank 6,561 - 5,922 - 23
+    units, weight_zero = _trace_relations(3, 4)
+    assert (len(units), len(weight_zero)) == (5922, 2736)
+    assert trace_invariant_check(3, 4) == {
+        "check": "trace_invariant_map", "params": {"n": 3, "k": 4},
+        "lhs_dims": [23], "rhs_dims": [24], "well_defined": True,
+        "phi_rank": 23, "bijective": False, "expected_bijective": False,
+        "verdict": True, "seed": 0}
+    assert equivariance_check(3, 4) == {
+        "check": "phi_equivariance", "params": {"n": 3, "k": 4},
+        "lhs_dims": [24], "rhs_dims": [24], "failures": [],
+        "verdict": True, "seed": 0}
 
 
 # -- the graded wedge domain --------------------------------------------------------
