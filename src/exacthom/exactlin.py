@@ -12,7 +12,14 @@ reduced `fractions.Fraction` otherwise, never a `float`, and zeros are never
 stored. `SparseMatrix.__init__` and `vec_clean` are the only places that apply
 it, so accumulators elsewhere simply add (`acc[k] = acc.get(k, 0) + x`) and
 leave zeros and type to the constructor, or to one `vec_clean` before a `Vec`
-is returned.
+is returned. The public constructor also bounds-checks every entry, for any
+caller. The kernel's own operations skip that validation, through the private
+`SparseMatrix._from_stored`, because their entries come from matrices that
+already passed it: `transpose`, negation, `select` and `block` (so `hstack`
+and `vstack`) move stored values to keys inside their result's shape and
+hand them over unchanged, and sums, products, `scale` and `kron` settle their
+accumulators with one `vec_clean`, since a sum can cancel to zero and a
+product of Fractions can be integral. No other module may call it.
 
 Determinism contract: for a fixed input matrix, every function returns a unique
 canonical answer. Reduced row echelon form is unique per se; bases of kernels,
@@ -80,9 +87,13 @@ def _stored(v):
     return v.numerator if v.denominator == 1 else v
 
 
-def vec_clean(v: Mapping[int, Fraction]) -> Vec:
-    """Drop explicit zeros and store values by the int-or-Fraction rule."""
-    return {i: _stored(x) for i, x in v.items() if x}
+def vec_clean(v: Mapping) -> dict:
+    """Drop explicit zeros and store values by the int-or-Fraction rule.
+
+    Any keys will do: the kernel's sums and products settle their
+    (row, col) accumulators here too."""
+    return {i: x if type(x) is int else _stored(x)
+            for i, x in v.items() if x}
 
 
 def json_int(value, field: str) -> int:
@@ -128,9 +139,13 @@ class SparseMatrix:
 
     Entries are stored as a dict (row, col) -> value with zeros dropped; a
     value is an `int` when integral, otherwise a reduced `Fraction`, never a
-    `float`. The constructor applies this rule to whatever it is given, so
-    callers may hand it unreduced sums. Do not mutate `entries` after
-    construction; all operations return new matrices.
+    `float`. The constructor bounds-checks every entry and applies this
+    rule to whatever it is given, so callers may hand it unreduced sums.
+    The arithmetic operators, `select` and `block` build their results
+    through `_from_stored` instead, which skips both (see "Storage rule" in
+    the module docstring).
+    Do not mutate `entries` after construction; all operations return new
+    matrices.
     """
 
     __slots__ = ("rows", "cols", "entries", "_row_cache", "_col_cache")
@@ -151,6 +166,19 @@ class SparseMatrix:
         self.entries = clean
         self._row_cache: Optional[List[Vec]] = None
         self._col_cache: Optional[List[Vec]] = None
+
+    @staticmethod
+    def _from_stored(rows: int, cols: int,
+                     entries: Dict[Tuple[int, int], Fraction]
+                     ) -> "SparseMatrix":
+        """The rows x cols matrix over `entries`, taken as they are: every
+        key inside the shape and every value nonzero and stored by the rule.
+        Only this module's operations call it, on entries they derived from
+        stored ones; it bypasses `__init__`."""
+        m = object.__new__(SparseMatrix)
+        m.rows, m.cols, m.entries = rows, cols, entries
+        m._row_cache = m._col_cache = None
+        return m
 
     # -- constructors ------------------------------------------------------
 
@@ -194,12 +222,16 @@ class SparseMatrix:
         return dict(self._row_cache[r])
 
     def column(self, c: int) -> Vec:
+        return dict(self._columns()[c])
+
+    def _columns(self) -> List[Vec]:
+        """The cached column dicts, col -> {row: value}; read, never mutate."""
         if self._col_cache is None:
             cache: List[Vec] = [dict() for _ in range(self.cols)]
             for (i, j), v in self.entries.items():
                 cache[j][i] = v
             self._col_cache = cache
-        return dict(self._col_cache[c])
+        return self._col_cache
 
     @property
     def nnz(self) -> int:
@@ -222,8 +254,9 @@ class SparseMatrix:
     # -- arithmetic --------------------------------------------------------
 
     def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(self.cols, self.rows,
-                            {(c, r): v for (r, c), v in self.entries.items()})
+        return SparseMatrix._from_stored(
+            self.cols, self.rows,
+            {(c, r): v for (r, c), v in self.entries.items()})
 
     def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -231,11 +264,12 @@ class SparseMatrix:
         entries = dict(self.entries)
         for k, v in other.entries.items():
             entries[k] = entries.get(k, 0) + v
-        return SparseMatrix(self.rows, self.cols, entries)
+        return SparseMatrix._from_stored(self.rows, self.cols,
+                                         vec_clean(entries))
 
     def __neg__(self) -> "SparseMatrix":
-        return SparseMatrix(self.rows, self.cols,
-                            {k: -v for k, v in self.entries.items()})
+        return SparseMatrix._from_stored(
+            self.rows, self.cols, {k: -v for k, v in self.entries.items()})
 
     def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
         return self + (-other)
@@ -244,42 +278,42 @@ class SparseMatrix:
         """Kronecker product: entry (r * other.rows + i, c * other.cols + j)
         is self[r, c] * other[i, j]."""
         orows, ocols = other.rows, other.cols
-        return SparseMatrix(self.rows * orows, self.cols * ocols,
-                            {(r * orows + i, c * ocols + j): v * w
-                             for (r, c), v in self.entries.items()
-                             for (i, j), w in other.entries.items()})
+        return SparseMatrix._from_stored(
+            self.rows * orows, self.cols * ocols,
+            vec_clean({(r * orows + i, c * ocols + j): v * w
+                       for (r, c), v in self.entries.items()
+                       for (i, j), w in other.entries.items()}))
 
     def scale(self, a: Fraction) -> "SparseMatrix":
         if a == 0:
             return SparseMatrix.zeros(self.rows, self.cols)
-        return SparseMatrix(self.rows, self.cols,
-                            {k: a * v for k, v in self.entries.items()})
+        return SparseMatrix._from_stored(
+            self.rows, self.cols,
+            vec_clean({k: a * v for k, v in self.entries.items()}))
 
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.cols != other.rows:
             raise ValueError(
                 f"shape mismatch in matmul: {self.rows}x{self.cols} @ "
                 f"{other.rows}x{other.cols}")
-        # group self's entries by column once, then scatter other's entries
-        by_col: Dict[int, List[Tuple[int, Fraction]]] = {}
-        for (r, c), v in self.entries.items():
-            by_col.setdefault(c, []).append((r, v))
+        # scatter other's entries through self's cached columns
+        by_col = self._columns()
         acc: Dict[Tuple[int, int], Fraction] = {}
         for (k, c), bv in other.entries.items():
-            hits = by_col.get(k)
-            if not hits:
-                continue
-            for r, av in hits:
-                acc[(r, c)] = acc.get((r, c), 0) + av * bv
-        return SparseMatrix(self.rows, other.cols, acc)
+            for r, av in by_col[k].items():
+                key = r, c
+                acc[key] = acc.get(key, 0) + av * bv
+        return SparseMatrix._from_stored(self.rows, other.cols,
+                                         vec_clean(acc))
 
     def apply(self, v: Mapping[int, Fraction]) -> Vec:
         """Matrix times sparse column vector."""
+        by_col = self._columns()
         out: Vec = {}
         for j, x in v.items():
             if x == 0:
                 continue
-            for i, a in self.column(j).items():
+            for i, a in by_col[j].items():
                 out[i] = out.get(i, 0) + a * x
         return vec_clean(out)
 
@@ -309,7 +343,7 @@ class SparseMatrix:
             ro, co = row_off[i], col_off[j]
             for (r, c), v in b.entries.items():
                 entries[(ro + r, co + c)] = v
-        return SparseMatrix(row_off[-1], col_off[-1], entries)
+        return SparseMatrix._from_stored(row_off[-1], col_off[-1], entries)
 
     def select(self, rows: Sequence[int], cols: Sequence[int]
                ) -> "SparseMatrix":
@@ -321,9 +355,10 @@ class SparseMatrix:
                         or min(idx) < 0 or max(idx) >= n):
                 raise ValueError("select needs distinct in-range indices")
         rpos = dict(zip(rows, range(len(rows))))
-        return SparseMatrix(len(rows), len(cols), {
+        by_col = self._columns()
+        return SparseMatrix._from_stored(len(rows), len(cols), {
             (rpos[r], b): v for b, c in enumerate(cols)
-            for r, v in self.column(c).items() if r in rpos})
+            for r, v in by_col[c].items() if r in rpos})
 
     @staticmethod
     def hstack(blocks: Sequence["SparseMatrix"]) -> "SparseMatrix":

@@ -822,21 +822,30 @@ def highest_weight_space(a: StructureConstantAlgebra, n: int, k: int,
     return Subspace.from_vectors(amb, vecs)
 
 
-def generated_submodule(action: LieModuleAction, seed: Subspace) -> Subspace:
-    """Smallest subspace containing the seed and stable under every action
-    matrix (the submodule generated by the seed)."""
-    if seed.ambient_dim != action.module_dim:
-        raise ValueError("seed lives in the wrong ambient space")
+def generated_submodule(matrices: Sequence[SparseMatrix],
+                        seed: Subspace) -> Subspace:
+    """Smallest subspace containing the seed and stable under every matrix
+    in `matrices`, square of the seed's ambient dimension.
+
+    Given every action matrix of a Lie algebra, this is the submodule the
+    seed generates. A generating set of the acting algebra's enveloping
+    algebra U is enough: the subspace is stable under products of the
+    matrices, so under all of U. For gl_n and a seed of highest-weight
+    vectors (weight vectors killed by every raising e_ij, i < j), PBW
+    writes U = U(n-) U(h) U(n+); U(n+) and U(h) take a seed vector v to
+    multiples of v, so U v = U(n-) v, and n- is generated by the simple
+    lowering operators e_(i+1,i): those n - 1 matrices are enough."""
+    amb = seed.ambient_dim
+    if any((m.rows, m.cols) != (amb, amb) for m in matrices):
+        raise ValueError("closure matrices must act on the seed's space")
     cur = seed
     while True:
-        images: List[Vec] = []
+        rows: List[Vec] = []
         for i in range(cur.dim):
             row = cur.basis.row(i)
-            for m in action.matrices:
-                img = m.apply(row)
-                if img:
-                    images.append(img)
-        nxt = cur.sum(Subspace.from_vectors(action.module_dim, images))
+            rows.append(row)
+            rows.extend(m.apply(row) for m in matrices)
+        nxt = Subspace.from_vectors(amb, rows)
         if nxt.dim == cur.dim:
             return cur
         cur = nxt
@@ -848,19 +857,23 @@ def weight_decomposition_report(a: StructureConstantAlgebra, n: int,
     the same m <= k (combined lengths at most n), the submodule generated by
     its highest-weight space inside the k-th wedge power of gl_n(A); these
     components fill the whole wedge power (their dimensions add up to it and
-    their joint span has full dimension)."""
+    their joint span has full dimension). Each component is the closure of
+    its highest-weight space under the simple lowering operators
+    e_(i+1,i) alone, which by PBW is the whole generated submodule (see
+    `generated_submodule`)."""
     total = math.comb(n * n * a.dim, k)
     components = []
     dim_sum = 0
     span = Subspace.zero(total)
     act = gln_action_on_chains(a, n, k)
+    lowering = [act.matrices[(i + 1) * n + i] for i in range(n - 1)]
     for m in range(k + 1):
         for alpha, beta in iter_product(partitions(m), repeat=2):
             if len(alpha) + len(beta) > n:
                 continue
             mu = weight_vector(alpha, beta, n)
             hw = highest_weight_space(a, n, k, mu, act)
-            gen = generated_submodule(act, hw)
+            gen = generated_submodule(lowering, hw)
             dim_sum += gen.dim
             span = span.sum(gen)
             components.append({"weight": list(mu), "m": m,

@@ -4,6 +4,7 @@ import copy
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -458,9 +459,9 @@ def test_eliminate_pinned_edge_cases(rows, cols, pivots):
 
 
 @st.composite
-def shaped(draw, rows, cols):
+def shaped(draw, rows, cols, values=entry_values):
     return SparseMatrix(rows, cols, {
-        (r, c): draw(entry_values) for r in range(rows) for c in range(cols)
+        (r, c): draw(values) for r in range(rows) for c in range(cols)
         if draw(st.booleans())})
 
 
@@ -610,3 +611,75 @@ def test_signed_orbit_quotient_zeroes_orbits_whose_signs_disagree(
     q = signed_orbit_quotient(len(images), [g])
     assert q.dim == dim_q
     assert_same_quotient(q, relation_quotient(len(images), [g]))
+
+
+# -- the kernel's own results follow the storage rule without re-validation --------
+
+# few distinct magnitudes, so sums cancel and Fraction products turn integral
+settling_values = st.one_of(
+    st.integers(min_value=-2, max_value=2),
+    st.builds(Fraction, st.integers(min_value=-2, max_value=2),
+              st.integers(min_value=1, max_value=2)),
+)
+
+
+def assert_settled(m):
+    """m is what the validating constructor makes of its own entries, and
+    every stored value is a nonzero int or a Fraction that is not one."""
+    assert m == SparseMatrix(m.rows, m.cols, dict(m.entries))
+    assert_settled_values(m.entries.values())
+
+
+def assert_settled_values(values):
+    for v in values:
+        assert (type(v) is int and v != 0) or \
+            (type(v) is Fraction and v.denominator > 1), v
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_kernel_results_follow_the_storage_rule(data):
+    draw = data.draw
+    r, k, c = (draw(st.integers(min_value=0, max_value=4)) for _ in range(3))
+    a, b = (draw(shaped(r, k, settling_values)) for _ in range(2))
+    m = draw(shaped(k, c, settling_values))
+    rows = draw(st.permutations(range(r)))[:draw(
+        st.integers(min_value=0, max_value=r))]
+    cols = draw(st.permutations(range(k)))[:draw(
+        st.integers(min_value=0, max_value=k))]
+    results = [
+        a.transpose(), -a, a.select(rows, cols),
+        SparseMatrix.block([r, k], [k, r], {(0, 0): a, (1, 1): b.transpose()}),
+        SparseMatrix.hstack([a, b]), SparseMatrix.vstack([a, b]),
+        a + b, a - b, a + (b - a), a @ m, (a - b) @ m,
+        a.scale(draw(settling_values)), a.scale(Fraction(2, 3)),
+        a.kron(m), rref(a)[0],
+    ]
+    for res in results:
+        assert_settled(res)
+    assert a + (b - a) == b
+    vec = draw(st.dictionaries(st.sampled_from(range(k)),
+                               settling_values)) if k else {}
+    assert_settled_values(a.apply(vec).values())
+
+
+def test_kernel_results_drop_cancelled_and_integral_entries():
+    a = SparseMatrix(2, 2, {(0, 0): 3, (0, 1): Fraction(1, 2),
+                            (1, 1): Fraction(-5, 3)})
+    assert (a + (-a)).entries == {}
+    assert (a - a).entries == {}
+    two = SparseMatrix(1, 1, {(0, 0): 2})
+    half = SparseMatrix(1, 1, {(0, 0): Fraction(1, 2)})
+    for one in (two.scale(Fraction(1, 2)), half + half, two @ half,
+                two.kron(half)):
+        assert one.entries == {(0, 0): 1}
+        assert type(one.entries[(0, 0)]) is int
+
+
+def test_only_exactlin_builds_matrices_without_validation():
+    # `_from_stored` trusts its entries, so no module outside the kernel may
+    # hand it any
+    package = Path(__file__).resolve().parents[1] / "src" / "exacthom"
+    users = sorted(p.name for p in package.glob("*.py")
+                   if "_from_stored" in p.read_text(encoding="utf-8"))
+    assert users == ["exactlin.py"]

@@ -1209,6 +1209,27 @@ def reference_highest_weight_space(a, n: int, k: int, mu: Sequence[int],
     return Subspace.from_vectors(amb, vecs)
 
 
+def reference_generated_submodule(action, seed: Subspace) -> Subspace:
+    """Smallest subspace containing the seed and stable under every action
+    matrix (the submodule generated by the seed), closed under all n^2
+    matrices of the action."""
+    if seed.ambient_dim != action.module_dim:
+        raise ValueError("seed lives in the wrong ambient space")
+    cur = seed
+    while True:
+        images = []
+        for i in range(cur.dim):
+            row = cur.basis.row(i)
+            for m in action.matrices:
+                img = m.apply(row)
+                if img:
+                    images.append(img)
+        nxt = cur.sum(Subspace.from_vectors(action.module_dim, images))
+        if nxt.dim == cur.dim:
+            return cur
+        cur = nxt
+
+
 def reference_generated_components(a, n: int, k: int):
     """Yield (m, alpha, beta, mu, highest-weight space, generated submodule)
     for every weight mu of `weight_decomposition`, in its order."""
@@ -1220,7 +1241,8 @@ def reference_generated_components(a, n: int, k: int):
                     continue
                 mu = weight_vector(alpha, beta, n)
                 hw = reference_highest_weight_space(a, n, k, mu, act)
-                yield m, alpha, beta, mu, hw, generated_submodule(act, hw)
+                yield (m, alpha, beta, mu, hw,
+                       reference_generated_submodule(act, hw))
 
 
 def reference_weight_decomposition(
@@ -1299,6 +1321,25 @@ def test_weight_report_matches_the_reference_components(name, n, k):
     alg = QUOTIENT_ALGEBRAS[name]
     assert weight_decomposition_report(alg, n, k) == \
         reference_weight_decomposition_report(alg, n, k)
+
+
+@pytest.mark.parametrize("name,n,k", [("Q", 2, 3), ("Q", 3, 2),
+                                      ("dual", 2, 2)])
+def test_lowering_closure_is_the_generated_submodule(name, n, k):
+    # PBW: from a highest-weight space the simple lowering operators reach
+    # the same subspace as all n^2 action matrices, component by component
+    alg = QUOTIENT_ALGEBRAS[name]
+    act = gln_action_on_chains(alg, n, k)
+    lowering = [act.matrices[(i + 1) * n + i] for i in range(n - 1)]
+    for *_, hw, gen in reference_generated_components(alg, n, k):
+        assert generated_submodule(lowering, hw) == gen
+
+
+def test_generated_submodule_rejects_matrices_of_another_size():
+    seed = Subspace.from_vectors(3, [{0: 1}])
+    assert generated_submodule([SparseMatrix.identity(3)], seed) == seed
+    with pytest.raises(ValueError):
+        generated_submodule([SparseMatrix.identity(4)], seed)
 
 
 @pytest.mark.parametrize("name,n,k", [("Q", 2, 2), ("Q", 3, 2),
