@@ -19,7 +19,8 @@ already passed it: `transpose`, negation, `select` and `block` (so `hstack`
 and `vstack`) move stored values to keys inside their result's shape and
 hand them over unchanged, and sums, products, `scale` and `kron` settle their
 accumulators with one `vec_clean`, since a sum can cancel to zero and a
-product of Fractions can be integral. No other module may call it.
+product of Fractions can be integral; `rref` stores each quotient of
+nonzero integers by the rule as it divides. No other module may call it.
 
 Determinism contract: for a fixed input matrix, every function returns a unique
 canonical answer. Reduced row echelon form is unique per se; bases of kernels,
@@ -487,7 +488,8 @@ def rref(m: SparseMatrix) -> Tuple[SparseMatrix, Tuple[int, ...]]:
     Returns (R, pivot_cols): R has one row per pivot, ordered by pivot column,
     each pivot entry 1 and alone in its column. Zero rows are dropped, so R is
     the canonical basis of the row space. Uniqueness of RREF makes the result
-    independent of the pivot strategy.
+    independent of the pivot strategy. Each entry v / pv is stored by the
+    rule as it is made, an `int` when pv divides v.
     """
     rows = _scaled_int_rows(m)
     pivots = sorted(_eliminate(rows, full=True))
@@ -496,8 +498,8 @@ def rref(m: SparseMatrix) -> Tuple[SparseMatrix, Tuple[int, ...]]:
         row = rows[ri]
         pv = row[pc]
         for c, v in row.items():
-            entries[(out_i, c)] = Fraction(v, pv)
-    return (SparseMatrix(len(pivots), m.cols, entries),
+            entries[(out_i, c)] = v // pv if v % pv == 0 else Fraction(v, pv)
+    return (SparseMatrix._from_stored(len(pivots), m.cols, entries),
             tuple(pc for pc, _ in pivots))
 
 

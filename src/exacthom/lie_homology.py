@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Tuple)
@@ -375,8 +376,12 @@ def homotopy_identity_check(g: StructureConstantLieAlgebra,
 class LieModuleAction:
     """Action of a Lie algebra on a module by one matrix per basis element.
 
-    Validated exactly: rho([x,y]) = rho(x)rho(y) - rho(y)rho(x) on all basis
-    pairs of the acting algebra.
+    The constructor validates exactly: one module_dim-square matrix per
+    basis element, and rho([x,y]) = rho(x)rho(y) - rho(y)rho(x) on all basis
+    pairs of the acting algebra. `gln_action_on_chains` alone builds
+    actions through `_unchecked`, which skips the check: it validates the
+    generator action once and extends it as a derivation, which inherits
+    the identity (see there).
     """
 
     algebra: StructureConstantLieAlgebra
@@ -398,6 +403,18 @@ class LieModuleAction:
                     raise LieAxiomError(
                         f"representation identity fails on basis pair ({i},{j})")
 
+    @staticmethod
+    def _unchecked(algebra: StructureConstantLieAlgebra, module_dim: int,
+                   matrices: Tuple[SparseMatrix, ...]) -> "LieModuleAction":
+        """The action over `matrices`, taken as they are. Only this module
+        calls it, on matrices that satisfy the representation identity by
+        construction; it bypasses `__post_init__`."""
+        act = object.__new__(LieModuleAction)
+        for name, value in (("algebra", algebra), ("module_dim", module_dim),
+                            ("matrices", matrices)):
+            object.__setattr__(act, name, value)
+        return act
+
     def of_vec(self, x: Mapping[int, Fraction]) -> SparseMatrix:
         out = SparseMatrix.zeros(self.module_dim, self.module_dim)
         for i, c in x.items():
@@ -408,15 +425,35 @@ class LieModuleAction:
 def gln_action_on_chains(a: StructureConstantAlgebra, n: int,
                          k: int) -> LieModuleAction:
     """Scalar gl_n acting on the k-th exterior power of gl_n(A): adjoint on
-    the matrix leg, nothing on the coefficient leg, extended as a derivation."""
-    acting = gl_n_of(field_q(), n)
-    k_basis = ExteriorBasis(n * n * a.dim, k)
-    mats = []
-    for r in range(n):
-        for s in range(n):
-            act = scalar_matrix_generator_action(n, a.dim, r, s)
-            mats.append(wedge_derivation_matrix(k_basis, act))
-    return LieModuleAction(acting, len(k_basis), tuple(mats))
+    the matrix leg, nothing on the coefficient leg, extended as a derivation.
+
+    The representation identity is checked once per call, on the generator
+    action (k = 1, a space of dimension n^2 dim A), by the validating
+    constructor; a LieAxiomError from there is raised at every k. The k-th
+    power is then built unchecked. With D_x the derivation of the exterior
+    algebra of V that extends rho(x), [D_x, D_y] and D_[x,y] are both
+    derivations, and on V, which generates the algebra, they are
+    [rho(x), rho(y)] = rho([x, y]); so they agree everywhere."""
+    acting = _scalar_gl(n)
+    dim = n * n * a.dim
+    images = [[act(x) for x in range(dim)]
+              for act in (scalar_matrix_generator_action(n, a.dim, r, s)
+                          for r in range(n) for s in range(n))]
+    gen_basis = ExteriorBasis(dim, 1)
+    gens = LieModuleAction(acting, dim, tuple(
+        wedge_derivation_matrix(gen_basis, im.__getitem__) for im in images))
+    if k == 1:
+        return gens
+    k_basis = ExteriorBasis(dim, k)
+    return LieModuleAction._unchecked(acting, len(k_basis), tuple(
+        wedge_derivation_matrix(k_basis, im.__getitem__) for im in images))
+
+
+@lru_cache(maxsize=None)
+def _scalar_gl(n: int) -> StructureConstantLieAlgebra:
+    """gl_n(Q), the algebra acting in `gln_action_on_chains`, built and
+    validated once per n."""
+    return gl_n_of(field_q(), n)
 
 
 def coinvariant_reduction(cx: ChainComplex,

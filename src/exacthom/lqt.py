@@ -802,8 +802,15 @@ def highest_weight_space(a: StructureConstantAlgebra, n: int, k: int,
                          mu: Sequence[int],
                          action: Optional[LieModuleAction] = None) -> Subspace:
     """Vectors of weight mu killed by every raising operator e_ij (i < j),
-    inside the k-th wedge power of gl_n(A)."""
+    inside the k-th wedge power of gl_n(A). A given `action` must be scalar
+    gl_n's on that wedge power (ValueError otherwise)."""
     act = action if action is not None else gln_action_on_chains(a, n, k)
+    if act.algebra.dim != n * n:
+        raise ValueError(f"action of a {act.algebra.dim}-dimensional "
+                         f"algebra, not of gl_{n}")
+    if act.module_dim != math.comb(n * n * a.dim, k):
+        raise ValueError(f"action on a {act.module_dim}-dimensional module, "
+                         f"not on wedge power {k} of gl_{n}(A)")
     mu = tuple(mu)
     cols = [ci for ci, tup in enumerate(combinations(range(n * n * a.dim), k))
             if wedge_weight(a, n, tup) == mu]
@@ -834,21 +841,24 @@ def generated_submodule(matrices: Sequence[SparseMatrix],
     vectors (weight vectors killed by every raising e_ij, i < j), PBW
     writes U = U(n-) U(h) U(n+); U(n+) and U(h) take a seed vector v to
     multiples of v, so U v = U(n-) v, and n- is generated by the simple
-    lowering operators e_(i+1,i): those n - 1 matrices are enough."""
+    lowering operators e_(i+1,i): those n - 1 matrices are enough.
+
+    The closure grows from its frontier: each round applies the matrices
+    only to the vectors the last round added (the seed's basis first),
+    keeps each image's residue modulo the span so far (`Subspace.reduce`),
+    and adds the residues' span; the rest of the span already maps into
+    it. It stops when no residue is left."""
     amb = seed.ambient_dim
     if any((m.rows, m.cols) != (amb, amb) for m in matrices):
         raise ValueError("closure matrices must act on the seed's space")
-    cur = seed
+    cur = frontier = seed
     while True:
-        rows: List[Vec] = []
-        for i in range(cur.dim):
-            row = cur.basis.row(i)
-            rows.append(row)
-            rows.extend(m.apply(row) for m in matrices)
-        nxt = Subspace.from_vectors(amb, rows)
-        if nxt.dim == cur.dim:
+        residues = [cur.reduce(m.apply(frontier.basis.row(i)))
+                    for i in range(frontier.dim) for m in matrices]
+        frontier = Subspace.from_vectors(amb, residues)
+        if not frontier.dim:
             return cur
-        cur = nxt
+        cur = cur.sum(frontier)
 
 
 def weight_decomposition_report(a: StructureConstantAlgebra, n: int,
@@ -863,8 +873,7 @@ def weight_decomposition_report(a: StructureConstantAlgebra, n: int,
     `generated_submodule`)."""
     total = math.comb(n * n * a.dim, k)
     components = []
-    dim_sum = 0
-    span = Subspace.zero(total)
+    bases = []
     act = gln_action_on_chains(a, n, k)
     lowering = [act.matrices[(i + 1) * n + i] for i in range(n - 1)]
     for m in range(k + 1):
@@ -874,16 +883,17 @@ def weight_decomposition_report(a: StructureConstantAlgebra, n: int,
             mu = weight_vector(alpha, beta, n)
             hw = highest_weight_space(a, n, k, mu, act)
             gen = generated_submodule(lowering, hw)
-            dim_sum += gen.dim
-            span = span.sum(gen)
+            bases.append(gen.basis)
             components.append({"weight": list(mu), "m": m,
                                "alpha": list(alpha), "beta": list(beta),
                                "highest_dim": hw.dim,
                                "generated_dim": gen.dim})
-    verdict = dim_sum == total and span.dim == total
+    dim_sum = sum(b.rows for b in bases)
+    span_dim = rank(SparseMatrix.vstack(bases))
+    verdict = dim_sum == total and span_dim == total
     return {"check": "weight_decomposition",
             "params": {"n": n, "k": k, "algebra_dim": a.dim},
-            "lhs_dims": [dim_sum, span.dim],
+            "lhs_dims": [dim_sum, span_dim],
             "rhs_dims": [total, total],
             "components": components,
             "verdict": bool(verdict),

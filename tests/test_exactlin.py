@@ -13,6 +13,7 @@ import dense_oracle
 from exacthom.exactlin import (
     SparseMatrix,
     _eliminate,
+    _scaled_int_rows,
     Subspace,
     decode_entries,
     image_basis,
@@ -661,6 +662,32 @@ def test_kernel_results_follow_the_storage_rule(data):
     vec = draw(st.dictionaries(st.sampled_from(range(k)),
                                settling_values)) if k else {}
     assert_settled_values(a.apply(vec).values())
+
+
+def reference_rref(m: SparseMatrix):
+    """`rref` as it was built before: every entry a Fraction(v, pv), settled
+    by the validating constructor."""
+    rows = _scaled_int_rows(m)
+    pivots = sorted(_eliminate(rows, full=True))
+    entries = {(out_i, c): Fraction(v, rows[ri][pc])
+               for out_i, (pc, ri) in enumerate(pivots)
+               for c, v in rows[ri].items()}
+    return (SparseMatrix(len(pivots), m.cols, entries),
+            tuple(pc for pc, _ in pivots))
+
+
+@given(st.one_of(matrices(max_dim=6), st.builds(
+    lambda rows, cols, vals: SparseMatrix(rows, cols, {
+        (i % rows, i // rows % cols): v for i, v in enumerate(vals)}),
+    st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6),
+    st.lists(st.integers(min_value=-40, max_value=40), max_size=36))))
+@settings(max_examples=200, deadline=None)
+def test_rref_stores_its_quotients_by_the_rule(m):
+    # integral quotients v // pv come out as ints, the rest as Fractions,
+    # and the matrix equals the one the validating constructor settled
+    R, piv = rref(m)
+    assert_settled(R)
+    assert (R, piv) == reference_rref(m)
 
 
 def test_kernel_results_drop_cancelled_and_integral_entries():

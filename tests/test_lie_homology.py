@@ -1,6 +1,7 @@
 """Exterior-power Lie homology: complexes, actions, coinvariants."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,10 +41,12 @@ from exacthom.lie_homology import (
     homotopy_identity_check,
     lie_algebra_from_json,
     lie_algebra_to_json,
+    scalar_matrix_generator_action,
     sl2_q,
     wedge_derivation_matrix,
     wedge_sort,
 )
+from exacthom import lie_homology
 from exacthom.lqt import weight_zero_tuples
 
 import random
@@ -418,6 +421,42 @@ def test_broken_action_is_rejected():
     bad[1] = bad[1].scale(frac(-1))
     with pytest.raises(LieAxiomError, match="representation identity"):
         LieModuleAction(good.algebra, good.module_dim, tuple(bad))
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in (1, 2, 3)
+                                 for k in (0, 1, 2, 3)])
+@pytest.mark.parametrize("alg", [field_q(), dual_numbers(),
+                                 left_unital_two_dim()],
+                         ids=["Q", "dual", "left_unital"])
+def test_validating_constructor_accepts_every_wedge_power_action(alg, n, k):
+    # the wedge power is built unchecked; the all-pairs check agrees
+    act = gln_action_on_chains(alg, n, k)
+    checked = LieModuleAction(act.algebra, act.module_dim, act.matrices)
+    assert checked == act
+    assert act.module_dim == len(ExteriorBasis(n * n * alg.dim, k))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_a_broken_generator_action_is_rejected_at_every_degree(
+        monkeypatch, k):
+    def flipped(n, a_dim, r, s):
+        act = scalar_matrix_generator_action(n, a_dim, r, s)
+        if (r, s) != (0, 1):
+            return act
+        return lambda idx: {y: -c for y, c in act(idx).items()}
+    monkeypatch.setattr(lie_homology, "scalar_matrix_generator_action",
+                        flipped)
+    with pytest.raises(LieAxiomError, match="representation identity"):
+        gln_action_on_chains(dual_numbers(), 2, k)
+
+
+def test_only_lie_homology_builds_actions_without_validation():
+    # `LieModuleAction._unchecked` trusts its matrices, so only the module
+    # that builds them as derivation extensions may call it
+    package = Path(__file__).resolve().parents[1] / "src" / "exacthom"
+    users = sorted(p.name for p in package.glob("*.py")
+                   if "_unchecked" in p.read_text(encoding="utf-8"))
+    assert users == ["lie_homology.py"]
 
 
 # -- coinvariants ----------------------------------------------------------------

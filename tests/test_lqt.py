@@ -5,10 +5,11 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from itertools import permutations as iter_permutations
 from itertools import product as iter_product
+from types import SimpleNamespace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import pytest
@@ -36,8 +37,10 @@ from exacthom.exactlin import (AMBIENT_LIMIT, ResourceGuardError,
                                kernel_basis, quotient_structure,
                                random_unimodular, rank, rref, solve_matrix,
                                vec_clean)
-from exacthom.lie_homology import (ExteriorBasis, ce_complex, ce_complex_on,
-                                   coinvariant_reduction, gl_index, gl_n_of,
+from exacthom.lie_homology import (ExteriorBasis, LieModuleAction,
+                                   abelian_lie_algebra, ce_complex,
+                                   ce_complex_on, coinvariant_reduction,
+                                   gl_index, gl_n_of,
                                    gln_action_on_chains, guard_exterior_powers,
                                    scalar_matrix_generator_action, wedge_sort)
 from exacthom.lqt import (
@@ -1335,6 +1338,34 @@ def test_lowering_closure_is_the_generated_submodule(name, n, k):
         assert generated_submodule(lowering, hw) == gen
 
 
+FRONTIER_CASES = [("Q", 2, 1), ("Q", 2, 2), ("Q", 3, 1), ("Q", 3, 2),
+                  ("dual", 2, 1), ("dual", 2, 2), ("left-unital", 2, 2)]
+
+
+@lru_cache(maxsize=None)
+def frontier_action(name, n, k):
+    return gln_action_on_chains(QUOTIENT_ALGEBRAS[name], n, k)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_frontier_closure_matches_the_reference(data):
+    # arbitrary seeds, not only highest-weight ones, closed under the n - 1
+    # simple lowering operators and under all n^2 action matrices
+    name, n, k = data.draw(st.sampled_from(FRONTIER_CASES))
+    act = frontier_action(name, n, k)
+    amb = act.module_dim
+    vectors = data.draw(st.lists(st.dictionaries(
+        st.integers(min_value=0, max_value=amb - 1),
+        st.integers(min_value=-3, max_value=3), max_size=4), max_size=3))
+    seed = Subspace.from_vectors(amb, vectors)
+    lowering = [act.matrices[(i + 1) * n + i] for i in range(n - 1)]
+    for mats in (lowering, act.matrices):
+        assert generated_submodule(mats, seed) == \
+            reference_generated_submodule(
+                SimpleNamespace(module_dim=amb, matrices=mats), seed)
+
+
 def test_generated_submodule_rejects_matrices_of_another_size():
     seed = Subspace.from_vectors(3, [{0: 1}])
     assert generated_submodule([SparseMatrix.identity(3)], seed) == seed
@@ -1351,6 +1382,25 @@ def test_highest_weight_space_matches_the_reference(name, n, k):
                for t in combinations(range(n * n * alg.dim), k)}:
         assert highest_weight_space(alg, n, k, mu, act) == \
             reference_highest_weight_space(alg, n, k, mu, act)
+
+
+def test_highest_weight_space_rejects_an_action_of_another_degree():
+    # wedge power 1 of gl_2(Q) is Q^4; wedge power 2 is Q^6
+    with pytest.raises(ValueError, match="module"):
+        highest_weight_space(field_q(), 2, 2, (0, 0),
+                             gln_action_on_chains(field_q(), 2, 1))
+    assert highest_weight_space(field_q(), 2, 2, (0, 0),
+                                gln_action_on_chains(field_q(), 2, 2)) == \
+        highest_weight_space(field_q(), 2, 2, (0, 0))
+
+
+def test_highest_weight_space_rejects_an_action_of_another_algebra():
+    # a one-dimensional algebra acting on Q^6, the size of wedge power 2 of
+    # gl_2(Q), is not gl_2's action
+    act = LieModuleAction(abelian_lie_algebra(1), 6,
+                          (SparseMatrix.zeros(6, 6),))
+    with pytest.raises(ValueError, match="algebra"):
+        highest_weight_space(field_q(), 2, 2, (0, 0), act)
 
 
 def test_highest_weight_space_of_adjoint():
