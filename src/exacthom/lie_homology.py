@@ -53,7 +53,9 @@ class LieAxiomError(ValueError):
 @dataclass(frozen=True)
 class StructureConstantLieAlgebra:
     """Lie algebra given by bracket structure constants; validated exactly,
-    after its C(dim, 2) pairs and C(dim, 3) Jacobi triples are guarded."""
+    after its C(dim, 2) pairs and C(dim, 3) Jacobi triples are guarded.
+    `gl_n_of` alone builds algebras through `_unchecked`, which skips the
+    check: a commutator bracket satisfies it by construction."""
 
     dim: int
     bracket: Dict[Tuple[int, int], Vec]
@@ -92,6 +94,18 @@ class StructureConstantLieAlgebra:
                     if any(acc.values()):
                         raise LieAxiomError(
                             f"Jacobi fails on basis triple ({i},{j},{k})")
+
+    @staticmethod
+    def _unchecked(dim: int, bracket: Dict[Tuple[int, int], Vec],
+                   names: Tuple[str, ...]) -> "StructureConstantLieAlgebra":
+        """The Lie algebra over `bracket`, taken as it is. Only this module
+        calls it, in `gl_n_of`, whose commutator bracket is antisymmetric
+        and satisfies Jacobi by construction; it bypasses `__post_init__`."""
+        g = object.__new__(StructureConstantLieAlgebra)
+        for name, value in (("dim", dim), ("bracket", bracket),
+                            ("names", names)):
+            object.__setattr__(g, name, value)
+        return g
 
     def basis_bracket(self, i: int, j: int) -> Vec:
         return dict(self.bracket.get((i, j), {}))
@@ -160,7 +174,10 @@ def gl_index(n: int, a_dim: int, i: int, j: int, c: int) -> int:
 
 def gl_n_of(a: StructureConstantAlgebra, n: int) -> StructureConstantLieAlgebra:
     """Matrix Lie algebra gl_n(A) on basis e_ij (x) b_c under the commutator;
-    guarded as its Jacobi check is, before its dim^2-entry table is filled."""
+    guarded as the validating constructor is, before its dim^2-entry table
+    is filled. It is built unchecked: the commutator of the associative
+    algebra M_n(A), whose A was validated by its own constructor, is
+    antisymmetric and satisfies Jacobi."""
     if n < 1:
         raise ValueError("need n >= 1")
     dim = n * n * a.dim
@@ -188,7 +205,7 @@ def gl_n_of(a: StructureConstantAlgebra, n: int) -> StructureConstantLieAlgebra:
                                 bracket[(x, y)] = out
     names = tuple(f"e{i + 1}{j + 1}({a.name_of(c)})"
                   for i in range(n) for j in range(n) for c in range(a.dim))
-    return StructureConstantLieAlgebra(dim, bracket, names)
+    return StructureConstantLieAlgebra._unchecked(dim, bracket, names)
 
 
 def change_of_basis_lie(g: StructureConstantLieAlgebra,
@@ -451,8 +468,8 @@ def gln_action_on_chains(a: StructureConstantAlgebra, n: int,
 
 @lru_cache(maxsize=None)
 def _scalar_gl(n: int) -> StructureConstantLieAlgebra:
-    """gl_n(Q), the algebra acting in `gln_action_on_chains`, built and
-    validated once per n."""
+    """gl_n(Q), the algebra acting in `gln_action_on_chains`, built once
+    per n (by `gl_n_of`, unchecked)."""
     return gl_n_of(field_q(), n)
 
 

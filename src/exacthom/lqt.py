@@ -23,9 +23,13 @@ The pieces, bottom up:
   tensor legs, conjugation on the group algebra; checked by moving phi's
   nonzero entries through their index maps), and is a bijection on
   coinvariants exactly when n >= k. Each tensor of nonzero Cartan weight is
-  a relation, so only the weight-0 relations e_rs . x are ranked; the
-  check reads the coinvariant dimension off that rank, and only the
-  inverse map echelonizes the relation span for its quotient section.
+  a relation, so only weight-0 relations are ranked, and of those only the
+  n - 1 simple lowering relations f_i . x, x of weight e_i - e_(i+1): the
+  tensor power is completely reducible, and the weight-0 space of a
+  nontrivial irreducible lies in the sum of the f_i images, so they span
+  every weight-0 relation. The check reads the coinvariant dimension off
+  their rank, and only the inverse map echelonizes the relation span for
+  its quotient section.
 * ``cyclic_wedge_complex``: the free graded-commutative algebra on the
   cyclic quotient complex shifted up by one (a class in cyclic degree j-1
   becomes a generator of wedge degree j; odd generators square to zero,
@@ -63,8 +67,7 @@ from itertools import product as iter_product
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .assoc_homology import (StructureConstantAlgebra, connes_quotient_complex,
-                             field_q, h_unitality_report, tensor_rank,
-                             tensor_unrank)
+                             h_unitality_report, tensor_rank, tensor_unrank)
 from .complexes import (ChainComplex, ChainMap, betti_numbers,
                         verify_chain_map)
 from .exactlin import (QuotientStructure, SparseMatrix, Subspace, Vec,
@@ -313,37 +316,53 @@ def trace_invariant_matrix(n: int, k: int) -> SparseMatrix:
 
 
 def _trace_relations(n: int, k: int) -> Tuple[List[int], List[Vec]]:
-    """The conjugation relations e_rs . x on the k-fold tensor power of
-    n x n matrices: the basis tensors x of nonzero Cartan weight, each a
-    relation by itself (e_rr scales x by its weight at r), and one row
-    e_rs . x per x with wt(x) = e_s - e_r, which has weight 0. Every other
-    e_rs . x has nonzero weight, so these span all relations."""
+    """The conjugation relations on the k-fold tensor power of n x n
+    matrices: the basis tensors x of nonzero Cartan weight, each a relation
+    by itself (e_rr scales x by its weight at r), and one row f_i . x per x
+    of weight alpha_i = e_i - e_(i+1), i < n - 1, with f_i = e_(i+1,i) the
+    simple lowering operators; f_i . x has weight 0.
+
+    These span all relations. The tensor power W is a completely reducible
+    gl_n-module. A trivial summand has gW = 0; in a nontrivial irreducible
+    V = U(n^-)v_lambda the weight-0 space lies in n^-V = sum_i f_i V (PBW),
+    so (gW)_0 = sum_i f_i W_(alpha_i), which also holds every e_rs . x of
+    weight 0. With n = 1 there are none.
+
+    Weights are read off integer codes: leg E_ij has code B^i - B^j with
+    B = 2k + 1, a tensor the sum over its legs, so a weight with entries in
+    [-k, k] has exactly one code and weight 0 has code 0."""
     dim = n * n
-    ground = field_q()
-    units: List[int] = []
+    base = 2 * k + 1
+    leg_codes = [base ** i - base ** j for i in range(n) for j in range(n)]
+    codes = [0]
+    for _ in range(k):
+        codes = [c + lc for c in codes for lc in leg_codes]
+    lowering = {base ** i - base ** (i + 1):
+                [scalar_matrix_generator_action(n, 1, i + 1, i)(leg)
+                 for leg in range(dim)]
+                for i in range(n - 1)}
+    units = [cidx for cidx, code in enumerate(codes) if code]
     weight_zero: List[Vec] = []
-    for cidx in range(dim ** k):
+    for cidx, code in enumerate(codes):
+        on_leg = lowering.get(code)
+        if on_leg is None:
+            continue
         legs = tensor_unrank(dim, k, cidx)
-        wt = wedge_weight(ground, n, legs)
-        if any(wt):
-            units.append(cidx)
-        if sum(map(abs, wt)) == 2:
-            on_leg = scalar_matrix_generator_action(n, 1, wt.index(-1),
-                                                    wt.index(1))
-            acc: Dict[int, Fraction] = {}
-            for t, leg in enumerate(legs):
-                for y, coef in on_leg(leg).items():
-                    key = tensor_rank(dim, legs[:t] + (y,) + legs[t + 1:])
-                    acc[key] = acc.get(key, 0) + coef
-            weight_zero.append(acc)
+        acc: Dict[int, Fraction] = {}
+        for t, leg in enumerate(legs):
+            for y, coef in on_leg[leg].items():
+                key = tensor_rank(dim, legs[:t] + (y,) + legs[t + 1:])
+                acc[key] = acc.get(key, 0) + coef
+        weight_zero.append(acc)
     return units, weight_zero
 
 
 def _trace_relation_span(n: int, k: int) -> Tuple[SparseMatrix, Subspace, bool]:
     """The trace pairing phi, the RREF span of the conjugation relations,
-    and whether phi kills it (iff it kills its RREF rows). Only the weight-0
-    relations are eliminated; their RREF rows are merged by pivot with the
-    unit rows of the tensors of nonzero weight."""
+    and whether phi kills it (iff it kills its RREF rows). Only the simple
+    lowering relations of weight 0 are eliminated (they span all weight-0
+    relations; see `_trace_relations`); their RREF rows are merged by pivot
+    with the unit rows of the tensors of nonzero weight."""
     phi = trace_invariant_matrix(n, k)
     amb = (n * n) ** k
     units, weight_zero = _trace_relations(n, k)
@@ -390,7 +409,10 @@ def trace_invariant_check(n: int, k: int) -> dict:
     Read from ranks, with no relation span built: the coinvariant dimension
     is n^(2k) minus the tensors of nonzero weight minus the rank of the
     weight-0 relations, and phi kills the relations iff it has no entry on
-    a column of nonzero weight and phi @ relations^T is zero."""
+    a column of nonzero weight and phi @ relations^T is zero. The weight-0
+    relations ranked are the n - 1 simple lowering relations f_i . x only,
+    which span them all since the tensor power is completely reducible
+    (see `_trace_relations`)."""
     phi = trace_invariant_matrix(n, k)
     amb = (n * n) ** k
     units, weight_zero = _trace_relations(n, k)

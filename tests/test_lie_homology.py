@@ -110,6 +110,22 @@ def test_gl_index_layout():
     assert gl_index(2, 2, 1, 0, 1) == (1 * 2 + 0) * 2 + 1
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("algebra", [
+    pytest.param(field_q, id="field_q"),
+    pytest.param(dual_numbers, id="dual_numbers"),
+    pytest.param(lambda: truncated_polynomials(3),
+                 id="truncated_polynomials3"),
+    pytest.param(left_unital_two_dim, id="left_unital_two_dim"),
+    pytest.param(lambda: zero_multiplication(3), id="zero_multiplication3"),
+])
+def test_the_validating_constructor_accepts_gl_n_of(algebra, n):
+    # `gl_n_of` skips the antisymmetry and Jacobi walk; its bracket must
+    # pass that walk all the same
+    g = gl_n_of(algebra(), n)
+    assert StructureConstantLieAlgebra(g.dim, g.bracket, g.names) == g
+
+
 # -- serialization --------------------------------------------------------------
 
 
@@ -457,6 +473,17 @@ def test_only_lie_homology_builds_actions_without_validation():
     users = sorted(p.name for p in package.glob("*.py")
                    if "_unchecked" in p.read_text(encoding="utf-8"))
     assert users == ["lie_homology.py"]
+
+
+def test_only_gl_n_of_builds_lie_algebras_without_validation():
+    # `StructureConstantLieAlgebra._unchecked` trusts its bracket, so it has
+    # one caller, `gl_n_of`, whose commutator bracket is a Lie bracket
+    package = Path(__file__).resolve().parents[1] / "src" / "exacthom"
+    calls = {p.name: p.read_text(encoding="utf-8").count(
+        "StructureConstantLieAlgebra._unchecked(")
+        for p in package.glob("*.py")}
+    assert {name: c for name, c in calls.items() if c} == {
+        "lie_homology.py": 1}
 
 
 # -- coinvariants ----------------------------------------------------------------

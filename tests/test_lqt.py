@@ -754,7 +754,8 @@ def reference_trace_relation_span(n, k):
     return phi, sub, not any(phi.apply(r) for r in rows)
 
 
-@pytest.mark.parametrize("n,k", SMALL_TRACE_CASES + [(4, 2), (4, 3), (2, 4)])
+@pytest.mark.parametrize("n,k", SMALL_TRACE_CASES + [(4, 2), (4, 3), (2, 4),
+                                                    (3, 4)])
 def test_relation_span_matches_the_weight_buckets(n, k):
     phi, sub, kills = _trace_relation_span(n, k)
     ref_phi, ref_sub, ref_kills = reference_trace_relation_span(n, k)
@@ -818,6 +819,21 @@ def test_invariant_check_from_ranks_matches_the_span_reference(n, k):
     assert trace_invariant_check(n, k) == reference_trace_invariant_check(n, k)
 
 
+@pytest.mark.parametrize("n,k", RANKED_TRACE_CASES)
+def test_weight_codes_match_the_weight_walk(n, k):
+    # units are the tensors of nonzero weight, as `wedge_weight` reads them
+    # one by one, and every lowering relation lies in weight 0
+    dim = n * n
+    ground = field_q()
+    units, weight_zero = _trace_relations(n, k)
+    assert units == [c for c in range(dim ** k)
+                     if any(wedge_weight(ground, n, tensor_unrank(dim, k, c)))]
+    for row in weight_zero:
+        assert row
+        assert not any(any(wedge_weight(ground, n, tensor_unrank(dim, k, c)))
+                       for c in row)
+
+
 def mutated_phi(n: int, k: int, kind: str) -> SparseMatrix:
     """phi with its fourth entry moved one row down, dropped or doubled, or
     with an extra entry on E_01 (x) E_00 (x) ..., a tensor of weight
@@ -854,10 +870,11 @@ def test_phi_checks_match_the_references_on_a_mutated_phi(n, k, kind,
 
 
 def test_phi_checks_reach_n3_k4():
-    # 6,561 tensors: 5,922 of nonzero weight and 2,736 weight-0 relations,
+    # 6,561 tensors: 5,922 of nonzero weight and 912 weight-0 relations,
     # of rank 6,561 - 5,922 - 23
     units, weight_zero = _trace_relations(3, 4)
-    assert (len(units), len(weight_zero)) == (5922, 2736)
+    # 912 rows f_i . x from the simple lowering operators, not 2,736 e_rs . x
+    assert (len(units), len(weight_zero)) == (5922, 912)
     assert trace_invariant_check(3, 4) == {
         "check": "trace_invariant_map", "params": {"n": 3, "k": 4},
         "lhs_dims": [23], "rhs_dims": [24], "well_defined": True,
