@@ -596,16 +596,32 @@ def precosheaf_to_json(p: FinitePrecosheaf) -> dict:
 
 
 def precosheaf_from_json(obj: Mapping) -> FinitePrecosheaf:
+    """The precosheaf of a `--cover` document; TypeError or IndexError on
+    a malformed one, which the CLI reports as such."""
     u = cover_model_from_json(obj)
     raw = obj["precosheaf"]
     dims = [0] * len(u.opens)
+
+    def open_index(value, field: str) -> int:
+        index = json_int(value, field)
+        if not 0 <= index < len(dims):
+            raise IndexError(f"{field} {index} is not one of the "
+                             f"{len(dims)} stored opens")
+        return index
+
+    if not (isinstance(raw["dims"], Mapping)
+            and isinstance(raw["extensions"], list)):
+        raise TypeError("dims must be a JSON object, extensions a list")
     for key, d in raw["dims"].items():
         # JSON object keys are strings: a key must spell an open's index
         index = (int(key) if isinstance(key, str) and key.isdecimal()
                  else key)
-        dims[json_int(index, "dims key")] = json_int(d, "dims value")
+        dims[open_index(index, "dims key")] = json_int(d, "dims value")
     exts: Dict[Tuple[int, int], SparseMatrix] = {}
-    for a, b, items in raw["extensions"]:
-        a, b = json_int(a, "extension source"), json_int(b, "extension target")
-        exts[(a, b)] = SparseMatrix.from_entry_list(dims[b], dims[a], items)
+    for ext in raw["extensions"]:
+        if not isinstance(ext, list) or len(ext) != 3:
+            raise TypeError(f"extension {ext!r} is not [a, b, entries]")
+        a = open_index(ext[0], "extension source")
+        b = open_index(ext[1], "extension target")
+        exts[(a, b)] = SparseMatrix.from_entry_list(dims[b], dims[a], ext[2])
     return FinitePrecosheaf(u, tuple(dims), exts)

@@ -50,12 +50,21 @@ class LieAxiomError(ValueError):
     """Bracket constants violating antisymmetry or the Jacobi identity."""
 
 
+def _unchecked(cls, **fields):
+    """The frozen dataclass `cls` over `fields` as they are, bypassing
+    `__post_init__`'s validation; only for fields valid by construction."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class StructureConstantLieAlgebra:
     """Lie algebra given by bracket structure constants; validated exactly,
     after its C(dim, 2) pairs and C(dim, 3) Jacobi triples are guarded.
-    `gl_n_of` alone builds algebras through `_unchecked`, which skips the
-    check: a commutator bracket satisfies it by construction."""
+    `gl_n_of` alone builds them through the module's `_unchecked`, which
+    skips the check: a commutator bracket satisfies it by construction."""
 
     dim: int
     bracket: Dict[Tuple[int, int], Vec]
@@ -94,18 +103,6 @@ class StructureConstantLieAlgebra:
                     if any(acc.values()):
                         raise LieAxiomError(
                             f"Jacobi fails on basis triple ({i},{j},{k})")
-
-    @staticmethod
-    def _unchecked(dim: int, bracket: Dict[Tuple[int, int], Vec],
-                   names: Tuple[str, ...]) -> "StructureConstantLieAlgebra":
-        """The Lie algebra over `bracket`, taken as it is. Only this module
-        calls it, in `gl_n_of`, whose commutator bracket is antisymmetric
-        and satisfies Jacobi by construction; it bypasses `__post_init__`."""
-        g = object.__new__(StructureConstantLieAlgebra)
-        for name, value in (("dim", dim), ("bracket", bracket),
-                            ("names", names)):
-            object.__setattr__(g, name, value)
-        return g
 
     def basis_bracket(self, i: int, j: int) -> Vec:
         return dict(self.bracket.get((i, j), {}))
@@ -205,7 +202,8 @@ def gl_n_of(a: StructureConstantAlgebra, n: int) -> StructureConstantLieAlgebra:
                                 bracket[(x, y)] = out
     names = tuple(f"e{i + 1}{j + 1}({a.name_of(c)})"
                   for i in range(n) for j in range(n) for c in range(a.dim))
-    return StructureConstantLieAlgebra._unchecked(dim, bracket, names)
+    return _unchecked(StructureConstantLieAlgebra, dim=dim, bracket=bracket,
+                      names=names)
 
 
 def change_of_basis_lie(g: StructureConstantLieAlgebra,
@@ -396,9 +394,9 @@ class LieModuleAction:
     The constructor validates exactly: one module_dim-square matrix per
     basis element, and rho([x,y]) = rho(x)rho(y) - rho(y)rho(x) on all basis
     pairs of the acting algebra. `gln_action_on_chains` alone builds
-    actions through `_unchecked`, which skips the check: it validates the
-    generator action once and extends it as a derivation, which inherits
-    the identity (see there).
+    actions through the module's `_unchecked`, which skips the check: it
+    validates the generator action once and extends it as a derivation,
+    which inherits the identity (see there).
     """
 
     algebra: StructureConstantLieAlgebra
@@ -419,18 +417,6 @@ class LieModuleAction:
                 if lhs != rhs:
                     raise LieAxiomError(
                         f"representation identity fails on basis pair ({i},{j})")
-
-    @staticmethod
-    def _unchecked(algebra: StructureConstantLieAlgebra, module_dim: int,
-                   matrices: Tuple[SparseMatrix, ...]) -> "LieModuleAction":
-        """The action over `matrices`, taken as they are. Only this module
-        calls it, on matrices that satisfy the representation identity by
-        construction; it bypasses `__post_init__`."""
-        act = object.__new__(LieModuleAction)
-        for name, value in (("algebra", algebra), ("module_dim", module_dim),
-                            ("matrices", matrices)):
-            object.__setattr__(act, name, value)
-        return act
 
     def of_vec(self, x: Mapping[int, Fraction]) -> SparseMatrix:
         out = SparseMatrix.zeros(self.module_dim, self.module_dim)
@@ -462,8 +448,10 @@ def gln_action_on_chains(a: StructureConstantAlgebra, n: int,
     if k == 1:
         return gens
     k_basis = ExteriorBasis(dim, k)
-    return LieModuleAction._unchecked(acting, len(k_basis), tuple(
-        wedge_derivation_matrix(k_basis, im.__getitem__) for im in images))
+    matrices = tuple(wedge_derivation_matrix(k_basis, im.__getitem__)
+                     for im in images)
+    return _unchecked(LieModuleAction, algebra=acting,
+                      module_dim=len(k_basis), matrices=matrices)
 
 
 @lru_cache(maxsize=None)

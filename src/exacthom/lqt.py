@@ -28,8 +28,9 @@ The pieces, bottom up:
   tensor power is completely reducible, and the weight-0 space of a
   nontrivial irreducible lies in the sum of the f_i images, so they span
   every weight-0 relation. The check reads the coinvariant dimension off
-  their rank, and only the inverse map echelonizes the relation span for
-  its quotient section.
+  their rank; the inverse map reads the check and, when the pairing is
+  bijective, sections the quotient by the weight-0 tensors off the pivots
+  of their RREF.
 * ``cyclic_wedge_complex``: the free graded-commutative algebra on the
   cyclic quotient complex shifted up by one (a class in cyclic degree j-1
   becomes a generator of wedge degree j; odd generators square to zero,
@@ -71,9 +72,8 @@ from .assoc_homology import (StructureConstantAlgebra, connes_quotient_complex,
 from .complexes import (ChainComplex, ChainMap, betti_numbers,
                         verify_chain_map)
 from .exactlin import (QuotientStructure, SparseMatrix, Subspace, Vec,
-                       guard_ambient, inverse, kernel_basis,
-                       quotient_structure, rank, signed_orbit_quotient,
-                       solve_matrix, vec_clean)
+                       guard_ambient, inverse, kernel_basis, rank, rref,
+                       signed_orbit_quotient, solve_matrix, vec_clean)
 from .lie_homology import (ExteriorBasis, LieModuleAction, ce_complex,
                            ce_complex_on, gl_index, gl_n_of,
                            gln_action_on_chains, guard_exterior_powers,
@@ -357,47 +357,34 @@ def _trace_relations(n: int, k: int) -> Tuple[List[int], List[Vec]]:
     return units, weight_zero
 
 
-def _trace_relation_span(n: int, k: int) -> Tuple[SparseMatrix, Subspace, bool]:
-    """The trace pairing phi, the RREF span of the conjugation relations,
-    and whether phi kills it (iff it kills its RREF rows). Only the simple
-    lowering relations of weight 0 are eliminated (they span all weight-0
-    relations; see `_trace_relations`); their RREF rows are merged by pivot
-    with the unit rows of the tensors of nonzero weight."""
-    phi = trace_invariant_matrix(n, k)
-    amb = (n * n) ** k
-    units, weight_zero = _trace_relations(n, k)
-    reduced = Subspace.from_vectors(amb, weight_zero)
-    merged: List[Tuple[int, Vec]] = [(c, {c: 1}) for c in units]
-    merged.extend((p, reduced.basis.row(i))
-                  for i, p in enumerate(reduced.pivots))
-    merged.sort(key=lambda t: t[0])
-    rows = [r for _, r in merged]
-    sub = Subspace(amb, SparseMatrix.from_rows(rows, amb),
-                   tuple(p for p, _ in merged))
-    return phi, sub, (phi @ sub.basis.transpose()).is_zero()
-
-
 def trace_invariant_map(
         n: int, k: int) -> Tuple[SparseMatrix, Optional[SparseMatrix]]:
     """The trace pairing matrix, plus a right inverse through the
     coinvariant quotient when the pairing is bijective there (n >= k);
-    otherwise the second entry is None.
+    otherwise None. Read from `trace_invariant_check`; AssertionError when
+    the pairing fails to kill a relation.
 
-    The inverse I satisfies phi @ I == identity on the group algebra and
-    I @ phi == identity modulo the relation span.
+    The inverse I = S @ inverse(phi @ S) sections the quotient by S, a
+    single 1 on each weight-0 tensor off the RREF pivots of the weight-0
+    relations: the free columns of the relation span, as each tensor of
+    nonzero weight is a relation. phi @ I == identity on the group algebra
+    and I @ phi == identity modulo the relation span.
     """
-    phi, sub, kills = _trace_relation_span(n, k)
-    if not kills:
+    report = trace_invariant_check(n, k)
+    if not report["well_defined"]:
         raise AssertionError(
             "trace pairing fails to kill a conjugation relation")
-    q = quotient_structure(sub)
-    kfac = math.factorial(k)
-    if q.dim != kfac:
+    phi = trace_invariant_matrix(n, k)
+    if not report["bijective"]:
         return phi, None
-    on_quotient = phi @ q.section
-    if rank(on_quotient) < kfac:
-        return phi, None
-    return phi, q.section @ inverse(on_quotient)
+    amb = (n * n) ** k
+    units, weight_zero = _trace_relations(n, k)
+    _, pivots = rref(SparseMatrix.from_rows(weight_zero, amb))
+    bound = set(units).union(pivots)
+    free = [c for c in range(amb) if c not in bound]
+    section = SparseMatrix(amb, len(free),
+                           {(c, j): 1 for j, c in enumerate(free)})
+    return phi, section @ inverse(phi @ section)
 
 
 def trace_invariant_check(n: int, k: int) -> dict:
@@ -822,24 +809,24 @@ def weight_zero_tuples(n: int, a_dim: int, k: int) -> List[Tuple[int, ...]]:
 
 def highest_weight_space(a: StructureConstantAlgebra, n: int, k: int,
                          mu: Sequence[int],
-                         action: Optional[LieModuleAction] = None) -> Subspace:
+                         action: LieModuleAction) -> Subspace:
     """Vectors of weight mu killed by every raising operator e_ij (i < j),
-    inside the k-th wedge power of gl_n(A). A given `action` must be scalar
-    gl_n's on that wedge power (ValueError otherwise)."""
-    act = action if action is not None else gln_action_on_chains(a, n, k)
-    if act.algebra.dim != n * n:
-        raise ValueError(f"action of a {act.algebra.dim}-dimensional "
+    inside the k-th wedge power of gl_n(A). `action` must be scalar gl_n's
+    action on that wedge power (`gln_action_on_chains`; ValueError
+    otherwise)."""
+    if action.algebra.dim != n * n:
+        raise ValueError(f"action of a {action.algebra.dim}-dimensional "
                          f"algebra, not of gl_{n}")
-    if act.module_dim != math.comb(n * n * a.dim, k):
-        raise ValueError(f"action on a {act.module_dim}-dimensional module, "
-                         f"not on wedge power {k} of gl_{n}(A)")
+    if action.module_dim != math.comb(n * n * a.dim, k):
+        raise ValueError(f"action on a {action.module_dim}-dimensional "
+                         f"module, not on wedge power {k} of gl_{n}(A)")
     mu = tuple(mu)
     cols = [ci for ci, tup in enumerate(combinations(range(n * n * a.dim), k))
             if wedge_weight(a, n, tup) == mu]
-    amb = act.module_dim
+    amb = action.module_dim
     if not cols:
         return Subspace.zero(amb)
-    blocks = [act.matrices[i * n + j].select(range(amb), cols)
+    blocks = [action.matrices[i * n + j].select(range(amb), cols)
               for i in range(n) for j in range(i + 1, n)]
     if blocks:
         stacked = SparseMatrix.vstack(blocks)
@@ -1063,10 +1050,11 @@ def lqt_stable_check(a: StructureConstantAlgebra, n: int,
     (`homotopy_identity_check`) every block of nonzero weight is acyclic.
     Without a unit this fails (for zero multiplication gl_n(A) is abelian
     and H_1 carries every weight), so the h_unital route builds whole
-    exterior powers. Building gl_n(A) walks C(dim, 2) bracket
-    pairs and C(dim, 3) Jacobi triples; those, and each chain space (the
-    weight-0 count on the unital route), are guarded before gl_n(A) is
-    built or any tuple is enumerated."""
+    exterior powers. gl_n(A) is built with no Jacobi walk (`gl_n_of`),
+    but its C(dim, 2) bracket pairs and C(dim, 3) Jacobi triples are
+    guarded as the validating constructor guards them, and so is each
+    chain space (the weight-0 count on the unital route), before gl_n(A)
+    is built or any tuple is enumerated."""
     if n < 1 or max_r < 0:
         raise ValueError("need n >= 1 and max_r >= 0")
     dim = n * n * a.dim

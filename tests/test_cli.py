@@ -291,12 +291,47 @@ def test_non_integer_size_or_index_exits_2_naming_the_file(
 @pytest.mark.parametrize("defect", [_dims_key, _extension_index])
 def test_cover_index_past_the_opens_exits_2(defect, fixtures, tmp_path,
                                             capsys):
+    # -1 is out of range too, not read from the end of the opens
+    count = len(_document_and_first_row("--cover", fixtures)[1]["opens"])
+    for index in (count, -1):
+        argv, obj, _ = _document_and_first_row("--cover", fixtures)
+        defect(obj, index)
+        path = tmp_path / "cover_index.json"
+        path.write_text(json.dumps(obj))
+        assert main(argv + ["--cover", str(path)]) == EXIT_PARSE
+        assert str(path) in capsys.readouterr().err
+
+
+def test_cover_dims_that_is_not_an_object_exits_2(fixtures, tmp_path,
+                                                  capsys):
     argv, obj, _ = _document_and_first_row("--cover", fixtures)
-    defect(obj, len(obj["opens"]))
-    path = tmp_path / "cover_index.json"
+    obj["precosheaf"]["dims"] = [1, 2]
+    path = tmp_path / "dims_list.json"
     path.write_text(json.dumps(obj))
     assert main(argv + ["--cover", str(path)]) == EXIT_PARSE
-    assert str(path) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(path) in err and "dims must be a JSON object" in err
+
+
+def _short_extension(obj):
+    obj["precosheaf"]["extensions"][0] = [0, 1]
+
+
+def _extension_object(obj):
+    exts = obj["precosheaf"]["extensions"]
+    obj["precosheaf"]["extensions"] = {str(i): e for i, e in enumerate(exts)}
+
+
+@pytest.mark.parametrize("defect", [_short_extension, _extension_object])
+def test_malformed_extension_exits_2_naming_the_file(defect, fixtures,
+                                                     tmp_path, capsys):
+    argv, obj, _ = _document_and_first_row("--cover", fixtures)
+    defect(obj)
+    path = tmp_path / "extension.json"
+    path.write_text(json.dumps(obj))
+    assert main(argv + ["--cover", str(path)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert str(path) in err and "extension" in err
 
 
 @pytest.mark.parametrize("pair", [[1.5, 1], [1], [1, 1, 1], ["x", 1]])

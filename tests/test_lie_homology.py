@@ -1,5 +1,6 @@
 """Exterior-power Lie homology: complexes, actions, coinvariants."""
 
+import ast
 from fractions import Fraction
 from pathlib import Path
 
@@ -467,8 +468,8 @@ def test_a_broken_generator_action_is_rejected_at_every_degree(
 
 
 def test_only_lie_homology_builds_actions_without_validation():
-    # `LieModuleAction._unchecked` trusts its matrices, so only the module
-    # that builds them as derivation extensions may call it
+    # `_unchecked` trusts the fields it is given, so only the module that
+    # builds them valid by construction may call it
     package = Path(__file__).resolve().parents[1] / "src" / "exacthom"
     users = sorted(p.name for p in package.glob("*.py")
                    if "_unchecked" in p.read_text(encoding="utf-8"))
@@ -476,14 +477,21 @@ def test_only_lie_homology_builds_actions_without_validation():
 
 
 def test_only_gl_n_of_builds_lie_algebras_without_validation():
-    # `StructureConstantLieAlgebra._unchecked` trusts its bracket, so it has
-    # one caller, `gl_n_of`, whose commutator bracket is a Lie bracket
-    package = Path(__file__).resolve().parents[1] / "src" / "exacthom"
-    calls = {p.name: p.read_text(encoding="utf-8").count(
-        "StructureConstantLieAlgebra._unchecked(")
-        for p in package.glob("*.py")}
-    assert {name: c for name, c in calls.items() if c} == {
-        "lie_homology.py": 1}
+    # `_unchecked` has two callers: `gl_n_of`, whose commutator bracket is a
+    # Lie bracket, and `gln_action_on_chains`, whose derivation extension of
+    # a checked action is a representation
+    source = (Path(__file__).resolve().parents[1] / "src" / "exacthom"
+              / "lie_homology.py").read_text(encoding="utf-8")
+    calls = sorted(
+        (fn.name, call.args[0].id)
+        for fn in ast.walk(ast.parse(source))
+        if isinstance(fn, ast.FunctionDef)
+        for call in ast.walk(fn)
+        if isinstance(call, ast.Call)
+        and getattr(call.func, "id", None) == "_unchecked")
+    assert calls == [("gl_n_of", "StructureConstantLieAlgebra"),
+                     ("gln_action_on_chains", "LieModuleAction")]
+    assert source.count("_unchecked(") == 3
 
 
 # -- coinvariants ----------------------------------------------------------------

@@ -57,7 +57,6 @@ from exacthom.lqt import (
     _tabloid_key,
     _theta_identification,
     _theta_section,
-    _trace_relation_span,
     _trace_relations,
     all_permutations,
     cyclic_wedge_complex,
@@ -757,12 +756,15 @@ def reference_trace_relation_span(n, k):
 @pytest.mark.parametrize("n,k", SMALL_TRACE_CASES + [(4, 2), (4, 3), (2, 4),
                                                     (3, 4)])
 def test_relation_span_matches_the_weight_buckets(n, k):
-    phi, sub, kills = _trace_relation_span(n, k)
-    ref_phi, ref_sub, ref_kills = reference_trace_relation_span(n, k)
-    assert phi == ref_phi
+    # the unit rows of the tensors of nonzero weight and the simple
+    # lowering rows span every conjugation relation
+    amb = (n * n) ** k
+    units, weight_zero = _trace_relations(n, k)
+    sub = Subspace.from_vectors(amb, [{c: 1} for c in units] + weight_zero)
+    _, ref_sub, ref_kills = reference_trace_relation_span(n, k)
     assert sub.basis == ref_sub.basis
     assert sub.pivots == ref_sub.pivots
-    assert kills == ref_kills
+    assert ref_kills
 
 
 @pytest.mark.parametrize("n,k", SMALL_TRACE_CASES)
@@ -782,12 +784,22 @@ def test_trace_map_matches_the_one_built_on_the_reference_span(n, k):
         assert inv is None
 
 
+@pytest.mark.parametrize("n,k", [(n, k) for n, k in SMALL_TRACE_CASES
+                                 if n >= k] + [(4, 3)])
+def test_trace_map_inverts_phi_modulo_the_relation_span(n, k):
+    # I @ phi - identity maps every tensor into the relation span
+    phi, inv = trace_invariant_map(n, k)
+    _, sub, _ = reference_trace_relation_span(n, k)
+    off = inv @ phi - SparseMatrix.identity(phi.cols)
+    assert all(sub.contains(off.column(c)) for c in range(off.cols))
+
+
 def reference_trace_invariant_check(n: int, k: int) -> dict:
     """Exact verification that the trace pairing kills the conjugation
     relations, with the coinvariant dimension, the pairing's rank, and
     whether bijectivity on coinvariants matches the stable-range prediction
-    n >= k."""
-    phi, sub, well_defined = _trace_relation_span(n, k)
+    n >= k; on the relation span of every generator on every tensor."""
+    phi, sub, well_defined = reference_trace_relation_span(n, k)
     coinvariant_dim = sub.ambient_dim - sub.dim
     kfac = math.factorial(k)
     phi_rank = rank(phi)
@@ -814,9 +826,34 @@ RANKED_TRACE_CASES = [(1, k) for k in range(1, 9)] + [
     and math.factorial(k) * n ** (2 * k) <= AMBIENT_LIMIT]
 
 
+def reference_hook_length_dim(shape: Sequence[int]) -> int:
+    """f^shape, the number of standard tableaux: k! over the product of the
+    hook lengths of the Young diagram."""
+    conj = [sum(1 for part in shape if part > j) for j in range(shape[0])]
+    hooks = 1
+    for i, part in enumerate(shape):
+        for j in range(part):
+            hooks *= (part - j) + (conj[j] - i) - 1
+    return math.factorial(sum(shape)) // hooks
+
+
+def schur_weyl_dim(n: int, k: int) -> int:
+    """dim End_gl_n((Q^n)^(x)k) = sum of (f^lambda)^2 over the partitions
+    lambda of k with at most n rows: both the coinvariant dimension and
+    phi's rank."""
+    return sum(reference_hook_length_dim(shape) ** 2
+               for shape in partitions(k) if len(shape) <= n)
+
+
 @pytest.mark.parametrize("n,k", RANKED_TRACE_CASES)
 def test_invariant_check_from_ranks_matches_the_span_reference(n, k):
-    assert trace_invariant_check(n, k) == reference_trace_invariant_check(n, k)
+    # the closed form of Schur-Weyl duality, with no relation span built
+    sw = schur_weyl_dim(n, k)
+    report = trace_invariant_check(n, k)
+    assert report["lhs_dims"] == [sw]
+    assert report["phi_rank"] == sw
+    assert report["well_defined"] and report["verdict"]
+    assert report["bijective"] == report["expected_bijective"] == (n >= k)
 
 
 @pytest.mark.parametrize("n,k", RANKED_TRACE_CASES)
@@ -1406,9 +1443,9 @@ def test_highest_weight_space_rejects_an_action_of_another_degree():
     with pytest.raises(ValueError, match="module"):
         highest_weight_space(field_q(), 2, 2, (0, 0),
                              gln_action_on_chains(field_q(), 2, 1))
-    assert highest_weight_space(field_q(), 2, 2, (0, 0),
-                                gln_action_on_chains(field_q(), 2, 2)) == \
-        highest_weight_space(field_q(), 2, 2, (0, 0))
+    act = gln_action_on_chains(field_q(), 2, 2)
+    assert highest_weight_space(field_q(), 2, 2, (0, 0), act) == \
+        reference_highest_weight_space(field_q(), 2, 2, (0, 0), act)
 
 
 def test_highest_weight_space_rejects_an_action_of_another_algebra():
@@ -1422,7 +1459,8 @@ def test_highest_weight_space_rejects_an_action_of_another_algebra():
 
 def test_highest_weight_space_of_adjoint():
     # weight (1,-1) in gl_2: highest vector is e_12, one-dimensional
-    hw = highest_weight_space(field_q(), 2, 1, (1, -1))
+    hw = highest_weight_space(field_q(), 2, 1, (1, -1),
+                              gln_action_on_chains(field_q(), 2, 1))
     assert hw.dim == 1
 
 
