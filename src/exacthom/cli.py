@@ -35,7 +35,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple)
@@ -126,10 +125,12 @@ def parallel_map(fn: Callable, items: Sequence, threads: int) -> List:
     """Apply fn to every item, fanning out over a thread pool.
 
     Results come back in input order, so the output is independent of the
-    thread count."""
+    thread count. The pool is imported here, so only a fan-out pays for
+    `concurrent.futures`."""
     items = list(items)
     if threads <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 

@@ -503,9 +503,15 @@ def rref(m: SparseMatrix) -> Tuple[SparseMatrix, Tuple[int, ...]]:
             tuple(pc for pc, _ in pivots))
 
 
+def pivot_columns(m: SparseMatrix) -> List[int]:
+    """The pivot columns of `rref(m)`, in increasing order, from a rank
+    elimination: the column sweep is fixed, so clearing each pivot from the
+    unchosen rows alone finds the same columns."""
+    return [c for c, _ in _eliminate(_scaled_int_rows(m), full=False)]
+
+
 def rank(m: SparseMatrix) -> int:
-    rows = _scaled_int_rows(m)
-    return len(_eliminate(rows, full=False))
+    return len(pivot_columns(m))
 
 
 def kernel_basis(m: SparseMatrix) -> SparseMatrix:

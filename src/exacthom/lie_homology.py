@@ -7,7 +7,10 @@ and the coinvariant quotient under the scalar-matrix subalgebra action used by
 the stable-range comparisons.
 
 Every wedge term, here and in `lqt`, takes the sign of the permutation that
-sorts its generators (`wedge_sort`); the boundary visits only bracketed pairs.
+sorts its generators (`wedge_sort`). The builders here only ever insert one
+generator into an increasing tuple, and take that rule's one-generator case,
+`wedge_insert`: (-1)^p for the p generators it moves past. The boundary
+visits only bracketed pairs.
 
 For matrix Lie algebras gl_n with entries in a finite-dimensional associative
 algebra A (not necessarily unital), basis elements are e_ij (x) b_c with index
@@ -22,6 +25,7 @@ in A.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -63,6 +67,9 @@ def _unchecked(cls, **fields):
 class StructureConstantLieAlgebra:
     """Lie algebra given by bracket structure constants; validated exactly,
     after its C(dim, 2) pairs and C(dim, 3) Jacobi triples are guarded.
+    The check reads `bracket` in place: for each triple it sums
+    [a, [b, c]] over the cyclic shifts term by term, with no copied or
+    cleaned vectors, and the first failing pair or triple names the error.
     `gl_n_of` alone builds them through the module's `_unchecked`, which
     skips the check: a commutator bracket satisfies it by construction."""
 
@@ -82,13 +89,15 @@ class StructureConstantLieAlgebra:
             for k in v:
                 if not 0 <= k < self.dim:
                     raise LieAxiomError(f"bracket target {k} out of range")
+        br = self.bracket
         for i in range(self.dim):
-            if self.basis_bracket(i, i):
+            if br.get((i, i)):
                 raise LieAxiomError(f"[x,x] != 0 on basis element {i}")
             for j in range(i + 1, self.dim):
-                lhs = self.basis_bracket(i, j)
-                rhs = {k: -c for k, c in self.basis_bracket(j, i).items()}
-                if lhs != rhs:
+                lhs = br.get((i, j), {})
+                rhs = br.get((j, i), {})
+                if len(lhs) != len(rhs) or any(
+                        k not in rhs or rhs[k] != -c for k, c in lhs.items()):
                     raise LieAxiomError(
                         f"antisymmetry fails on basis pair ({i},{j})")
         for i in range(self.dim):
@@ -96,10 +105,9 @@ class StructureConstantLieAlgebra:
                 for k in range(j + 1, self.dim):
                     acc: Vec = {}
                     for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                        inner = self.basis_bracket(b, c)
-                        term = self.bracket_vec({a: 1}, inner)
-                        for t, x in term.items():
-                            acc[t] = acc.get(t, 0) + x
+                        for t, x in br.get((b, c), {}).items():
+                            for s, y in br.get((a, t), {}).items():
+                                acc[s] = acc.get(s, 0) + x * y
                     if any(acc.values()):
                         raise LieAxiomError(
                             f"Jacobi fails on basis triple ({i},{j},{k})")
@@ -271,6 +279,17 @@ def wedge_sort(seq: Sequence) -> Optional[Tuple[int, Tuple]]:
     return sign, tuple(out)
 
 
+def wedge_insert(t: Tuple[int, ...],
+                 x: int) -> Optional[Tuple[int, Tuple[int, ...]]]:
+    """`wedge_sort((x,) + t)` for an increasing tuple t: x moves past the p
+    generators of t below it, so the sign is (-1)^p; None when x occurs in
+    t."""
+    p = bisect_left(t, x)
+    if p < len(t) and t[p] == x:
+        return None
+    return (-1 if p & 1 else 1), t[:p] + (x,) + t[p:]
+
+
 def ce_complex(g: StructureConstantLieAlgebra,
                max_degree: int) -> ChainComplex:
     """Exterior-power complex with d(x ^ y) = [x, y] in degree 2 and the
@@ -287,23 +306,26 @@ def ce_complex_on(g: StructureConstantLieAlgebra,
     """The boundary of `ce_complex` on bases[k] in degree k, for bases that
     span a subcomplex (each boundary of a bases[k] tuple lies in the span of
     bases[k - 1]), such as one Cartan weight of gl_n(A). Truncated when the
-    top degree is below dim(g)."""
+    top degree is below dim(g). Each bracketed pair at 1-based positions
+    i < j of a tuple t contributes [t_i, t_j] inserted into t without them
+    (`wedge_insert`), times the pair's sign (-1)^(i+j-1)."""
     max_degree = len(bases) - 1
     dims = tuple(len(b) for b in bases)
     diffs: Dict[int, SparseMatrix] = {}
     for k in range(2, max_degree + 1):
         src, tgt = bases[k], bases[k - 1]
         entries: Dict[Tuple[int, int], Fraction] = {}
+        # (i, j, sign): the 1-based sign (-1)^(i+j-1) is + for the pair (1,2)
+        pairs = [(ii, jj, 1 if (ii + jj) % 2 else -1)
+                 for ii, jj in combinations(range(k), 2)]
         for ci, t in enumerate(src.tuples):
-            for ii, jj in combinations(range(k), 2):
+            for ii, jj, pair_sign in pairs:
                 bracket = g.bracket.get((t[ii], t[jj]))
                 if not bracket:
                     continue
-                # 1-based sign (-1)^(i+j-1): + for the first pair (1,2)
-                pair_sign = 1 if (ii + jj) % 2 else -1
                 rest = t[:ii] + t[ii + 1:jj] + t[jj + 1:]
                 for x, coef in bracket.items():
-                    res = wedge_sort((x,) + rest)
+                    res = wedge_insert(rest, x)
                     if res is None:
                         continue
                     s, newt = res
@@ -318,19 +340,22 @@ def ce_complex_on(g: StructureConstantLieAlgebra,
 def wedge_derivation_matrix(k_basis: ExteriorBasis,
                             act: Callable[[int], Vec]) -> SparseMatrix:
     """Extend a linear action on generators (index -> image Vec) to the
-    exterior power as a derivation: each image replaces its generator in
-    place, and the wedge is sorted."""
+    exterior power as a derivation: each image y replaces its generator
+    t[pos], so the term is y inserted into t without t[pos] (`wedge_insert`,
+    sign (-1)^p) after moving y to the front, sign (-1)^pos."""
     size = len(k_basis)
     entries: Dict[Tuple[int, int], Fraction] = {}
     for ci, t in enumerate(k_basis.tuples):
         for pos in range(len(t)):
+            rest = t[:pos] + t[pos + 1:]
             for y, coef in act(t[pos]).items():
-                res = wedge_sort(t[:pos] + (y,) + t[pos + 1:])
+                res = wedge_insert(rest, y)
                 if res is None:
                     continue
                 s, newt = res
                 key = (k_basis.index[newt], ci)
-                entries[key] = entries.get(key, 0) + coef * s
+                entries[key] = (entries.get(key, 0)
+                                + (-s if pos & 1 else s) * coef)
     return SparseMatrix(size, size, entries)
 
 
@@ -356,7 +381,7 @@ def homotopy_identity_check(g: StructureConstantLieAlgebra,
     """Check the Cartan formula ad_X = d W(X) + W(X) d in each degree
     k < max_degree, for every generator X, as one matrix identity:
     wedge_derivation_matrix(bases[k], ad_X) == d_{k+1} W_k + W_{k-1} d_k,
-    where W_k: c |-> X ^ c comes from `wedge_sort` and W_{-1} = 0.
+    where W_k: c |-> X ^ c comes from `wedge_insert` and W_{-1} = 0.
     Every generator/wedge pair is covered; a failure names the least
     (degree, tuple, generator) whose column differs."""
     guard_exterior_powers(g.dim, range(max_degree + 1))
@@ -364,7 +389,7 @@ def homotopy_identity_check(g: StructureConstantLieAlgebra,
     cx = ce_complex_on(g, bases)
     w = [[SparseMatrix(len(bases[k + 1]), len(bases[k]), {  # W_k(x)
         (bases[k + 1].index[ws[1]], ti): ws[0] for ti, ws in enumerate(
-            wedge_sort((x,) + t) for t in bases[k].tuples) if ws})
+            wedge_insert(t, x) for t in bases[k].tuples) if ws})
         for x in range(g.dim)] for k in range(max_degree)]
     for k in range(max_degree):
         bad = []

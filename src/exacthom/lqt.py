@@ -28,9 +28,9 @@ The pieces, bottom up:
   tensor power is completely reducible, and the weight-0 space of a
   nontrivial irreducible lies in the sum of the f_i images, so they span
   every weight-0 relation. The check reads the coinvariant dimension off
-  their rank; the inverse map reads the check and, when the pairing is
-  bijective, sections the quotient by the weight-0 tensors off the pivots
-  of their RREF.
+  their rank; the inverse map reads the same elimination and, when the
+  pairing is bijective, sections the quotient by the weight-0 tensors off
+  its pivot columns (RREF's, as the column sweep is fixed).
 * ``cyclic_wedge_complex``: the free graded-commutative algebra on the
   cyclic quotient complex shifted up by one (a class in cyclic degree j-1
   becomes a generator of wedge degree j; odd generators square to zero,
@@ -72,8 +72,8 @@ from .assoc_homology import (StructureConstantAlgebra, connes_quotient_complex,
 from .complexes import (ChainComplex, ChainMap, betti_numbers,
                         verify_chain_map)
 from .exactlin import (QuotientStructure, SparseMatrix, Subspace, Vec,
-                       guard_ambient, inverse, kernel_basis, rank, rref,
-                       signed_orbit_quotient, solve_matrix, vec_clean)
+                       guard_ambient, inverse, kernel_basis, pivot_columns,
+                       rank, signed_orbit_quotient, solve_matrix, vec_clean)
 from .lie_homology import (ExteriorBasis, LieModuleAction, ce_complex,
                            ce_complex_on, gl_index, gl_n_of,
                            gln_action_on_chains, guard_exterior_powers,
@@ -357,29 +357,61 @@ def _trace_relations(n: int, k: int) -> Tuple[List[int], List[Vec]]:
     return units, weight_zero
 
 
+def _trace_invariant(n: int, k: int
+                     ) -> Tuple[dict, SparseMatrix, List[int], List[int]]:
+    """The `trace_invariant_check` report, with what it is read from: phi,
+    the tensors of nonzero weight (`units`) and the pivot columns of the
+    weight-0 relations. The relations are eliminated once, by a rank
+    elimination; its pivot columns are RREF's, since the column sweep is
+    fixed, so their count is the relations' rank and the weight-0 tensors
+    off them are the free columns of the relation span."""
+    phi = trace_invariant_matrix(n, k)
+    amb = (n * n) ** k
+    units, weight_zero = _trace_relations(n, k)
+    relations = SparseMatrix.from_rows(weight_zero, amb)
+    pivots = pivot_columns(relations)
+    coinvariant_dim = amb - len(units) - len(pivots)
+    well_defined = (set(units).isdisjoint(c for _, c in phi.entries)
+                    and (phi @ relations.transpose()).is_zero())
+    kfac = math.factorial(k)
+    phi_rank = rank(phi)
+    bijective = (well_defined and coinvariant_dim == kfac
+                 and phi_rank == kfac)
+    expected = n >= k
+    report = {"check": "trace_invariant_map",
+              "params": {"n": n, "k": k},
+              "lhs_dims": [coinvariant_dim],
+              "rhs_dims": [kfac],
+              "well_defined": well_defined,
+              "phi_rank": phi_rank,
+              "bijective": bijective,
+              "expected_bijective": expected,
+              "verdict": bool(well_defined and bijective == expected),
+              "seed": 0}
+    return report, phi, units, pivots
+
+
 def trace_invariant_map(
         n: int, k: int) -> Tuple[SparseMatrix, Optional[SparseMatrix]]:
     """The trace pairing matrix, plus a right inverse through the
     coinvariant quotient when the pairing is bijective there (n >= k);
-    otherwise None. Read from `trace_invariant_check`; AssertionError when
-    the pairing fails to kill a relation.
+    otherwise None. Read from the elimination behind
+    `trace_invariant_check`; AssertionError when the pairing fails to kill
+    a relation.
 
     The inverse I = S @ inverse(phi @ S) sections the quotient by S, a
-    single 1 on each weight-0 tensor off the RREF pivots of the weight-0
+    single 1 on each weight-0 tensor off the pivots of the weight-0
     relations: the free columns of the relation span, as each tensor of
     nonzero weight is a relation. phi @ I == identity on the group algebra
     and I @ phi == identity modulo the relation span.
     """
-    report = trace_invariant_check(n, k)
+    report, phi, units, pivots = _trace_invariant(n, k)
     if not report["well_defined"]:
         raise AssertionError(
             "trace pairing fails to kill a conjugation relation")
-    phi = trace_invariant_matrix(n, k)
     if not report["bijective"]:
         return phi, None
     amb = (n * n) ** k
-    units, weight_zero = _trace_relations(n, k)
-    _, pivots = rref(SparseMatrix.from_rows(weight_zero, amb))
     bound = set(units).union(pivots)
     free = [c for c in range(amb) if c not in bound]
     section = SparseMatrix(amb, len(free),
@@ -400,28 +432,7 @@ def trace_invariant_check(n: int, k: int) -> dict:
     relations ranked are the n - 1 simple lowering relations f_i . x only,
     which span them all since the tensor power is completely reducible
     (see `_trace_relations`)."""
-    phi = trace_invariant_matrix(n, k)
-    amb = (n * n) ** k
-    units, weight_zero = _trace_relations(n, k)
-    relations = SparseMatrix.from_rows(weight_zero, amb)
-    coinvariant_dim = amb - len(units) - rank(relations)
-    well_defined = (set(units).isdisjoint(c for _, c in phi.entries)
-                    and (phi @ relations.transpose()).is_zero())
-    kfac = math.factorial(k)
-    phi_rank = rank(phi)
-    bijective = (well_defined and coinvariant_dim == kfac
-                 and phi_rank == kfac)
-    expected = n >= k
-    return {"check": "trace_invariant_map",
-            "params": {"n": n, "k": k},
-            "lhs_dims": [coinvariant_dim],
-            "rhs_dims": [kfac],
-            "well_defined": well_defined,
-            "phi_rank": phi_rank,
-            "bijective": bijective,
-            "expected_bijective": expected,
-            "verdict": bool(well_defined and bijective == expected),
-            "seed": 0}
+    return _trace_invariant(n, k)[0]
 
 
 def equivariance_check(n: int, k: int) -> dict:

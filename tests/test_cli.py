@@ -745,6 +745,16 @@ def test_xi_cli_matches_direct_computation(n, max_k, tmp_path_factory):
 # -- installed entry point --------------------------------------------------------
 
 
+def test_importing_the_cli_leaves_the_thread_pool_unloaded():
+    # only a parallel_map fan-out imports concurrent.futures (and logging)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, exacthom.cli; "
+         "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_python_dash_m_entry_point(fixtures):
     proc = subprocess.run(
         [sys.executable, "-m", "exacthom", "verify", "xi",

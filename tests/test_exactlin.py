@@ -19,6 +19,7 @@ from exacthom.exactlin import (
     image_basis,
     inverse,
     kernel_basis,
+    pivot_columns,
     quotient_structure,
     random_unimodular,
     rank,
@@ -429,6 +430,16 @@ def test_rank_and_rref_match_the_dense_oracle_on_larger_rows(data):
     assert rank(m) == dense_oracle.dense_rank(dense_rows(rows, cols))
     R, got_piv = rref(m)
     assert got_piv == tuple(piv) and dense(R) == red
+
+
+@given(st.one_of(sparse_int_rows().map(
+    lambda data: SparseMatrix.from_rows(data[1], data[0])), matrices()))
+@settings(max_examples=150, deadline=None)
+def test_pivot_columns_are_the_rref_pivots(m):
+    # a rank elimination clears pivots from the unchosen rows only, and
+    # must still find RREF's pivot columns
+    assert pivot_columns(m) == list(rref(m)[1])
+    assert rank(m) == len(pivot_columns(m))
 
 
 @pytest.mark.parametrize("rows, cols, pivots", [

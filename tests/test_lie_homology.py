@@ -45,6 +45,7 @@ from exacthom.lie_homology import (
     scalar_matrix_generator_action,
     sl2_q,
     wedge_derivation_matrix,
+    wedge_insert,
     wedge_sort,
 )
 from exacthom import lie_homology
@@ -277,6 +278,18 @@ def test_wedge_sort_of_a_front_generator_is_the_insertion_sign(t, x):
         reference_insert_with_sign(tuple(t), x)
 
 
+@given(st.lists(st.integers(min_value=0, max_value=9), unique=True,
+                max_size=7).map(sorted), st.data())
+@settings(max_examples=200)
+def test_wedge_insert_is_the_reference_insertion(t, data):
+    # x is drawn from t itself half the time, so repeats are always covered
+    t = tuple(t)
+    x = data.draw(st.sampled_from(t) if t and data.draw(st.booleans())
+                  else st.integers(min_value=0, max_value=9))
+    assert wedge_insert(t, x) == reference_insert_with_sign(t, x) == \
+        wedge_sort((x,) + t)
+
+
 # gl_2(A) of every algebra here, dim(gl_2(A)) <= 16, keeps its reference CE
 # complexes through LIE_REFERENCE_DEGREE small
 LIE_REFERENCE_DEGREE = 3
@@ -334,6 +347,82 @@ def test_builders_match_the_references_on_weight_zero_tuples(a, n):
             act = reference_adjoint_generator_action(g, x)
             assert wedge_derivation_matrix(b, act) == \
                 reference_wedge_derivation_matrix(b, act)
+
+
+# -- the per-triple axiom walk through copied brackets, kept as a reference ------
+
+
+def reference_lie_axiom_message(dim: int, bracket) -> Optional[str]:
+    """The antisymmetry and Jacobi walk of the validating constructor, through
+    copied basis brackets and cleaned bracket vectors: the message of the
+    first failing pair or triple, or None."""
+    def basis_bracket(i, j):
+        return dict(bracket.get((i, j), {}))
+
+    def bracket_vec(u, v):
+        out = {}
+        for i, a in u.items():
+            for j, b in v.items():
+                coef = a * b
+                if not coef:
+                    continue
+                for k, c in bracket.get((i, j), {}).items():
+                    out[k] = out.get(k, 0) + coef * c
+        return vec_clean(out)
+
+    for i in range(dim):
+        if basis_bracket(i, i):
+            return f"[x,x] != 0 on basis element {i}"
+        for j in range(i + 1, dim):
+            lhs = basis_bracket(i, j)
+            rhs = {k: -c for k, c in basis_bracket(j, i).items()}
+            if lhs != rhs:
+                return f"antisymmetry fails on basis pair ({i},{j})"
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for k in range(j + 1, dim):
+                acc = {}
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    term = bracket_vec({a: 1}, basis_bracket(b, c))
+                    for t, x in term.items():
+                        acc[t] = acc.get(t, 0) + x
+                if any(acc.values()):
+                    return f"Jacobi fails on basis triple ({i},{j},{k})"
+    return None
+
+
+@st.composite
+def corrupted_brackets(draw):
+    """The bracket of sl_2 or of a gl_2(A) with one to three constants
+    overwritten (zero included): on a diagonal pair one time in eight, and
+    otherwise mirrored as -c three times in four, so that antisymmetry holds
+    and the Jacobi walk is reached."""
+    g = draw(lie_algebras)
+    bracket = {key: dict(v) for key, v in g.bracket.items()}
+    index = st.integers(min_value=0, max_value=g.dim - 1)
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        i, t = draw(index), draw(index)
+        diagonal = draw(st.integers(min_value=0, max_value=7)) == 0
+        j = i if diagonal else draw(index.filter(lambda j: j != i))
+        c = Fraction(draw(st.integers(min_value=-2, max_value=2)),
+                     draw(st.integers(min_value=1, max_value=3)))
+        bracket.setdefault((i, j), {})[t] = c
+        if i != j and draw(st.integers(min_value=0, max_value=3)):
+            bracket.setdefault((j, i), {})[t] = -c
+    return g.dim, bracket
+
+
+@given(corrupted_brackets())
+@settings(max_examples=100, deadline=None)
+def test_axiom_walk_raises_the_reference_message(case):
+    dim, bracket = case
+    expected = reference_lie_axiom_message(dim, bracket)
+    if expected is None:
+        assert StructureConstantLieAlgebra(dim, bracket).bracket == bracket
+        return
+    with pytest.raises(LieAxiomError) as err:
+        StructureConstantLieAlgebra(dim, bracket)
+    assert str(err.value) == expected
 
 
 # -- the exterior complex --------------------------------------------------------
