@@ -228,8 +228,11 @@ def induced_on_homology(f: ChainMap) -> Dict[int, SparseMatrix]:
     return out
 
 
-def quasi_iso_degrees(f: ChainMap) -> Dict[int, bool]:
-    """Degrees where H_n(f) is an isomorphism, decided on ranks alone.
+def quasi_iso_degrees(f: ChainMap,
+                      top: Optional[int] = None) -> Dict[int, bool]:
+    """Degrees n <= top where H_n(f) is an isomorphism, decided on ranks
+    alone, one mapping cone per decided degree. `top` defaults to the last
+    degree of both complexes, min(src, tgt max degree), and is capped there.
 
     M_n = [[d_n, 0], [f_n, d'_{n+1}]] on C_n + C'_{n+1}, the mapping cone's
     differential up to the sign of d_n, has as kernel the (x, y) with dx = 0
@@ -238,12 +241,14 @@ def quasi_iso_degrees(f: ChainMap) -> Dict[int, bool]:
     rank d_n - rank d'_{n+1}, and H_n(f) is an isomorphism iff it equals
     b_n(src) and b_n(tgt). The d's ranks are the complexes' own, shared
     with `homology`. H_n(f) needs a chain map, so a map failing
-    `verify_chain_map` raises ValueError."""
+    `verify_chain_map` raises ValueError, whatever `top` is: every square
+    is checked, the one in degree top + 1 included."""
     bad = verify_chain_map(f)["failures"]
     if bad:
         raise ValueError(f"not a chain map: the square in degree "
                          f"{bad[0]['degree']} does not commute")
-    top = min(f.src.max_degree, f.tgt.max_degree)
+    last = min(f.src.max_degree, f.tgt.max_degree)
+    top = last if top is None else min(top, last)
     rs, rt = f.src.ranks, f.tgt.ranks
     out: Dict[int, bool] = {}
     for n in range(top + 1):

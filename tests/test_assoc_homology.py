@@ -282,6 +282,28 @@ def test_operators_match_the_tuple_builders(zoo_or_seeded):
             assert unit_insertion(a, n) == reference_unit_insertion(a, n)
 
 
+def test_boundaries_of_non_integral_constants_match_the_tuple_builder():
+    # a change of basis of determinant 2 puts halves into the structure
+    # constants
+    g = SparseMatrix.from_dense([[2, 1, 0, 0], [0, 1, 0, 0],
+                                 [0, 0, 1, 0], [0, 1, 0, 1]])
+    a = change_of_basis(matrix_algebra(2), g)
+    assert any(type(c) is Fraction for v in a.mult.values()
+               for c in v.values())
+    kinds = set()
+    for n in range(4):
+        for wrap, build in ((True, hochschild_boundary),
+                            (False, bar_boundary)):
+            m = build(a, n)
+            assert m == reference_boundary(a, n, wrap), (n, wrap)
+            for v in m.entries.values():
+                # the storage rule: int when integral, else a reduced Fraction
+                assert type(v) is int or (type(v) is Fraction
+                                          and v.denominator != 1), v
+                kinds.add(type(v))
+    assert kinds == {int, Fraction}
+
+
 def test_cyclic_comparison_builds_each_operator_once(monkeypatch):
     calls = {"_boundary": 0, "cyclic_operator": 0}
 
@@ -428,6 +450,17 @@ def test_cyclic_comparison_dual_and_left_unital():
     assert left["verdict"] == "pass"
     assert "bB_betti" not in left
     assert left["quotient_betti"][:3] == CLAM_BETTI_LEFT[:3]
+
+
+@pytest.mark.parametrize("algebra", [field_q(), dual_numbers(),
+                                     left_unital_two_dim()],
+                         ids=["Q", "dual", "left_unital"])
+def test_cyclic_comparison_that_decides_nothing_is_inconclusive(algebra):
+    # bound 0 leaves only degree 0, the truncation's upper bound
+    rep = cyclic_comparison_report(algebra, 0)
+    assert rep["degrees_decided"] == [] and rep["projection_quasi_iso"] == {}
+    assert rep["verdict"] == "inconclusive"
+    assert cyclic_comparison_report(algebra, 1)["verdict"] == "pass"
 
 
 @given(seeds)
@@ -604,11 +637,18 @@ def test_cyclic_comparison_ranks_each_matrix_once(monkeypatch):
     for module in (complexes, assoc_homology):
         monkeypatch.setattr(module, "verify_double_complex",
                             counted_validation, raising=False)
-    assert cyclic_comparison_report(matrix_algebra(2), 4)["verdict"] == "pass"
+    a = matrix_algebra(2)
+    assert cyclic_comparison_report(a, 4)["verdict"] == "pass"
     # 4 differentials each for Tot(cyclic), C^lambda and Tot(b, B), and one
-    # mapping cone per degree 0..4
-    assert len(ranks) == 17
+    # mapping cone per decided degree 0..3
+    assert len(ranks) == 16
     assert not validations
+    # the cone of the undecided degree 4, on Tot_4 + C^lambda_5, is not
+    # ranked: C^lambda_5 is past the truncation, so it has dimension 0
+    tot = total_complex(cyclic_bicomplex(a, 4), 4).complex
+    conn = connes_quotient_complex(a, 4)[0]
+    top_cone = (tot.dims[3] + conn.dims[4], tot.dims[4])
+    assert all((m.rows, m.cols) != top_cone for m in ranks)
 
 
 def _flip_horizontal(build, cell):

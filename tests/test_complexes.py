@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -342,10 +342,13 @@ def test_quasi_iso_degrees_rejects_a_map_that_is_not_a_chain_map():
         quasi_iso_degrees(f)
 
 
-def reference_quasi_iso_degrees(f: ChainMap) -> Dict[int, bool]:
-    """quasi_iso_degrees as it was before ranks decided it."""
+def reference_quasi_iso_degrees(f: ChainMap,
+                                top: Optional[int] = None) -> Dict[int, bool]:
+    """quasi_iso_degrees as it was before ranks decided it, restricted to
+    n <= top when top is given."""
     return {n: m.rows == m.cols and rank(m) == m.rows
-            for n, m in induced_on_homology(f).items()}
+            for n, m in induced_on_homology(f).items()
+            if top is None or n <= top}
 
 
 def _random_map(rng: random.Random, rows: int, cols: int) -> SparseMatrix:
@@ -391,6 +394,54 @@ def test_quasi_iso_degrees_match_the_representative_path(seed, a, cut,
     f = ChainMap(c, tgt, comps)
     assert verify_chain_map(f)["ok"]
     assert quasi_iso_degrees(f) == reference_quasi_iso_degrees(f)
+
+
+def homotopic_chain_map(seed: int, a: int, cut: int,
+                        conjugate: bool) -> ChainMap:
+    """a * id + dh + hd on random_complex(seed), into its truncation at
+    `cut` or into a conjugate of that."""
+    c, _ = random_complex(seed)
+    rng = random.Random(seed)
+    tgt = truncate_complex(c, cut)
+    comps = {n: m for n, m in homotopic_to_scalar(c, a, rng).items()
+             if n <= tgt.max_degree}
+    if conjugate:
+        g = [random_unimodular(rng, d) for d in tgt.dims]
+        tgt = ChainComplex(tgt.dims, {
+            n: g[n - 1] @ tgt.d(n) @ inverse(g[n])
+            for n in range(1, tgt.max_degree + 1)}, truncated=tgt.truncated)
+        comps = {n: g[n] @ m for n, m in comps.items()}
+    return ChainMap(c, tgt, comps)
+
+
+@given(seeds, st.integers(min_value=-2, max_value=2),
+       st.integers(min_value=0, max_value=5), st.booleans(),
+       st.integers(min_value=-1, max_value=7))
+@settings(max_examples=40, deadline=None)
+def test_quasi_iso_degrees_up_to_top_restrict_the_full_answer(seed, a, cut,
+                                                              conjugate, top):
+    f = homotopic_chain_map(seed, a, cut, conjugate)
+    up_to_top = quasi_iso_degrees(f, top)
+    assert up_to_top == {n: v for n, v in quasi_iso_degrees(f).items()
+                         if n <= top}
+    assert up_to_top == reference_quasi_iso_degrees(f, top)
+
+
+@pytest.mark.parametrize("top", [0, 1, 2])
+def test_quasi_iso_degrees_checks_the_square_above_top(top):
+    # Q in degrees 0..top+1 with d_(top+1) = 1, mapped to itself by the
+    # identity below degree top + 1 and by 0 there: only that square fails
+    dims = (1,) * (top + 2)
+    c = ChainComplex(dims, {top + 1: SparseMatrix.identity(1)},
+                     truncated=False)
+    comps = {n: SparseMatrix.identity(1) for n in range(top + 1)}
+    comps[top + 1] = SparseMatrix.zeros(1, 1)
+    f = ChainMap(c, c, comps)
+    assert [w["degree"] for w in verify_chain_map(f)["failures"]] == [top + 1]
+    for t in (top, None):
+        with pytest.raises(ValueError,
+                           match=f"degree {top + 1} does not commute"):
+            quasi_iso_degrees(f, t)
 
 
 def test_cyclic_comparison_builds_no_representatives(monkeypatch):
