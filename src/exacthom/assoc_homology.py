@@ -50,7 +50,6 @@ algebras never share an operator and it goes when the algebra goes.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -60,10 +59,8 @@ from .exactlin import (
     Vec,
     decode_entries,
     guard_ambient,
-    inverse,
     json_basis,
     json_int,
-    random_unimodular,
     signed_orbit_quotient,
     vec_clean,
 )
@@ -279,39 +276,6 @@ def direct_sum(a: StructureConstantAlgebra,
     names = tuple([f"l.{a.name_of(i)}" for i in range(a.dim)]
                   + [f"r.{b.name_of(i)}" for i in range(b.dim)])
     return StructureConstantAlgebra(dim, mult, unit, names)
-
-
-def change_of_basis(a: StructureConstantAlgebra,
-                    g: SparseMatrix) -> StructureConstantAlgebra:
-    """Transport the structure constants through an invertible matrix g whose
-    columns are the new basis vectors in the old coordinates."""
-    ginv = inverse(g)
-    mult: Dict[Tuple[int, int], Vec] = {}
-    for i in range(a.dim):
-        fi = g.column(i)
-        for j in range(a.dim):
-            prod = a.product(fi, g.column(j))
-            coords = ginv.apply(prod)
-            if coords:
-                mult[(i, j)] = coords
-    unit = ginv.apply(a.unit) if a.unit is not None else None
-    return StructureConstantAlgebra(a.dim, mult, unit,
-                                    tuple(f"v{i}" for i in range(a.dim)))
-
-
-def random_algebra(seed: int, max_dim: int = 3) -> StructureConstantAlgebra:
-    """Seeded random valid algebra of dimension <= max_dim: a built-in family
-    conjugated by a random determinant-1 change of basis."""
-    rng = random.Random(seed)
-    pool = [field_q(), dual_numbers(), truncated_polynomials(2),
-            cyclic_group_algebra(2), zero_multiplication(1),
-            zero_multiplication(2), left_unital_two_dim(),
-            direct_sum(field_q(), field_q())]
-    if max_dim >= 3:
-        pool += [truncated_polynomials(3), cyclic_group_algebra(3),
-                 zero_multiplication(3), direct_sum(field_q(), dual_numbers())]
-    base = rng.choice(pool)
-    return change_of_basis(base, random_unimodular(rng, base.dim))
 
 
 # -- tensor power indexing ----------------------------------------------------

@@ -398,13 +398,6 @@ def cokernel_precosheaf(phi: CosheafMorphism) -> FinitePrecosheaf:
     return out
 
 
-def zero_morphism(source: FinitePrecosheaf,
-                  target: FinitePrecosheaf) -> CosheafMorphism:
-    comps = tuple(SparseMatrix.zeros(target.dims[i], source.dims[i])
-                  for i in range(len(source.cover_model.opens)))
-    return CosheafMorphism(source, target, comps)
-
-
 def identity_morphism(p: FinitePrecosheaf) -> CosheafMorphism:
     comps = tuple(SparseMatrix.identity(d) for d in p.dims)
     return CosheafMorphism(p, p, comps)

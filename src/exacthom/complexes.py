@@ -1,5 +1,7 @@
 """Chain complexes over Q: homology, chain maps, quotients, tensor products,
 double and total complexes, and the spectral sequence of the column filtration.
+Betti numbers and spectral-sequence pages are read off ranks; cycle
+representatives and induced maps are built only for callers that ask for them.
 
 Grading convention: a complex is a finite list of dimensions for degrees
 0..max_degree and differentials d_n: C_n -> C_{n-1}. A complex is *truncated*
@@ -143,21 +145,15 @@ def betti_numbers(c: ChainComplex) -> List[int]:
     return list(homology(c).betti)
 
 
-def truncate_complex(c: ChainComplex, new_max: int) -> ChainComplex:
-    """Cut a complex down to degrees 0..new_max (marked truncated unless the
-    cut keeps the genuine top of a complete complex)."""
-    if new_max >= c.max_degree:
-        return c
-    dims = c.dims[: new_max + 1]
-    diffs = {n: m for n, m in c.differentials.items() if n <= new_max}
-    return ChainComplex(dims, diffs, truncated=True)
-
-
 def quotient_complex(c: ChainComplex,
                      quots: Sequence[QuotientStructure]) -> ChainComplex:
     """c modulo quots[n].subspace in each degree n, with the boundary
     projection @ d @ section; asserts exactly that d maps each degree's
-    subspace into the one below, so that boundary is the induced one."""
+    subspace into the one below, so that boundary is the induced one.
+    ValueError unless quots holds one quotient of C_n for each degree n."""
+    if [q.subspace.ambient_dim for q in quots] != list(c.dims):
+        raise ValueError(f"quotient_complex needs one quotient of each C_n, "
+                         f"of dims {c.dims}")
     diffs = {}
     for n in range(1, c.max_degree + 1):
         pd = quots[n - 1].projection @ c.d(n)
@@ -417,106 +413,60 @@ def total_complex(d: DoubleComplex, top: Optional[int] = None) -> TotalComplex:
 
 
 class SpectralSequence:
-    """Pages of the column-filtration spectral sequence of a double complex.
+    """Pages of the column-filtration spectral sequence of a double complex:
+    pages[r][(p, q)] is dim E^r_{p,q} (zero entries omitted), r <= stable_page.
 
-    pages[r][(p, q)] is dim E^r_{p,q} (zero entries omitted);
-    page_maps[r][(p, q)] is the matrix of d^r: E^r_{p,q} -> E^r_{p-r,q+r-1}
-    in the canonical representative bases (omitted when either side is 0).
+    Every page is one formula in ranks (McCleary, *A User's Guide to Spectral
+    Sequences*, ch. 2). Write F_p for the size of the column-filtration prefix
+    (`filtration_dim`, 0 outside the complex), each F in its own degree, and
+    rho(m, k, c) for the rank of d_m on its rows past the first k and its
+    first c columns. Z(n, c, k), the x in the first c coordinates of Tot_n
+    whose dx lies in the first k of Tot_{n-1}, has dimension c - rho(n, k, c).
+    With n = p + q, E^r_{p,q} is
+    Z(n, F_p, F_{p-r}) / (Z(n, F_{p-1}, F_{p-r}) + d Z(n+1, F_{p+r-1}, F_p)),
+    of dimension
 
-    Every page comes from one formula (McCleary, *A User's Guide to Spectral
-    Sequences*, ch. 2). Let Z(n, c, k) be the x in the first c coordinates of
-    Tot_n whose dx lies in the first k coordinates of Tot_{n-1}, and write
-    F_p for the size of the column-filtration prefix (`filtration_dim`, which
-    is 0 outside the complex). With n = p + q,
+        F_p - F_{p-1} - rho(n, F_{p-r}, F_p) + rho(n, F_{p-r}, F_{p-1})
+        - rho(n+1, F_{p-1}, F_{p+r-1}) + rho(n+1, F_p, F_{p+r-1}).
 
-        E^r_{p,q} = Z(n, F_p, F_{p-r})
-                    / (Z(n, F_{p-1}, F_{p-r}) + d Z(n+1, F_{p+r-1}, F_p)).
-
-    At r = 0 the denominator is F_{p-1}, since d preserves the filtration.
-    The denominator lies in the numerator, so dim E^r is the difference of
-    their dimensions; only page maps need representatives. One memo holds
-    each Z under ("Z", n, c, k), each denominator under its two Z keys and
-    each representative basis under its three, so each is built once.
+    The d_{n+1} terms count the boundaries d Z(n+1, F_{p+r-1}, F_p) that
+    Z(n, F_{p-1}, F_{p-r}) does not already hold, those outside F_{p-1}:
+    dim d Z(m, c, k) = rho(m, 0, c) - rho(m, k, c), and its rise from
+    k = F_{p-1} to k = F_p, subtracted, is those two terms. At r = 0 every rho vanishes,
+    since d keeps the filtration. Each rank is taken once, memoised under
+    (m, k, c) in `_ranks`.
     """
 
     def __init__(self, dc: DoubleComplex):
         self.dc = dc
         self.tot = total_complex(dc)
         self.stable_page = dc.max_p + dc.max_q + 1
-        self._memo: Dict[tuple, object] = {}
-        self.pages: List[Dict[Tuple[int, int], int]] = []
-        self.page_maps: List[Dict[Tuple[int, int], SparseMatrix]] = []
-        for r in range(self.stable_page + 1):
-            self.pages.append(self._page_dims(r))
-            self.page_maps.append(self._page_maps(r))
+        self._ranks: Dict[Tuple[int, int, int], int] = {}
+        self.pages: List[Dict[Tuple[int, int], int]] = [
+            self._page_dims(r) for r in range(self.stable_page + 1)]
 
-    def _term(self, r: int, p: int, q: int) -> Tuple[Tuple[int, int, int], ...]:
-        """The Z keys of E^r_{p,q}: its numerator, then the two terms of its
-        denominator."""
-        n, f = p + q, self.tot.filtration_dim
-        return ((n, f(n, p), f(n - 1, p - r)),
-                (n, f(n, p - 1), f(n - 1, p - r)),
-                (n + 1, f(n + 1, p + r - 1), f(n, p)))
-
-    def _z(self, n: int, c: int, k: int) -> Subspace:
-        key = ("Z", n, c, k)
-        if key not in self._memo:
-            # the prefixes keep kernel vectors in their Tot_n coordinates
-            dmat = self.tot.complex.d(n)
-            kb = kernel_basis(dmat.select(range(k, dmat.rows), range(c)))
-            self._memo[key] = Subspace.from_matrix_rows(
-                SparseMatrix(kb.rows, dmat.cols, kb.entries))
-        return self._memo[key]
-
-    def _denominator(self, z: Tuple[int, int, int],
-                     b: Tuple[int, int, int]) -> Subspace:
-        """Z(z) + d Z(b)."""
-        key = ("den", z, b)
-        if key not in self._memo:
-            boundaries = self._z(*b).basis @ self.tot.complex.d(b[0]).transpose()
-            self._memo[key] = Subspace.from_matrix_rows(
-                SparseMatrix.vstack([self._z(*z).basis, boundaries]))
-        return self._memo[key]
-
-    def _reps(self, term: Tuple[Tuple[int, int, int], ...]) -> List[Vec]:
-        key = ("reps", *term)
-        if key not in self._memo:
-            num, z, b = term
-            self._memo[key] = _reduced_basis(self._z(*num).basis,
-                                             self._denominator(z, b))
-        return self._memo[key]
+    def _rho(self, m: int, k: int, c: int) -> int:
+        key = (m, k, c)
+        if key not in self._ranks:
+            dmat = self.tot.complex.d(m)
+            self._ranks[key] = rank(dmat.select(range(k, dmat.rows), range(c)))
+        return self._ranks[key]
 
     def _page_dims(self, r: int) -> Dict[Tuple[int, int], int]:
+        f, rho = self.tot.filtration_dim, self._rho
         out: Dict[Tuple[int, int], int] = {}
         for p in range(self.dc.max_p + 1):
             for q in range(self.dc.max_q + 1):
                 if self.dc.dim(p, q) == 0:
                     continue
-                num, z, b = self._term(r, p, q)
-                dim = self._z(*num).dim - self._denominator(z, b).dim
+                n = p + q
+                dim = (f(n, p) - f(n, p - 1)
+                       - rho(n, f(n - 1, p - r), f(n, p))
+                       + rho(n, f(n - 1, p - r), f(n, p - 1))
+                       - rho(n + 1, f(n, p - 1), f(n + 1, p + r - 1))
+                       + rho(n + 1, f(n, p), f(n + 1, p + r - 1)))
                 if dim:
                     out[(p, q)] = dim
-        return out
-
-    def _page_maps(self, r: int) -> Dict[Tuple[int, int], SparseMatrix]:
-        out: Dict[Tuple[int, int], SparseMatrix] = {}
-        dims = self.pages[r]
-        for (p, q) in dims:
-            if (p - r, q + r - 1) not in dims:
-                continue
-            dmat = self.tot.complex.d(p + q)
-            tgt = self._term(r, p - r, q + r - 1)
-            images = dmat @ SparseMatrix.from_rows(
-                self._reps(self._term(r, p, q)), dmat.cols).transpose()
-            # an image outside the target's Z = reps + den has no coordinates
-            m = _coordinates(self._reps(tgt),
-                             self._denominator(*tgt[1:]).basis.transpose(),
-                             images)
-            if m is None:
-                raise AssertionError(
-                    f"page {r} differential not expressible at {(p, q)}")
-            if not m.is_zero():
-                out[(p, q)] = m
         return out
 
     def convergence_report(self) -> dict:

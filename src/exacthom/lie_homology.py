@@ -40,7 +40,6 @@ from .exactlin import (
     Vec,
     decode_entries,
     guard_ambient,
-    inverse,
     json_basis,
     json_int,
     quotient_structure,
@@ -212,21 +211,6 @@ def gl_n_of(a: StructureConstantAlgebra, n: int) -> StructureConstantLieAlgebra:
                   for i in range(n) for j in range(n) for c in range(a.dim))
     return _unchecked(StructureConstantLieAlgebra, dim=dim, bracket=bracket,
                       names=names)
-
-
-def change_of_basis_lie(g: StructureConstantLieAlgebra,
-                        p: SparseMatrix) -> StructureConstantLieAlgebra:
-    """Transport the bracket along an invertible matrix (new basis Pe_i);
-    ValueError when p is singular."""
-    pinv = inverse(p)
-    bracket: Dict[Tuple[int, int], Vec] = {}
-    cols = [p.column(i) for i in range(g.dim)]
-    for i in range(g.dim):
-        for j in range(g.dim):
-            w = pinv.apply(g.bracket_vec(cols[i], cols[j]))
-            if w:
-                bracket[(i, j)] = w
-    return StructureConstantLieAlgebra(g.dim, bracket)
 
 
 # -- exterior powers ----------------------------------------------------------

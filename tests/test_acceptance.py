@@ -20,6 +20,7 @@ from fractions import Fraction
 
 import pytest
 
+from random_algebras import random_algebra
 from exacthom.assoc_homology import (bB_bicomplex, bar_boundary, bar_complex,
                                      connes_b_operator,
                                      connes_quotient_complex, cyclic_bicomplex,
@@ -29,7 +30,7 @@ from exacthom.assoc_homology import (bB_bicomplex, bar_boundary, bar_complex,
                                      h_unitality_report, hochschild_boundary,
                                      hochschild_complex, left_unital_two_dim,
                                      matrix_algebra, norm_operator,
-                                     random_algebra, truncated_polynomials,
+                                     truncated_polynomials,
                                      zero_multiplication)
 from exacthom.cech_cosheaf import (CosheafMorphism, cech_complex, cech_report,
                                    circle_difference_model,

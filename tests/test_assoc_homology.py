@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_oracle
+from random_algebras import change_of_basis, random_algebra
 from exacthom import assoc_homology, complexes
 from exacthom.exactlin import (ResourceGuardError, SparseMatrix, Subspace,
                                quotient_structure, random_unimodular)
@@ -33,7 +34,6 @@ from exacthom.assoc_homology import (
     bB_bicomplex,
     bar_boundary,
     bar_complex,
-    change_of_basis,
     connes_b_operator,
     connes_quotient_complex,
     cyclic_bicomplex,
@@ -48,7 +48,6 @@ from exacthom.assoc_homology import (
     left_unital_two_dim,
     matrix_algebra,
     norm_operator,
-    random_algebra,
     cyclic_comparison_report,
     tensor_rank,
     tensor_unrank,

@@ -13,6 +13,7 @@ from exacthom.cech_cosheaf import (
     CosheafDataError,
     CosheafMorphism,
     CoverModel,
+    FinitePrecosheaf,
     cech_complex,
     cech_report,
     circle_difference_model,
@@ -30,7 +31,6 @@ from exacthom.cech_cosheaf import (
     precosheaf_from_json,
     precosheaf_to_json,
     random_cover_model,
-    zero_morphism,
 )
 from exacthom.complexes import betti_numbers, verify_complex
 from exacthom.exactlin import (
@@ -108,7 +108,6 @@ def test_open_index_lookup_and_missing():
 def test_missing_extension_is_rejected():
     u = cover_model_from_cover(2, [[0], [1]])
     with pytest.raises(CosheafDataError, match="missing"):
-        from exacthom.cech_cosheaf import FinitePrecosheaf
         FinitePrecosheaf(u, (1,) * len(u.opens), {})
 
 
@@ -121,7 +120,6 @@ def test_functoriality_violation_is_rejected():
     big = u.open_index([0, 1, 2])
     bad[(small, big)] = SparseMatrix.zeros(3, 1)
     with pytest.raises(ValueError, match="functoriality"):
-        from exacthom.cech_cosheaf import FinitePrecosheaf
         FinitePrecosheaf(u, p.dims, bad)
 
 
@@ -236,6 +234,13 @@ def test_cokernel_of_identity_is_zero():
     p = extension_by_zero_model(u)
     z = cokernel_precosheaf(identity_morphism(p))
     assert all(d == 0 for d in z.dims)
+
+
+def zero_morphism(source: FinitePrecosheaf,
+                  target: FinitePrecosheaf) -> CosheafMorphism:
+    comps = tuple(SparseMatrix.zeros(target.dims[i], source.dims[i])
+                  for i in range(len(source.cover_model.opens)))
+    return CosheafMorphism(source, target, comps)
 
 
 def test_cokernel_of_zero_is_the_target():

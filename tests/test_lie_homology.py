@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from exacthom.exactlin import (ResourceGuardError, SparseMatrix, Subspace, Vec,
-                               quotient_structure, random_unimodular,
+                               inverse, quotient_structure, random_unimodular,
                                vec_clean)
 from exacthom.complexes import (
     ChainComplex,
@@ -32,7 +32,6 @@ from exacthom.lie_homology import (
     abelian_lie_algebra,
     ce_complex,
     ce_complex_on,
-    change_of_basis_lie,
     coinvariant_reduction,
     gl_index,
     gl_n_of,
@@ -299,6 +298,21 @@ LIE_ZOO = [
     zero_multiplication(3), left_unital_two_dim()]
 lie_zoo = st.sampled_from(LIE_ZOO).map(lambda a: gl_n_of(a, 2))
 lie_algebras = st.one_of(st.just(sl2_q()), lie_zoo)
+
+
+def change_of_basis_lie(g: StructureConstantLieAlgebra,
+                        p: SparseMatrix) -> StructureConstantLieAlgebra:
+    """Transport the bracket along an invertible matrix (new basis Pe_i);
+    ValueError when p is singular."""
+    pinv = inverse(p)
+    bracket: Dict[Tuple[int, int], Vec] = {}
+    cols = [p.column(i) for i in range(g.dim)]
+    for i in range(g.dim):
+        for j in range(g.dim):
+            w = pinv.apply(g.bracket_vec(cols[i], cols[j]))
+            if w:
+                bracket[(i, j)] = w
+    return StructureConstantLieAlgebra(g.dim, bracket)
 
 
 def conjugated(g: StructureConstantLieAlgebra, seed: int

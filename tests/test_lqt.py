@@ -15,9 +15,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from random_algebras import change_of_basis
 from exacthom.assoc_homology import (
     algebra_to_json,
-    change_of_basis,
     connes_quotient_complex,
     cyclic_group_algebra,
     direct_sum,
