@@ -434,7 +434,8 @@ class SpectralSequence:
     dim d Z(m, c, k) = rho(m, 0, c) - rho(m, k, c), and its rise from
     k = F_{p-1} to k = F_p, subtracted, is those two terms. At r = 0 every rho vanishes,
     since d keeps the filtration. Each rank is taken once, memoised under
-    (m, k, c) in `_ranks`.
+    (m, k, c) in `_ranks`, and a selection with no entry (no rows, no
+    columns, or only zeros, as at r = 0) is 0 with no select or rank.
     """
 
     def __init__(self, dc: DoubleComplex):
@@ -442,15 +443,32 @@ class SpectralSequence:
         self.tot = total_complex(dc)
         self.stable_page = dc.max_p + dc.max_q + 1
         self._ranks: Dict[Tuple[int, int, int], int] = {}
+        self._reaches: Dict[int, List[int]] = {}
         self.pages: List[Dict[Tuple[int, int], int]] = [
             self._page_dims(r) for r in range(self.stable_page + 1)]
 
     def _rho(self, m: int, k: int, c: int) -> int:
+        if self._reach(m)[c] <= k:
+            return 0  # no entry past row k in the first c columns
         key = (m, k, c)
         if key not in self._ranks:
             dmat = self.tot.complex.d(m)
             self._ranks[key] = rank(dmat.select(range(k, dmat.rows), range(c)))
         return self._ranks[key]
+
+    def _reach(self, m: int) -> List[int]:
+        """reach[c]: one past the last row holding an entry of d_m in its
+        first c columns (0 when none), so a selection of rows >= k and
+        columns < c holds an entry exactly when reach[c] > k."""
+        if m not in self._reaches:
+            dmat = self.tot.complex.d(m)
+            reach = [0] * (dmat.cols + 1)
+            for r, c in dmat.entries:
+                reach[c + 1] = max(reach[c + 1], r + 1)
+            for c in range(dmat.cols):
+                reach[c + 1] = max(reach[c + 1], reach[c])
+            self._reaches[m] = reach
+        return self._reaches[m]
 
     def _page_dims(self, r: int) -> Dict[Tuple[int, int], int]:
         f, rho = self.tot.filtration_dim, self._rho

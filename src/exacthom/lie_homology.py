@@ -322,12 +322,20 @@ def ce_complex_on(g: StructureConstantLieAlgebra,
 
 
 def wedge_derivation_matrix(k_basis: ExteriorBasis,
-                            act: Callable[[int], Vec]) -> SparseMatrix:
+                            act: Callable[[int], Vec],
+                            target: Optional[ExteriorBasis] = None
+                            ) -> SparseMatrix:
     """Extend a linear action on generators (index -> image Vec) to the
     exterior power as a derivation: each image y replaces its generator
     t[pos], so the term is y inserted into t without t[pos] (`wedge_insert`,
-    sign (-1)^p) after moving y to the front, sign (-1)^pos."""
-    size = len(k_basis)
+    sign (-1)^p) after moving y to the front, sign (-1)^pos.
+
+    The columns are `k_basis`'s tuples and the rows `target`'s (k_basis by
+    default), so an operator that moves one Cartan weight block to another
+    is built from the source block alone; a term outside `target` raises
+    KeyError."""
+    if target is None:
+        target = k_basis
     entries: Dict[Tuple[int, int], Fraction] = {}
     for ci, t in enumerate(k_basis.tuples):
         for pos in range(len(t)):
@@ -337,10 +345,10 @@ def wedge_derivation_matrix(k_basis: ExteriorBasis,
                 if res is None:
                     continue
                 s, newt = res
-                key = (k_basis.index[newt], ci)
+                key = (target.index[newt], ci)
                 entries[key] = (entries.get(key, 0)
                                 + (-s if pos & 1 else s) * coef)
-    return SparseMatrix(size, size, entries)
+    return SparseMatrix(len(target), len(k_basis), entries)
 
 
 def scalar_matrix_generator_action(n: int, a_dim: int, r: int,
@@ -434,32 +442,42 @@ class LieModuleAction:
         return out
 
 
+def gln_generator_action(a: StructureConstantAlgebra,
+                         n: int) -> LieModuleAction:
+    """Scalar gl_n acting on gl_n(A): adjoint on the matrix leg, nothing on
+    the coefficient leg. Matrix r * n + s is e_rs's, and its column x is
+    the image of generator x. Built through the validating constructor, so
+    the representation identity is checked on every call."""
+    dim = n * n * a.dim
+    basis = ExteriorBasis(dim, 1)
+    return LieModuleAction(_scalar_gl(n), dim, tuple(
+        wedge_derivation_matrix(basis, scalar_matrix_generator_action(
+            n, a.dim, r, s)) for r in range(n) for s in range(n)))
+
+
 def gln_action_on_chains(a: StructureConstantAlgebra, n: int,
                          k: int) -> LieModuleAction:
     """Scalar gl_n acting on the k-th exterior power of gl_n(A): adjoint on
     the matrix leg, nothing on the coefficient leg, extended as a derivation.
 
     The representation identity is checked once per call, on the generator
-    action (k = 1, a space of dimension n^2 dim A), by the validating
-    constructor; a LieAxiomError from there is raised at every k. The k-th
-    power is then built unchecked. With D_x the derivation of the exterior
-    algebra of V that extends rho(x), [D_x, D_y] and D_[x,y] are both
-    derivations, and on V, which generates the algebra, they are
-    [rho(x), rho(y)] = rho([x, y]); so they agree everywhere."""
-    acting = _scalar_gl(n)
-    dim = n * n * a.dim
-    images = [[act(x) for x in range(dim)]
-              for act in (scalar_matrix_generator_action(n, a.dim, r, s)
-                          for r in range(n) for s in range(n))]
-    gen_basis = ExteriorBasis(dim, 1)
-    gens = LieModuleAction(acting, dim, tuple(
-        wedge_derivation_matrix(gen_basis, im.__getitem__) for im in images))
+    action (`gln_generator_action`, k = 1), by the validating constructor;
+    a LieAxiomError from there is raised at every k. The k-th power is then
+    built unchecked. With D_x the derivation of the exterior algebra of V
+    that extends rho(x), [D_x, D_y] and D_[x,y] are both derivations, and
+    on V, which generates the algebra, they are [rho(x), rho(y)] =
+    rho([x, y]); so they agree everywhere. The Cartan weight blocks of
+    `lqt` build the same derivations block by block, from the same
+    validated generator action."""
+    gens = gln_generator_action(a, n)
     if k == 1:
         return gens
-    k_basis = ExteriorBasis(dim, k)
-    matrices = tuple(wedge_derivation_matrix(k_basis, im.__getitem__)
-                     for im in images)
-    return _unchecked(LieModuleAction, algebra=acting,
+    k_basis = ExteriorBasis(gens.module_dim, k)
+    matrices = tuple(
+        wedge_derivation_matrix(k_basis, [m.column(x) for x in
+                                          range(m.cols)].__getitem__)
+        for m in gens.matrices)
+    return _unchecked(LieModuleAction, algebra=gens.algebra,
                       module_dim=len(k_basis), matrices=matrices)
 
 

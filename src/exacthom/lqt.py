@@ -41,12 +41,22 @@ The pieces, bottom up:
   A-tensor-power) spaces, read off signed orbits with no elimination. Their
   boundary is the matrix Lie boundary moved there per section column, with
   no gl_n(A) built; the chain-map verification ties the two sides together.
-* weight machinery: Cartan eigenspace decomposition of wedge powers of
-  gl_n(A), highest-weight subspaces, generated submodules, and psi, the
-  row-chain embedding into a highest-weight space, with its restriction
-  check. A psi term is a tuple of gl_n(A) legs, one row chain
-  E_{r_t, r_(t+1)} (x) leg_t per block (``_row_chains``), with
-  coefficient 1.
+* weight machinery, one Cartan weight block at a time (``WeightBlocks``):
+  the wedge tuples of one weight (``weight_tuples``, a pruned depth-first
+  search), and scalar gl_n's operators e_rs from block mu to block
+  mu + eps_r - eps_s only, each built once per report from the generator
+  action, which each report validates once; no matrix of a whole wedge
+  power is built. A highest-weight space is the kernel of the simple
+  raising operators on its block. The submodule it generates is walked
+  down the root lattice (``generated_layers``): its part at nu is the
+  span of the simple lowering images of its parts at nu + alpha_i.
+  ``weight_decomposition_report`` sums the components' dimensions, and
+  ranks their joint span block by block. psi is the row-chain embedding
+  into a highest-weight space, with its restriction check: a psi column
+  lies in that space exactly when it has no entry off block mu and every
+  simple raising operator kills it. A psi term is a tuple of gl_n(A)
+  legs, one row chain E_{r_t, r_(t+1)} (x) leg_t per block
+  (``_row_chains``), with coefficient 1.
 * ``lqt_stable_check``: the dimension comparison between the Lie homology
   of gl_n(A) and the free graded-commutative closure of cyclic homology,
   in the stable range r+1 <= n (unital) or 2r+1 <= n (bar-acyclic
@@ -71,13 +81,14 @@ from .assoc_homology import (StructureConstantAlgebra, connes_quotient_complex,
                              h_unitality_report, tensor_rank, tensor_unrank)
 from .complexes import (ChainComplex, ChainMap, betti_numbers,
                         verify_chain_map)
-from .exactlin import (QuotientStructure, SparseMatrix, Subspace, Vec,
-                       guard_ambient, inverse, kernel_basis, pivot_columns,
-                       rank, signed_orbit_quotient, solve_matrix, vec_clean)
+from .exactlin import (QuotientStructure, SparseMatrix, Vec, guard_ambient,
+                       inverse, kernel_basis, pivot_columns, rank, rref,
+                       signed_orbit_quotient, solve_matrix, vec_clean)
 from .lie_homology import (ExteriorBasis, LieModuleAction, ce_complex,
                            ce_complex_on, gl_index, gl_n_of,
-                           gln_action_on_chains, guard_exterior_powers,
-                           scalar_matrix_generator_action, wedge_sort)
+                           gln_generator_action, guard_exterior_powers,
+                           scalar_matrix_generator_action,
+                           wedge_derivation_matrix, wedge_sort)
 
 
 # -- permutations --------------------------------------------------------------
@@ -732,16 +743,7 @@ def theta_check(a: StructureConstantAlgebra, max_degree: int) -> dict:
 # -- weight decomposition --------------------------------------------------------
 
 
-def wedge_weight(a: StructureConstantAlgebra, n: int,
-                 tup: Sequence[int]) -> Tuple[int, ...]:
-    """Cartan weight of a wedge basis tuple of gl_n(A) generators: each leg
-    in matrix position (i, j) contributes +1 at i and -1 at j."""
-    wt = [0] * n
-    for x in tup:
-        i, j = divmod(x // a.dim, n)
-        wt[i] += 1
-        wt[j] -= 1
-    return tuple(wt)
+Weight = Tuple[int, ...]
 
 
 def weight_zero_count(n: int, a_dim: int, k: int) -> int:
@@ -786,14 +788,19 @@ def weight_zero_count(n: int, a_dim: int, k: int) -> int:
                for (size, _), count in states.items())
 
 
-def weight_zero_tuples(n: int, a_dim: int, k: int) -> List[Tuple[int, ...]]:
+def weight_tuples(n: int, a_dim: int, k: int,
+                  mu: Sequence[int]) -> List[Tuple[int, ...]]:
     """The increasing k-tuples of gl_n(A) generators, dim A = a_dim, of
-    weight 0 (see `wedge_weight`), in lexicographic order: the weight-0
-    sublist of `ExteriorBasis(n * n * a_dim, k).tuples`. A depth-first
-    search that drops a prefix whose |w|_1 is above twice the slots left."""
+    Cartan weight mu, in lexicographic order: the weight-mu sublist of
+    `ExteriorBasis(n * n * a_dim, k).tuples`. A leg in matrix position
+    (i, j) adds +1 at i and -1 at j. A depth-first search on w - mu, w the
+    prefix's weight, that drops a prefix whose |w - mu|_1 is above twice
+    the slots left: one generator moves it by at most 2."""
+    if len(mu) != n:
+        raise ValueError(f"weight {tuple(mu)} has not {n} entries")
     dim = n * n * a_dim
     position = [divmod(x // a_dim, n) for x in range(dim)]
-    w = [0] * n
+    w = [-x for x in mu]
     prefix: List[int] = []
     out: List[Tuple[int, ...]] = []
 
@@ -814,71 +821,118 @@ def weight_zero_tuples(n: int, a_dim: int, k: int) -> List[Tuple[int, ...]]:
             w[i] -= 1
             w[j] += 1
 
-    extend(0, k, 0)
+    l1 = sum(map(abs, w))
+    if l1 <= 2 * k:
+        extend(0, k, l1)
     return out
 
 
-def highest_weight_space(a: StructureConstantAlgebra, n: int, k: int,
-                         mu: Sequence[int],
-                         action: LieModuleAction) -> Subspace:
-    """Vectors of weight mu killed by every raising operator e_ij (i < j),
-    inside the k-th wedge power of gl_n(A). `action` must be scalar gl_n's
-    action on that wedge power (`gln_action_on_chains`; ValueError
-    otherwise)."""
-    if action.algebra.dim != n * n:
-        raise ValueError(f"action of a {action.algebra.dim}-dimensional "
-                         f"algebra, not of gl_{n}")
-    if action.module_dim != math.comb(n * n * a.dim, k):
-        raise ValueError(f"action on a {action.module_dim}-dimensional "
-                         f"module, not on wedge power {k} of gl_{n}(A)")
+def weight_zero_tuples(n: int, a_dim: int, k: int) -> List[Tuple[int, ...]]:
+    """`weight_tuples` at weight 0: the chains of the Cartan weight-0 block
+    that `lqt_stable_check` builds."""
+    return weight_tuples(n, a_dim, k, (0,) * n)
+
+
+class WeightBlocks:
+    """The Cartan weight blocks of the k-th wedge power of gl_n(A), and the
+    scalar operators e_rs between them, each built on first use and kept
+    for the object's life (one report).
+
+    `gens` is scalar gl_n's action on gl_n(A) (`gln_generator_action`,
+    validated when it was built). e_rs maps block mu to block
+    mu + eps_r - eps_s, so its matrix has the source block's tuples as
+    columns and the target block's as rows (`wedge_derivation_matrix`);
+    no matrix of the whole power is built. A block holds its tuples in
+    lexicographic order, a subsequence of the whole power's basis, so a
+    canonical (RREF) basis in block coordinates is the canonical basis of
+    the same subspace in full coordinates."""
+
+    def __init__(self, gens: LieModuleAction, n: int, k: int):
+        self.n = n
+        self.k = k
+        self._gens = gens
+        self._a_dim = gens.module_dim // (n * n)
+        self._blocks: Dict[Weight, ExteriorBasis] = {}
+        self._images: Dict[int, List[Vec]] = {}
+        self._operators: Dict[Tuple[int, int, Weight], SparseMatrix] = {}
+
+    def block(self, mu: Sequence[int]) -> ExteriorBasis:
+        """The wedge tuples of weight mu (`weight_tuples`)."""
+        mu = tuple(mu)
+        if mu not in self._blocks:
+            self._blocks[mu] = ExteriorBasis(
+                self._gens.module_dim, self.k,
+                weight_tuples(self.n, self._a_dim, self.k, mu))
+        return self._blocks[mu]
+
+    def operator(self, r: int, s: int, mu: Sequence[int]) -> SparseMatrix:
+        """e_rs from block mu to block mu + eps_r - eps_s."""
+        mu = tuple(mu)
+        key = (r, s, mu)
+        if key not in self._operators:
+            g = r * self.n + s
+            if g not in self._images:
+                m = self._gens.matrices[g]
+                self._images[g] = [m.column(x) for x in range(m.cols)]
+            target = list(mu)
+            target[r] += 1
+            target[s] -= 1
+            self._operators[key] = wedge_derivation_matrix(
+                self.block(mu), self._images[g].__getitem__,
+                self.block(target))
+        return self._operators[key]
+
+    def raising(self, mu: Sequence[int]) -> SparseMatrix:
+        """The n - 1 simple raising operators e_(i,i+1) on block mu,
+        stacked. They are enough: they generate n+ as a Lie algebra, so a
+        vector they all kill is killed by every e_ij, i < j. No target
+        block is built for an empty block mu."""
+        size = len(self.block(mu))
+        if not size or self.n == 1:
+            return SparseMatrix.zeros(0, size)
+        return SparseMatrix.vstack([self.operator(i, i + 1, mu)
+                                    for i in range(self.n - 1)])
+
+
+def highest_weight_space(blocks: WeightBlocks,
+                         mu: Sequence[int]) -> SparseMatrix:
+    """The vectors of weight mu killed by every raising operator e_ij
+    (i < j): the kernel of the simple raising operators on block mu, as
+    its canonical (RREF) basis rows in block-mu coordinates."""
+    return kernel_basis(blocks.raising(mu))
+
+
+def generated_layers(blocks: WeightBlocks, mu: Sequence[int],
+                     hw: SparseMatrix) -> Dict[Weight, SparseMatrix]:
+    """The submodule generated by the highest-weight vectors `hw` (rows in
+    block-mu coordinates), weight by weight: {nu: canonical (RREF) basis
+    rows of its weight-nu part, in block-nu coordinates}, nonzero parts
+    only.
+
+    By PBW, U(gl_n) = U(n-) U(h) U(n+), and U(n+) and U(h) take a
+    highest-weight vector v to multiples of v, so U v = U(n-) v. n- is
+    generated by the simple lowering operators f_i = e_(i+1,i), which map
+    weight nu + alpha_i to nu (alpha_i = eps_i - eps_(i+1)). So the part
+    at nu != mu is the span of the f_i images of the parts at nu + alpha_i.
+    The walk goes down one level of the root lattice at a time; a part's
+    sources are all one level up, so each part is echelonized once."""
     mu = tuple(mu)
-    cols = [ci for ci, tup in enumerate(combinations(range(n * n * a.dim), k))
-            if wedge_weight(a, n, tup) == mu]
-    amb = action.module_dim
-    if not cols:
-        return Subspace.zero(amb)
-    blocks = [action.matrices[i * n + j].select(range(amb), cols)
-              for i in range(n) for j in range(i + 1, n)]
-    if blocks:
-        stacked = SparseMatrix.vstack(blocks)
-    else:
-        stacked = SparseMatrix.zeros(0, len(cols))
-    kern = kernel_basis(stacked)
-    vecs = [{cols[c]: v for c, v in kern.row(i).items()}
-            for i in range(kern.rows)]
-    return Subspace.from_vectors(amb, vecs)
-
-
-def generated_submodule(matrices: Sequence[SparseMatrix],
-                        seed: Subspace) -> Subspace:
-    """Smallest subspace containing the seed and stable under every matrix
-    in `matrices`, square of the seed's ambient dimension.
-
-    Given every action matrix of a Lie algebra, this is the submodule the
-    seed generates. A generating set of the acting algebra's enveloping
-    algebra U is enough: the subspace is stable under products of the
-    matrices, so under all of U. For gl_n and a seed of highest-weight
-    vectors (weight vectors killed by every raising e_ij, i < j), PBW
-    writes U = U(n-) U(h) U(n+); U(n+) and U(h) take a seed vector v to
-    multiples of v, so U v = U(n-) v, and n- is generated by the simple
-    lowering operators e_(i+1,i): those n - 1 matrices are enough.
-
-    The closure grows from its frontier: each round applies the matrices
-    only to the vectors the last round added (the seed's basis first),
-    keeps each image's residue modulo the span so far (`Subspace.reduce`),
-    and adds the residues' span; the rest of the span already maps into
-    it. It stops when no residue is left."""
-    amb = seed.ambient_dim
-    if any((m.rows, m.cols) != (amb, amb) for m in matrices):
-        raise ValueError("closure matrices must act on the seed's space")
-    cur = frontier = seed
-    while True:
-        residues = [cur.reduce(m.apply(frontier.basis.row(i)))
-                    for i in range(frontier.dim) for m in matrices]
-        frontier = Subspace.from_vectors(amb, residues)
-        if not frontier.dim:
-            return cur
-        cur = cur.sum(frontier)
+    level = {mu: hw} if hw.rows else {}
+    layers = dict(level)
+    while level:
+        images: Dict[Weight, List[SparseMatrix]] = {}
+        for nu, basis in level.items():
+            for i in range(blocks.n - 1):
+                lower = list(nu)
+                lower[i] -= 1
+                lower[i + 1] += 1
+                img = basis @ blocks.operator(i + 1, i, nu).transpose()
+                if img.nnz:
+                    images.setdefault(tuple(lower), []).append(img)
+        level = {nu: rref(SparseMatrix.vstack(parts))[0]
+                 for nu, parts in images.items()}
+        layers.update(level)
+    return layers
 
 
 def weight_decomposition_report(a: StructureConstantAlgebra, n: int,
@@ -887,29 +941,36 @@ def weight_decomposition_report(a: StructureConstantAlgebra, n: int,
     the same m <= k (combined lengths at most n), the submodule generated by
     its highest-weight space inside the k-th wedge power of gl_n(A); these
     components fill the whole wedge power (their dimensions add up to it and
-    their joint span has full dimension). Each component is the closure of
-    its highest-weight space under the simple lowering operators
-    e_(i+1,i) alone, which by PBW is the whole generated submodule (see
-    `generated_submodule`)."""
-    total = math.comb(n * n * a.dim, k)
+    their joint span has full dimension).
+
+    Each component is walked weight block by weight block
+    (`generated_layers`), and the joint span is the direct sum of its
+    weight blocks, so its dimension is the sum over blocks nu of the rank
+    of every component's part at nu. The wedge power is guarded before any
+    tuple is enumerated, and the generator action is validated once."""
+    dim = n * n * a.dim
+    guard_exterior_powers(dim, [k])
+    total = math.comb(dim, k)
+    blocks = WeightBlocks(gln_generator_action(a, n), n, k)
     components = []
-    bases = []
-    act = gln_action_on_chains(a, n, k)
-    lowering = [act.matrices[(i + 1) * n + i] for i in range(n - 1)]
+    parts: Dict[Weight, List[SparseMatrix]] = {}
     for m in range(k + 1):
         for alpha, beta in iter_product(partitions(m), repeat=2):
             if len(alpha) + len(beta) > n:
                 continue
             mu = weight_vector(alpha, beta, n)
-            hw = highest_weight_space(a, n, k, mu, act)
-            gen = generated_submodule(lowering, hw)
-            bases.append(gen.basis)
+            hw = highest_weight_space(blocks, mu)
+            layers = generated_layers(blocks, mu, hw)
+            for nu, basis in layers.items():
+                parts.setdefault(nu, []).append(basis)
             components.append({"weight": list(mu), "m": m,
                                "alpha": list(alpha), "beta": list(beta),
-                               "highest_dim": hw.dim,
-                               "generated_dim": gen.dim})
-    dim_sum = sum(b.rows for b in bases)
-    span_dim = rank(SparseMatrix.vstack(bases))
+                               "highest_dim": hw.rows,
+                               "generated_dim": sum(
+                                   b.rows for b in layers.values())})
+    dim_sum = sum(c["generated_dim"] for c in components)
+    span_dim = sum(rank(SparseMatrix.vstack(bases))
+                   for bases in parts.values())
     verdict = dim_sum == total and span_dim == total
     return {"check": "weight_decomposition",
             "params": {"n": n, "k": k, "algebra_dim": a.dim},
@@ -936,14 +997,17 @@ def _row_chains(n: int, a_dim: int, legs: Sequence[int], first: int,
     return out
 
 
-def _psi_matrix(a: StructureConstantAlgebra, n: int, m: int,
-                dom: CyclicWedgeModel, deg: int) -> SparseMatrix:
-    """Psi in degree deg, from the domain basis to the wedge basis of
-    gl_n(A). A term concatenates one leg tuple per block: a diagonal row
-    chain (r_0 = r_len) on each monomial block's representative, which is
-    one unit section column, and for m = 1 a corner chain (0 to n-1) on a
-    marked tensor of the remaining degree. Every such tuple is a term with
-    coefficient 1, and its wedge adds its sign."""
+def _psi_entries(a: StructureConstantAlgebra, n: int, m: int,
+                 dom: CyclicWedgeModel, deg: int
+                 ) -> Tuple[Dict[Tuple[Tuple[int, ...], int], int], int]:
+    """Psi in degree deg, from the domain basis to the wedge of gl_n(A):
+    its nonzero entries keyed by (increasing wedge tuple, domain column),
+    and its column count. A term concatenates one leg tuple per block: a
+    diagonal row chain (r_0 = r_len) on each monomial block's
+    representative, which is one unit section column, and for m = 1 a
+    corner chain (0 to n-1) on a marked tensor of the remaining degree.
+    Every such tuple is a term with coefficient 1, and its wedge adds its
+    sign."""
     reps = [{t: f for f, t in q.section.entries} for q in dom.cyclic_quots]
     diagonal = {
         (j, t): [c for r in range(n)
@@ -957,23 +1021,28 @@ def _psi_matrix(a: StructureConstantAlgebra, n: int, m: int,
                  + [_row_chains(n, a.dim, legs, 0, n - 1)]
                  for d1 in range(deg) for mono in dom.monomials[d1]
                  for legs in iter_product(range(a.dim), repeat=deg - d1)]
-    wedge = ExteriorBasis(n * n * a.dim, deg)
-    entries: Dict[Tuple[int, int], int] = {}
+    entries: Dict[Tuple[Tuple[int, ...], int], int] = {}
     for ci, blocks in enumerate(terms):
         for parts in iter_product(*blocks):
             res = wedge_sort(sum(parts, ()))
             if res is not None:
-                key = (wedge.index[res[1]], ci)
+                key = (res[1], ci)
                 entries[key] = entries.get(key, 0) + res[0]
-    return SparseMatrix(len(wedge), len(terms), entries)
+    return {key: v for key, v in entries.items() if v}, len(terms)
 
 
 def psi_restriction_check(a: StructureConstantAlgebra, n: int, m: int,
                           alpha: Sequence[int], beta: Sequence[int],
                           max_degree: int) -> dict:
     """Build the comparison map into the highest-weight space for the padded
-    weight of (alpha, beta) and verify: (i) its image lies in that space in
-    every degree <= max_degree, (ii) it is bijective in degrees <= n/2.
+    weight mu of (alpha, beta) and verify: (i) its image lies in that space
+    in every degree <= max_degree, (ii) it is bijective in degrees <= n/2.
+
+    Only the Cartan weight block mu is built (`WeightBlocks`), with the
+    generator action validated once for every degree. A psi column lies in
+    the highest-weight space exactly when it has no entry off block mu and
+    every simple raising operator kills it, and the space has dimension
+    |block mu| minus the rank of those operators.
 
     Supported marked-block counts: m = 0 (pure monomials of cyclic classes,
     weight zero) and m = 1 (one bar-type block embedded by the corner row
@@ -993,20 +1062,28 @@ def psi_restriction_check(a: StructureConstantAlgebra, n: int, m: int,
     guard_exterior_powers(n * n * a.dim, range(max_degree + 1))
     mu = weight_vector(alpha, beta, n)
     dom = cyclic_wedge_complex(a, max_degree)
+    gens = gln_generator_action(a, n)
     lhs_dims: List[int] = []
     rhs_dims: List[int] = []
     image_ok: List[bool] = []
     bijective: List[bool] = []
     for deg in range(max_degree + 1):
-        psi = _psi_matrix(a, n, m, dom, deg)
-        act = gln_action_on_chains(a, n, deg)
-        hw = highest_weight_space(a, n, deg, mu, act)
-        image_ok.append(bool(all(hw.contains(psi.column(c))
-                                 for c in range(psi.cols))))
-        lhs_dims.append(psi.cols)
-        rhs_dims.append(hw.dim)
+        entries, cols = _psi_entries(a, n, m, dom, deg)
+        blocks = WeightBlocks(gens, n, deg)
+        raising = blocks.raising(mu)
+        # block mu's tuples first, then any tuple psi reaches off the block
+        rows = dict(blocks.block(mu).index)
+        for tup, _ in entries:
+            rows.setdefault(tup, len(rows))
+        psi = SparseMatrix(len(rows), cols, {
+            (rows[tup], c): v for (tup, c), v in entries.items()})
+        on_block = len(rows) == raising.cols
+        image_ok.append(bool(on_block and (raising @ psi).is_zero()))
+        hw_dim = raising.cols - rank(raising)
+        lhs_dims.append(cols)
+        rhs_dims.append(hw_dim)
         if deg <= n // 2:
-            bijective.append(bool(psi.cols == hw.dim == rank(psi)))
+            bijective.append(bool(cols == hw_dim == rank(psi)))
     verdict = all(image_ok) and all(bijective)
     return {"check": "psi_restriction",
             "params": {"n": n, "m": m, "alpha": list(alpha),

@@ -481,10 +481,13 @@ def test_unwritable_json_path_exits_2_naming_it(tmp_path, capsys):
     # k! * (k! + n^(2k)) conjugations and column reads of phi
     ["verify", "phi", "--n", "1", "--k", "7"],
     ["verify", "phi", "--n", "2", "--k", "6"],
+    # wedge power 5 of gl_8(Q): C(64, 5) = 7,624,512 tuples
+    ["verify", "psi", "--algebra", "FIELD", "--n", "8", "--m", "1",
+     "--max-degree", "5"],
 ], ids=["hochschild-2^20", "ce-abelian40", "lqt-gl8", "lqt-gl32",
         "lqt-gl13-jacobi", "theta-zero50", "ce-gl20-jacobi",
         "gl-gl20-jacobi", "ce-lie200-jacobi", "hochschild-assoc1000",
-        "phi-n1-k7", "phi-n2-k6"])
+        "phi-n1-k7", "phi-n2-k6", "psi-gl8"])
 def test_oversized_input_exits_4_within_seconds(argv, fixtures, tmp_path):
     abelian = tmp_path / "abelian40.json"
     abelian.write_text(json.dumps({"dim": 40, "bracket": []}))

@@ -800,6 +800,28 @@ def test_each_page_subspace_is_built_once(dc, monkeypatch):
     assert set(ss._ranks) <= _prefix_keys(ss)
 
 
+@pytest.mark.parametrize("seed", range(60))
+def test_selections_with_no_entry_are_not_ranked(seed, monkeypatch):
+    # the inputs of `verify spectral --count 60`: a selection with no rows,
+    # no columns or no entry is 0 without a select or a rank, and the pages
+    # still equal the reference's
+    dc = random_double_complex(seed)
+    ranked = []
+
+    def counted(m):
+        assert m.rows and m.cols and m.nnz, "ranked an empty selection"
+        ranked.append(m)
+        return rank(m)
+
+    monkeypatch.setattr(complexes, "rank", counted)
+    ss = spectral_sequence(dc)
+    monkeypatch.undo()
+    assert len(ranked) == len(ss._ranks)
+    ref = ReferenceSpectralSequence(dc)
+    assert ss.pages == ref.pages
+    assert ss.convergence_report() == ref.convergence_report()
+
+
 @pytest.mark.parametrize("dc", [random_double_complex(s) for s in range(8)]
                          + [_staircase(n) for n in (1, 2, 3, 4)])
 def test_spectral_sequence_builds_no_subspace(dc, monkeypatch):

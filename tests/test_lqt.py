@@ -5,11 +5,10 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
 from itertools import permutations as iter_permutations
 from itertools import product as iter_product
-from types import SimpleNamespace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import pytest
@@ -37,21 +36,24 @@ from exacthom.exactlin import (AMBIENT_LIMIT, ResourceGuardError,
                                kernel_basis, quotient_structure,
                                random_unimodular, rank, rref, solve_matrix,
                                vec_clean)
-from exacthom.lie_homology import (ExteriorBasis, LieModuleAction,
-                                   abelian_lie_algebra, ce_complex,
-                                   ce_complex_on, coinvariant_reduction,
-                                   gl_index, gl_n_of,
-                                   gln_action_on_chains, guard_exterior_powers,
-                                   scalar_matrix_generator_action, wedge_sort)
+from exacthom.lie_homology import (ExteriorBasis, LieAxiomError,
+                                   ce_complex, ce_complex_on,
+                                   coinvariant_reduction, gl_index, gl_n_of,
+                                   gln_action_on_chains,
+                                   gln_generator_action,
+                                   guard_exterior_powers,
+                                   scalar_matrix_generator_action,
+                                   wedge_derivation_matrix, wedge_sort)
 from exacthom.lqt import (
     GroupTensorModel,
+    WeightBlocks,
     SpechtModule,
     _check_partition,
     _hook_length_dim,
     _koszul_sort,
     _perm_index,
     _perms,
-    _psi_matrix,
+    _psi_entries,
     _row_chains,
     _rows_from_filling,
     _tabloid_key,
@@ -61,7 +63,7 @@ from exacthom.lqt import (
     all_permutations,
     cyclic_wedge_complex,
     equivariance_check,
-    generated_submodule,
+    generated_layers,
     graded_free_commutative_dims,
     highest_weight_space,
     lqt_stable_check,
@@ -78,13 +80,24 @@ from exacthom.lqt import (
     weight_decomposition_report,
     weight_vector,
     weight_zero_count,
+    weight_tuples,
     weight_zero_tuples,
-    wedge_weight,
     xi,
     xi_sequence,
 )
 
 small_perm_degrees = st.integers(min_value=1, max_value=5)
+
+
+def reference_wedge_weight(a, n: int, tup: Sequence[int]) -> Tuple[int, ...]:
+    """Cartan weight of a wedge basis tuple of gl_n(A) generators: each leg
+    in matrix position (i, j) contributes +1 at i and -1 at j."""
+    wt = [0] * n
+    for x in tup:
+        i, j = divmod(x // a.dim, n)
+        wt[i] += 1
+        wt[j] -= 1
+    return tuple(wt)
 
 
 def reference_koszul_sort(seq):
@@ -719,7 +732,7 @@ def reference_conjugation_relation_buckets(n, k):
     buckets = {}
     for cidx in range(amb):
         legs = tensor_unrank(dim, k, cidx)
-        wt = wedge_weight(ground, n, legs)
+        wt = reference_wedge_weight(ground, n, legs)
         for r, s, on_leg in actions:
             acc = {}
             for t, leg in enumerate(legs):
@@ -858,17 +871,20 @@ def test_invariant_check_from_ranks_matches_the_span_reference(n, k):
 
 @pytest.mark.parametrize("n,k", RANKED_TRACE_CASES)
 def test_weight_codes_match_the_weight_walk(n, k):
-    # units are the tensors of nonzero weight, as `wedge_weight` reads them
+    # units are the tensors of nonzero weight, as `reference_wedge_weight`
+    # reads them
     # one by one, and every lowering relation lies in weight 0
     dim = n * n
     ground = field_q()
     units, weight_zero = _trace_relations(n, k)
-    assert units == [c for c in range(dim ** k)
-                     if any(wedge_weight(ground, n, tensor_unrank(dim, k, c)))]
+
+    def weight(c):
+        return reference_wedge_weight(ground, n, tensor_unrank(dim, k, c))
+
+    assert units == [c for c in range(dim ** k) if any(weight(c))]
     for row in weight_zero:
         assert row
-        assert not any(any(wedge_weight(ground, n, tensor_unrank(dim, k, c)))
-                       for c in row)
+        assert not any(any(weight(c)) for c in row)
 
 
 def mutated_phi(n: int, k: int, kind: str) -> SparseMatrix:
@@ -1241,7 +1257,7 @@ def reference_weight_components(a, n: int,
     basis = ExteriorBasis(n * n * a.dim, k)
     out: Dict[Tuple[int, ...], List[int]] = {}
     for ci, tup in enumerate(basis.tuples):
-        out.setdefault(wedge_weight(a, n, tup), []).append(ci)
+        out.setdefault(reference_wedge_weight(a, n, tup), []).append(ci)
     return out
 
 
@@ -1380,88 +1396,188 @@ def test_weight_report_matches_the_reference_components(name, n, k):
         reference_weight_decomposition_report(alg, n, k)
 
 
-@pytest.mark.parametrize("name,n,k", [("Q", 2, 3), ("Q", 3, 2),
-                                      ("dual", 2, 2)])
-def test_lowering_closure_is_the_generated_submodule(name, n, k):
-    # PBW: from a highest-weight space the simple lowering operators reach
-    # the same subspace as all n^2 action matrices, component by component
-    alg = QUOTIENT_ALGEBRAS[name]
-    act = gln_action_on_chains(alg, n, k)
-    lowering = [act.matrices[(i + 1) * n + i] for i in range(n - 1)]
-    for *_, hw, gen in reference_generated_components(alg, n, k):
-        assert generated_submodule(lowering, hw) == gen
+def full_rows(blocks: WeightBlocks, mu, basis: SparseMatrix) -> Subspace:
+    """The span of `basis` (rows in block-mu coordinates) as a subspace of
+    the whole wedge power, each block tuple at its lexicographic index."""
+    whole = ExteriorBasis(blocks.block(mu).dim, blocks.k)
+    cols = [whole.index[t] for t in blocks.block(mu).tuples]
+    return Subspace.from_vectors(len(whole), [
+        {cols[c]: v for c, v in basis.row(i).items()}
+        for i in range(basis.rows)])
 
 
-FRONTIER_CASES = [("Q", 2, 1), ("Q", 2, 2), ("Q", 3, 1), ("Q", 3, 2),
-                  ("dual", 2, 1), ("dual", 2, 2), ("left-unital", 2, 2)]
+# Q and Q[eps], n <= 3, k <= 3
+BLOCK_CASES = [(name, n, k) for name in ("Q", "dual") for n in (1, 2, 3)
+               for k in (0, 1, 2, 3)]
 
 
-@lru_cache(maxsize=None)
-def frontier_action(name, n, k):
-    return gln_action_on_chains(QUOTIENT_ALGEBRAS[name], n, k)
-
-
-@given(st.data())
-@settings(max_examples=60, deadline=None)
-def test_frontier_closure_matches_the_reference(data):
-    # arbitrary seeds, not only highest-weight ones, closed under the n - 1
-    # simple lowering operators and under all n^2 action matrices
-    name, n, k = data.draw(st.sampled_from(FRONTIER_CASES))
-    act = frontier_action(name, n, k)
-    amb = act.module_dim
-    vectors = data.draw(st.lists(st.dictionaries(
-        st.integers(min_value=0, max_value=amb - 1),
-        st.integers(min_value=-3, max_value=3), max_size=4), max_size=3))
-    seed = Subspace.from_vectors(amb, vectors)
-    lowering = [act.matrices[(i + 1) * n + i] for i in range(n - 1)]
-    for mats in (lowering, act.matrices):
-        assert generated_submodule(mats, seed) == \
-            reference_generated_submodule(
-                SimpleNamespace(module_dim=amb, matrices=mats), seed)
-
-
-def test_generated_submodule_rejects_matrices_of_another_size():
-    seed = Subspace.from_vectors(3, [{0: 1}])
-    assert generated_submodule([SparseMatrix.identity(3)], seed) == seed
-    with pytest.raises(ValueError):
-        generated_submodule([SparseMatrix.identity(4)], seed)
-
-
-@pytest.mark.parametrize("name,n,k", [("Q", 2, 2), ("Q", 3, 2),
-                                      ("dual", 2, 2)])
+@pytest.mark.parametrize("name,n,k", BLOCK_CASES)
 def test_highest_weight_space_matches_the_reference(name, n, k):
+    # the kernel of the n - 1 simple raising operators on one block is the
+    # whole-power kernel of every e_ij, i < j, on the same weight
     alg = QUOTIENT_ALGEBRAS[name]
     act = gln_action_on_chains(alg, n, k)
-    for mu in {wedge_weight(alg, n, t)
-               for t in combinations(range(n * n * alg.dim), k)}:
-        assert highest_weight_space(alg, n, k, mu, act) == \
+    blocks = WeightBlocks(gln_generator_action(alg, n), n, k)
+    weights = {reference_wedge_weight(alg, n, t)
+               for t in combinations(range(n * n * alg.dim), k)}
+    # and a weight no tuple has
+    weights.add((k + 1,) + (0,) * (n - 2) + (-k - 1,) if n > 1 else (1,))
+    for mu in weights:
+        hw = highest_weight_space(blocks, mu)
+        assert hw.cols == len(blocks.block(mu))
+        assert full_rows(blocks, mu, hw) == \
             reference_highest_weight_space(alg, n, k, mu, act)
 
 
-def test_highest_weight_space_rejects_an_action_of_another_degree():
-    # wedge power 1 of gl_2(Q) is Q^4; wedge power 2 is Q^6
-    with pytest.raises(ValueError, match="module"):
-        highest_weight_space(field_q(), 2, 2, (0, 0),
-                             gln_action_on_chains(field_q(), 2, 1))
-    act = gln_action_on_chains(field_q(), 2, 2)
-    assert highest_weight_space(field_q(), 2, 2, (0, 0), act) == \
-        reference_highest_weight_space(field_q(), 2, 2, (0, 0), act)
+@pytest.mark.parametrize("name,n,k", BLOCK_CASES)
+def test_lowering_closure_is_the_generated_submodule(name, n, k):
+    # PBW: from a highest-weight space the simple lowering operators reach
+    # the same subspace as all n^2 action matrices, component by component;
+    # each layer is one weight block of it
+    alg = QUOTIENT_ALGEBRAS[name]
+    blocks = WeightBlocks(gln_generator_action(alg, n), n, k)
+    for *_, mu, ref_hw, ref_gen in reference_generated_components(alg, n, k):
+        hw = highest_weight_space(blocks, mu)
+        assert full_rows(blocks, mu, hw) == ref_hw
+        layers = generated_layers(blocks, mu, hw)
+        assert all(b.rows for b in layers.values())
+        assert all(rref(b)[0] == b for b in layers.values())
+        spans = [full_rows(blocks, nu, b) for nu, b in layers.items()]
+        assert sum(sp.dim for sp in spans) == ref_gen.dim
+        joint = Subspace.zero(ref_gen.ambient_dim)
+        for sp in spans:
+            joint = joint.sum(sp)
+        assert joint == ref_gen
 
 
-def test_highest_weight_space_rejects_an_action_of_another_algebra():
-    # a one-dimensional algebra acting on Q^6, the size of wedge power 2 of
-    # gl_2(Q), is not gl_2's action
-    act = LieModuleAction(abelian_lie_algebra(1), 6,
-                          (SparseMatrix.zeros(6, 6),))
-    with pytest.raises(ValueError, match="algebra"):
-        highest_weight_space(field_q(), 2, 2, (0, 0), act)
+@pytest.mark.parametrize("name,n,k", [("Q", 2, 2), ("Q", 3, 2),
+                                      ("dual", 2, 2), ("Q", 3, 3)])
+def test_block_operators_are_the_whole_power_action_restricted(name, n, k):
+    # e_rs on block mu is the whole-power matrix on those columns, and it
+    # lands in block mu + eps_r - eps_s
+    alg = QUOTIENT_ALGEBRAS[name]
+    act = gln_action_on_chains(alg, n, k)
+    blocks = WeightBlocks(gln_generator_action(alg, n), n, k)
+    whole = ExteriorBasis(n * n * alg.dim, k)
+    weights = {reference_wedge_weight(alg, n, t) for t in whole.tuples}
+    for mu in weights:
+        for r in range(n):
+            for s_ in range(n):
+                target = list(mu)
+                target[r] += 1
+                target[s_] -= 1
+                rows = [whole.index[t] for t in blocks.block(target).tuples]
+                cols = [whole.index[t] for t in blocks.block(mu).tuples]
+                full = act.matrices[r * n + s_]
+                assert blocks.operator(r, s_, mu) == full.select(rows, cols)
+                # nothing of the image leaves the target block
+                assert full.select(range(full.rows), cols).nnz == \
+                    blocks.operator(r, s_, mu).nnz
+
+
+def test_block_operators_are_built_once_per_report(monkeypatch):
+    from exacthom import lqt
+    built = []
+
+    def counted(src, act, target=None):
+        # act is one generator's image list, kept by the blocks
+        assert src.tuples
+        built.append((id(act.__self__), tuple(src.tuples),
+                      tuple(target.tuples)))
+        return wedge_derivation_matrix(src, act, target)
+
+    monkeypatch.setattr(lqt, "wedge_derivation_matrix", counted)
+    report = weight_decomposition_report(field_q(), 3, 3)
+    assert report["verdict"]
+    assert len(built) == len(set(built))
+
+
+@given(st.integers(min_value=1, max_value=3),
+       st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_weight_tuples_are_the_filtered_combinations(n, a_dim, k, data):
+    assume(math.comb(n * n * a_dim, k) <= 5000)
+    a = zero_multiplication(a_dim)
+    by_weight: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
+    for t in combinations(range(n * n * a_dim), k):
+        by_weight.setdefault(reference_wedge_weight(a, n, t), []).append(t)
+    for mu, tuples in by_weight.items():
+        assert weight_tuples(n, a_dim, k, mu) == tuples
+    # weights no tuple has: a random one, and a shift of a real one
+    mu = tuple(data.draw(st.lists(st.integers(min_value=-k - 1,
+                                              max_value=k + 1),
+                                  min_size=n, max_size=n)))
+    assert weight_tuples(n, a_dim, k, mu) == by_weight.get(mu, [])
+    shifted = (mu[0] + 1,) + mu[1:]
+    assert weight_tuples(n, a_dim, k, shifted) == by_weight.get(shifted, [])
+    assert weight_zero_tuples(n, a_dim, k) == \
+        by_weight.get((0,) * n, [])
+
+
+def test_weight_tuples_need_one_entry_per_index():
+    with pytest.raises(ValueError, match="entries"):
+        weight_tuples(3, 1, 2, (1, -1))
 
 
 def test_highest_weight_space_of_adjoint():
     # weight (1,-1) in gl_2: highest vector is e_12, one-dimensional
-    hw = highest_weight_space(field_q(), 2, 1, (1, -1),
-                              gln_action_on_chains(field_q(), 2, 1))
-    assert hw.dim == 1
+    blocks = WeightBlocks(gln_generator_action(field_q(), 2), 2, 1)
+    hw = highest_weight_space(blocks, (1, -1))
+    assert blocks.block((1, -1)).tuples == [(1,)]
+    assert hw == SparseMatrix.identity(1)
+
+
+def test_weight_report_validates_the_generator_action_once(monkeypatch):
+    from exacthom import lie_homology
+    validated = []
+    original = lie_homology.LieModuleAction.__post_init__
+
+    def counted(self):
+        validated.append(self.module_dim)
+        original(self)
+
+    monkeypatch.setattr(lie_homology.LieModuleAction, "__post_init__",
+                        counted)
+    weight_decomposition_report(dual_numbers(), 2, 3)
+    assert validated == [8]
+    validated.clear()
+    psi_restriction_check(dual_numbers(), 2, 1, (1,), (1,), 3)
+    assert validated == [8]
+
+
+@pytest.mark.parametrize("check", [
+    lambda: weight_decomposition_report(dual_numbers(), 2, 2),
+    lambda: psi_restriction_check(dual_numbers(), 2, 1, (1,), (1,), 2),
+], ids=["weights", "psi"])
+def test_a_broken_generator_action_fails_the_weight_checks(monkeypatch,
+                                                           check):
+    from exacthom import lie_homology
+
+    def flipped(n, a_dim, r, s):
+        act = scalar_matrix_generator_action(n, a_dim, r, s)
+        if (r, s) != (0, 1):
+            return act
+        return lambda idx: {y: -c for y, c in act(idx).items()}
+    monkeypatch.setattr(lie_homology, "scalar_matrix_generator_action",
+                        flipped)
+    with pytest.raises(LieAxiomError, match="representation identity"):
+        check()
+
+
+def test_weight_report_is_guarded_before_anything_is_enumerated(
+        monkeypatch):
+    from exacthom import lqt
+
+    def built(*args):
+        raise AssertionError("enumerated or built")
+
+    for name in ("weight_tuples", "gln_generator_action", "WeightBlocks"):
+        monkeypatch.setattr(lqt, name, built)
+    # gl_8(Q), wedge power 5: C(64, 5) tuples
+    with pytest.raises(ResourceGuardError) as e:
+        weight_decomposition_report(field_q(), 8, 5)
+    assert e.value.sizing["size"] == math.comb(64, 5)
 
 
 # -- row-chain embedding and psi -----------------------------------------------------
@@ -1531,6 +1647,14 @@ def reference_psi_term_tensor(a, n: int, dom,
         acc = reference_outer_legs(
             acc, reference_zeta_map(a, {tens: 1}, p, 1, n, n), gdim, p)
     return acc
+
+
+def psi_matrix(a, n: int, m: int, dom, deg: int) -> SparseMatrix:
+    """`_psi_entries` on the whole wedge basis of gl_n(A)."""
+    entries, cols = _psi_entries(a, n, m, dom, deg)
+    wedge = ExteriorBasis(n * n * a.dim, deg)
+    return SparseMatrix(len(wedge), cols, {
+        (wedge.index[t], c): v for (t, c), v in entries.items()})
 
 
 def reference_psi_matrix(a, n: int, m: int, dom, deg: int) -> SparseMatrix:
@@ -1632,7 +1756,7 @@ def test_psi_matrix_matches_the_reference_term_path(name, n, m, max_degree):
     assume(math.comb(n * n * a.dim, max_degree) <= PSI_REFERENCE_SIZE)
     dom = cyclic_wedge_complex(a, max_degree)
     for deg in range(max_degree + 1):
-        assert _psi_matrix(a, n, m, dom, deg) == \
+        assert psi_matrix(a, n, m, dom, deg) == \
             reference_psi_matrix(a, n, m, dom, deg)
 
 
@@ -1677,6 +1801,76 @@ def test_psi_rejects_two_marked_blocks():
 def test_psi_rejects_mismatched_partitions():
     with pytest.raises(ValueError):
         psi_restriction_check(field_q(), 2, 1, (), (1,), 1)
+
+
+def reference_psi_restriction_check(a, n: int, m: int, max_degree: int):
+    """The image, dimension and bijectivity lists of `psi_restriction_check`
+    for alpha = beta = (1,) * m, read off the whole wedge power: psi on the
+    whole basis, and the highest-weight space as the kernel of every
+    raising e_ij, i < j, of `gln_action_on_chains`."""
+    part = (1,) * m
+    mu = weight_vector(part, part, n)
+    dom = cyclic_wedge_complex(a, max_degree)
+    out = {"lhs_dims": [], "rhs_dims": [], "image_in_highest_weight": [],
+           "bijective_degrees": []}
+    for deg in range(max_degree + 1):
+        psi = psi_matrix(a, n, m, dom, deg)
+        hw = reference_highest_weight_space(a, n, deg, mu)
+        out["image_in_highest_weight"].append(
+            all(hw.contains(psi.column(c)) for c in range(psi.cols)))
+        out["lhs_dims"].append(psi.cols)
+        out["rhs_dims"].append(hw.dim)
+        if deg <= n // 2:
+            out["bijective_degrees"].append(
+                psi.cols == hw.dim == rank(psi))
+    return out
+
+
+@pytest.mark.parametrize("name,n,m,max_degree", [
+    ("Q", 2, 1, 2), ("Q", 3, 1, 3), ("Q", 3, 0, 3), ("Q", 4, 1, 3),
+    ("dual", 2, 1, 2), ("dual", 3, 1, 2), ("dual", 3, 0, 2),
+    ("x3", 3, 1, 2), ("M2", 2, 1, 2)])
+def test_psi_check_matches_the_whole_power_reference(name, n, m,
+                                                     max_degree):
+    a = QUOTIENT_ALGEBRAS[name]
+    part = (1,) * m
+    report = psi_restriction_check(a, n, m, part, part, max_degree)
+    assert {key: report[key] for key in (
+        "lhs_dims", "rhs_dims", "image_in_highest_weight",
+        "bijective_degrees")} == \
+        reference_psi_restriction_check(a, n, m, max_degree)
+
+
+def _psi_with(extra):
+    """`_psi_entries` with `extra(n, deg)` ((wedge tuple, column) -> value)
+    added to its entries in degree 2."""
+    def entries(a, n, m, dom, deg):
+        out, cols = _psi_entries(a, n, m, dom, deg)
+        if deg == 2:
+            for key, v in extra(n, deg).items():
+                out[key] = out.get(key, 0) + v
+        return out, cols
+    return entries
+
+
+@pytest.mark.parametrize("extra", [
+    # e_11 ^ e_12 has weight (1, -1, 0), off the block of (1, 0, -1)
+    lambda n, deg: {((0, 1), 0): 1},
+    # e_12 ^ e_13 has weight (2, -1, -1)
+    lambda n, deg: {((1, 2), 0): 1},
+    # column 0 is e_11 ^ e_13 + e_12 ^ e_23 + e_13 ^ e_33, which e_12
+    # kills: it sends the first two terms to -e_12 ^ e_13 and e_12 ^ e_13.
+    # Doubling the first term stays in the block but leaves the kernel.
+    lambda n, deg: {((0, 2), 0): 1},
+], ids=["off-block", "off-block-far", "on-block-not-killed"])
+def test_psi_columns_off_the_highest_weight_space_fail(monkeypatch, extra):
+    from exacthom import lqt
+    good = psi_restriction_check(field_q(), 3, 1, (1,), (1,), 2)
+    assert good["image_in_highest_weight"] == [True, True, True]
+    monkeypatch.setattr(lqt, "_psi_entries", _psi_with(extra))
+    report = psi_restriction_check(field_q(), 3, 1, (1,), (1,), 2)
+    assert report["image_in_highest_weight"] == [True, True, False]
+    assert not report["verdict"]
 
 
 # -- free graded-commutative closure --------------------------------------------------
@@ -1873,7 +2067,7 @@ def test_stable_check_builds_no_degree_past_the_stable_range(monkeypatch):
 def brute_weight_zero(n, a_dim, k):
     a = zero_multiplication(a_dim)
     return [t for t in combinations(range(n * n * a_dim), k)
-            if not any(wedge_weight(a, n, t))]
+            if not any(reference_wedge_weight(a, n, t))]
 
 
 @pytest.mark.parametrize("n,a_dim,max_k", [
@@ -1949,8 +2143,8 @@ def weight_blocks(a, n):
     by_weight = {}
     for k in range(g.dim + 1):
         for t in combinations(range(g.dim), k):
-            by_weight.setdefault(wedge_weight(a, n, t), {}).setdefault(
-                k, []).append(t)
+            by_weight.setdefault(reference_wedge_weight(a, n, t),
+                                 {}).setdefault(k, []).append(t)
     return {mu: ce_complex_on(g, [ExteriorBasis(g.dim, k, parts.get(k, []))
                                   for k in range(g.dim + 1)])
             for mu, parts in by_weight.items()}
